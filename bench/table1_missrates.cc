@@ -23,23 +23,15 @@ main(int argc, char **argv)
                     "(per 100 instructions; paper value in braces)");
     table.header({"metric", "Database", "TPC-W", "SPECjbb", "SPECweb"});
 
-    // Cache-only measurement: parallel across workloads on the sweep
-    // pool, input traces shared with any epoch-model runs of the same
-    // (profile, seed, length) via the process-wide trace cache.
+    // Cache-only measurement, parallel across workloads on the sweep
+    // pool; each task streams its trace in O(chunk) memory.
     auto profiles = workloads();
     std::vector<Runner::MissRates> rates(profiles.size());
     std::vector<std::function<void()>> tasks;
     for (size_t i = 0; i < profiles.size(); ++i) {
         tasks.push_back([&, i] {
-            RunSpec key;
-            key.profile = profiles[i];
-            key.seed = 42;
-            key.warmupInsts = scale.warmup;
-            key.measureInsts = scale.measure;
-            auto trace = sweepEngine().traceCache().getOrBuild(
-                Runner::traceCacheKey(key),
-                [&] { return Runner::buildTrace(key); });
-            rates[i] = Runner::measureMissRates(*trace, scale.warmup);
+            rates[i] = Runner::measureMissRates(
+                profiles[i], 42, scale.warmup, scale.measure);
         });
     }
     sweepTasks(tasks);

@@ -5,8 +5,11 @@
 
 #include "core/runner.hh"
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "coherence/bus.hh"
@@ -20,6 +23,111 @@
 
 namespace storemlp
 {
+
+namespace
+{
+
+/**
+ * Pass-through source that tallies Table-1 store-class records at
+ * index >= `from` while the engine's cursor fetches each chunk, so a
+ * run reads its stream once. A refetched chunk is not counted again;
+ * a chunk starting past the tallied prefix would leave records
+ * uncounted, so it throws instead.
+ */
+class StoreTallySource : public TraceSource
+{
+  public:
+    StoreTallySource(TraceSource &inner, uint64_t from)
+        : TraceSource(inner.chunkInsts()), _inner(inner), _from(from)
+    {
+    }
+
+    std::shared_ptr<const TraceChunk>
+    fetch(uint64_t chunk_idx) override
+    {
+        std::shared_ptr<const TraceChunk> c = _inner.fetch(chunk_idx);
+        if (!c)
+            return c;
+        if (c->firstIdx > _tallied) {
+            throw std::logic_error(
+                "Runner: chunk " + std::to_string(chunk_idx) +
+                " fetched before records [" + std::to_string(_tallied) +
+                ", " + std::to_string(c->firstIdx) +
+                ") were tallied");
+        }
+        uint64_t end = c->firstIdx + c->count;
+        if (end > _tallied) {
+            const uint8_t *cls = c->lanes().cls;
+            for (uint64_t i = std::max(_tallied, _from); i < end; ++i) {
+                _stores += isStoreClass(
+                    static_cast<InstClass>(cls[i - c->firstIdx]));
+            }
+            _tallied = end;
+        }
+        return c;
+    }
+
+    std::optional<uint64_t> knownSize() const override
+    {
+        return _inner.knownSize();
+    }
+    std::string fingerprint() const override
+    {
+        return _inner.fingerprint();
+    }
+
+    /** Store-class records in [from, tallied()). */
+    uint64_t stores() const { return _stores; }
+    /** End of the contiguous prefix fetched so far. */
+    uint64_t tallied() const { return _tallied; }
+
+  private:
+    TraceSource &_inner;
+    uint64_t _from;
+    uint64_t _tallied = 0;
+    uint64_t _stores = 0;
+};
+
+/**
+ * Cache-only Table-1 replay of the records `visit` feeds to its
+ * callback, in order: warm the default hierarchy on the first
+ * `warmup_insts`, reset its stats, then measure the rest.
+ */
+template <typename Visit>
+Runner::MissRates
+replayMissRates(uint64_t warmup_insts, Visit &&visit)
+{
+    CacheHierarchy hier;
+    uint64_t seen = 0;
+    uint64_t stores = 0;
+    visit([&](const TraceRecord &r) {
+        if (seen == warmup_insts)
+            hier.resetStats();
+        bool measuring = seen++ >= warmup_insts;
+        hier.instFetch(r.pc);
+        if (isLoadClass(r.cls))
+            hier.load(r.addr);
+        if (isStoreClass(r.cls)) {
+            hier.store(r.addr);
+            stores += measuring;
+        }
+    });
+
+    Runner::MissRates rates;
+    if (seen <= warmup_insts)
+        return rates;
+    double n = static_cast<double>(seen - warmup_insts);
+    rates.storesPer100 = 100.0 * static_cast<double>(stores) / n;
+    rates.storeMissPer100 =
+        100.0 * static_cast<double>(hier.storeL2Misses()) / n;
+    rates.loadMissPer100 =
+        100.0 * static_cast<double>(hier.loadL2Misses()) / n;
+    rates.instMissPer100 =
+        100.0 * static_cast<double>(hier.instL2Misses()) / n;
+    return rates;
+}
+
+} // namespace
 
 double
 RunOutput::smacInvalidatesPer1000() const
@@ -156,28 +264,32 @@ Runner::run(const RunSpec &spec, TraceSource &source)
     }
 
     // ---- warm, reset, measure ----
-    TraceCursor cur(source);
+    // The tally counts measured stores as the engine's cursor fetches
+    // each chunk, so the stream is read once.
+    StoreTallySource tally(source, spec.warmupInsts);
+    TraceCursor cur(tally);
     sim.process(cur, 0, spec.warmupInsts, false);
     uint64_t warmup_end = sim.position(); // min(warmup, stream length)
     local.resetStats();
     bus.resetStats();
 
     sim.process(cur, warmup_end, ~uint64_t{0}, true);
-    uint64_t end_idx = sim.position();
+    uint64_t end_idx = sim.position(); // the stream length
+    if (tally.tallied() != end_idx) {
+        throw std::logic_error(
+            "Runner: store tally covers " +
+            std::to_string(tally.tallied()) + " records, run ended at " +
+            std::to_string(end_idx));
+    }
     RunOutput out;
     out.sim = sim.takeResult();
 
     // ---- Table 1 style rates over the measured records ----
-    uint64_t stores = 0;
-    uint64_t measured =
-        forEachRecord(source, warmup_end, end_idx,
-                      [&](const TraceRecord &r) {
-                          if (isStoreClass(r.cls))
-                              ++stores;
-                      });
+    uint64_t measured = end_idx - warmup_end;
     if (measured) {
         double n = static_cast<double>(measured);
-        out.storesPer100 = 100.0 * static_cast<double>(stores) / n;
+        out.storesPer100 =
+            100.0 * static_cast<double>(tally.stores()) / n;
         out.storeMissPer100 = 100.0 *
             static_cast<double>(local.hierarchy().storeL2Misses()) / n;
         out.loadMissPer100 = 100.0 *
@@ -235,49 +347,19 @@ Runner::MissRates
 Runner::measureMissRates(const WorkloadProfile &profile, uint64_t seed,
                          uint64_t warmup_insts, uint64_t measure_insts)
 {
-    SyntheticTraceGenerator gen(profile, seed, 0);
-    return measureMissRates(gen.generate(warmup_insts + measure_insts),
-                            warmup_insts);
+    GeneratorSource src(profile, seed, warmup_insts + measure_insts);
+    return replayMissRates(warmup_insts, [&](auto &&access) {
+        forEachRecord(src, 0, ~uint64_t{0}, access);
+    });
 }
 
 Runner::MissRates
 Runner::measureMissRates(const Trace &trace, uint64_t warmup_insts)
 {
-    CacheHierarchy hier;
-    uint64_t stores = 0;
-
-    auto access = [&](const TraceRecord &r) {
-        hier.instFetch(r.pc);
-        if (isLoadClass(r.cls))
-            hier.load(r.addr);
-        if (isStoreClass(r.cls))
-            hier.store(r.addr);
-    };
-
-    uint64_t warmup_end = std::min<uint64_t>(warmup_insts, trace.size());
-    for (uint64_t i = 0; i < warmup_end; ++i)
-        access(trace[i]);
-    hier.resetStats();
-
-    for (uint64_t i = warmup_end; i < trace.size(); ++i) {
-        access(trace[i]);
-        if (isStoreClass(trace[i].cls))
-            ++stores;
-    }
-
-    MissRates rates;
-    uint64_t measured = trace.size() - warmup_end;
-    if (!measured)
-        return rates;
-    double n = static_cast<double>(measured);
-    rates.storesPer100 = 100.0 * static_cast<double>(stores) / n;
-    rates.storeMissPer100 =
-        100.0 * static_cast<double>(hier.storeL2Misses()) / n;
-    rates.loadMissPer100 =
-        100.0 * static_cast<double>(hier.loadL2Misses()) / n;
-    rates.instMissPer100 =
-        100.0 * static_cast<double>(hier.instL2Misses()) / n;
-    return rates;
+    return replayMissRates(warmup_insts, [&](auto &&access) {
+        for (const TraceRecord &r : trace.records())
+            access(r);
+    });
 }
 
 } // namespace storemlp

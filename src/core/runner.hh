@@ -138,6 +138,11 @@ class Runner
      * primary entry point: resident trace memory is O(chunk) for
      * streaming sources, and a MaterializedSource reproduces the
      * historical whole-trace behavior bit for bit.
+     *
+     * The stream is read once, in chunk order: the Table-1 store
+     * tally (`storesPer100`) counts the measured records as the
+     * engine's cursor first fetches each chunk. With SLE or TM on,
+     * the lock analysis adds one full pass before the run.
      */
     static RunOutput run(const RunSpec &spec, TraceSource &source);
 
@@ -171,7 +176,8 @@ class Runner
     /**
      * Cache-only measurement of the paper's Table 1 statistics: no
      * epoch engine, no prefetching — the raw miss rates of the
-     * workload against the default hierarchy.
+     * workload against the default hierarchy. The profile overload
+     * streams the generator in O(chunk) memory.
      */
     struct MissRates
     {

@@ -19,6 +19,10 @@
  *                       TraceCache keyed by (fingerprint, chunk index)
  *                       so parallel sweep workers share chunk decodes.
  *
+ * A run reads its stream once: Runner::run tallies the Table-1 store
+ * count from the chunks the engine's cursor fetches, so only the lock
+ * analysis (SLE/TM runs) adds a second pass.
+ *
  * Chunking is an execution detail, never a semantic one: any chunk
  * size yields the identical record stream, and the equivalence suite
  * (tests/test_trace_source.cc) holds every source to bit-identical

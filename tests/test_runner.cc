@@ -56,6 +56,26 @@ TEST_P(CalibrationTest, Table1MissRatesNearPaper)
                 0.35 * p.targetInstMissPer100 + 0.02);
 }
 
+TEST_P(CalibrationTest, StreamedMissRatesMatchTraceReplay)
+{
+    // The profile overload streams the generator in O(chunk) memory;
+    // it must replay exactly the records of the materialized trace.
+    WorkloadProfile p = profile();
+    constexpr uint64_t kWarm = 30000;
+    constexpr uint64_t kMeas = 70000;
+    Runner::MissRates streamed =
+        Runner::measureMissRates(p, 42, kWarm, kMeas);
+    SyntheticTraceGenerator gen(p, 42, 0);
+    Runner::MissRates whole =
+        Runner::measureMissRates(gen.generate(kWarm + kMeas), kWarm);
+
+    EXPECT_EQ(streamed.storesPer100, whole.storesPer100);
+    EXPECT_EQ(streamed.storeMissPer100, whole.storeMissPer100);
+    EXPECT_EQ(streamed.loadMissPer100, whole.loadMissPer100);
+    EXPECT_EQ(streamed.instMissPer100, whole.instMissPer100);
+    EXPECT_GT(streamed.storesPer100, 0.0);
+}
+
 TEST_P(CalibrationTest, Table3OnChipCpiNearPaper)
 {
     WorkloadProfile p = profile();

@@ -333,5 +333,189 @@ TEST(RunnerStreaming, FileSourceMatchesInMemoryRun)
     std::remove(path.c_str());
 }
 
+/**
+ * Pass-through source that logs every fetch: the chunk index asked for
+ * and whether a chunk came back.
+ */
+class FetchLogSource : public TraceSource
+{
+  public:
+    explicit FetchLogSource(std::unique_ptr<TraceSource> inner)
+        : TraceSource(inner->chunkInsts()), _inner(std::move(inner))
+    {
+    }
+
+    std::shared_ptr<const TraceChunk>
+    fetch(uint64_t chunk_idx) override
+    {
+        std::shared_ptr<const TraceChunk> c = _inner->fetch(chunk_idx);
+        log.push_back({chunk_idx, c != nullptr});
+        return c;
+    }
+    std::optional<uint64_t> knownSize() const override
+    {
+        return _inner->knownSize();
+    }
+    std::string fingerprint() const override
+    {
+        return _inner->fingerprint();
+    }
+
+    struct Fetch
+    {
+        uint64_t idx;
+        bool hit;
+    };
+    std::vector<Fetch> log;
+
+  private:
+    std::unique_ptr<TraceSource> _inner;
+};
+
+/**
+ * Check that a fetch log is a series of passes, each reading chunks
+ * 0, 1, 2, ... exactly once, in order, covering all `chunks` chunks;
+ * only one probe past the end may come back empty. Returns the
+ * number of passes.
+ */
+int
+countSinglePasses(const std::vector<FetchLogSource::Fetch> &log,
+                  uint64_t chunks)
+{
+    int passes = 0;
+    uint64_t next = 0;   // chunk the current pass must fetch next
+    bool ended = false;  // the current pass probed past the end
+    for (size_t i = 0; i < log.size(); ++i) {
+        const FetchLogSource::Fetch &f = log[i];
+        if (f.idx == 0) {
+            EXPECT_TRUE(passes == 0 || next == chunks)
+                << "pass " << passes << " ended at chunk " << next;
+            ++passes;
+            next = 0;
+            ended = false;
+        }
+        EXPECT_FALSE(ended) << "fetch " << i << " after the end probe";
+        if (f.hit) {
+            EXPECT_EQ(f.idx, next) << "fetch " << i;
+            ++next;
+        } else {
+            EXPECT_EQ(f.idx, chunks) << "fetch " << i;
+            EXPECT_EQ(next, chunks) << "fetch " << i;
+            ended = true;
+        }
+    }
+    EXPECT_EQ(next, chunks) << "the last pass ended early";
+    return passes;
+}
+
+TEST_F(FileSourceTest, RunnerReadsEachChunkOnce)
+{
+    // With SLE/TM off, the engine's own pass feeds the Table-1 tally:
+    // every chunk is fetched once, in order, for every source kind.
+    // SLE adds exactly one pass, the lock analysis.
+    RunSpec spec;
+    spec.profile = WorkloadProfile::specjbb();
+    spec.config = SimConfig::pc2().withScout(ScoutMode::Hws2);
+    spec.warmupInsts = 15000;
+    spec.measureInsts = 25000;
+    constexpr uint64_t kChunk = 4096;
+
+    Trace trace = Runner::buildTrace(spec);
+    std::string path = writeTemp("single_read", [&](std::ostream &os) {
+        writeTraceV4(os, trace, "single-read", kChunk);
+    });
+    uint64_t chunks = (trace.size() + kChunk - 1) / kChunk;
+    ASSERT_GT(chunks, 3u);
+    RunOutput ref = test::runMaterialized(spec, trace);
+
+    using Make = std::function<std::unique_ptr<TraceSource>()>;
+    std::vector<std::pair<std::string, Make>> kinds = {
+        {"generator", [&] { return Runner::makeSource(spec, kChunk); }},
+        {"file",
+         [&] { return std::make_unique<StreamingFileSource>(path, kChunk); }},
+        {"materialized",
+         [&] { return std::make_unique<MaterializedSource>(trace, kChunk); }},
+    };
+    for (bool sle : {false, true}) {
+        RunSpec s = spec;
+        s.config.sle = sle;
+        RunOutput want = sle ? test::runMaterialized(s, trace) : ref;
+        for (const auto &[name, make] : kinds) {
+            FetchLogSource src(make());
+            RunOutput out = Runner::run(s, src);
+            EXPECT_EQ(out.sim, want.sim) << name << " sle=" << sle;
+            EXPECT_EQ(out.storesPer100, want.storesPer100) << name;
+            EXPECT_EQ(countSinglePasses(src.log, chunks), sle ? 2 : 1)
+                << name << " sle=" << sle;
+        }
+    }
+}
+
+/** Table-1 store rate over records [warmup, end) of `trace`, counted
+ *  the way the runner defines it. */
+double
+referenceStoresPer100(const Trace &trace, uint64_t warmup)
+{
+    MaterializedSource src(trace);
+    uint64_t stores = 0;
+    uint64_t measured =
+        forEachRecord(src, warmup, ~uint64_t{0}, [&](const TraceRecord &r) {
+            stores += isStoreClass(r.cls);
+        });
+    return measured ? 100.0 * static_cast<double>(stores) /
+            static_cast<double>(measured)
+                    : 0.0;
+}
+
+TEST(RunnerTally, MatchesReferenceCountAcrossChunkings)
+{
+    struct Case
+    {
+        const char *model;
+        uint64_t warmup;
+        uint64_t chunk;
+    };
+    // Warmup off a chunk boundary, one-record chunks, and a WC stream
+    // whose rewrite expansion shifts every later index.
+    for (const Case &c : {Case{"pc", 1500, 1000}, Case{"pc", 1500, 1},
+                          Case{"wc", 1500, 1000}, Case{"wc", 2000, 1}}) {
+        RunSpec spec;
+        spec.profile = WorkloadProfile::database();
+        spec.config.memoryModel = ModelDescriptor::parse(c.model);
+        spec.warmupInsts = c.warmup;
+        spec.measureInsts = 6000;
+
+        Trace trace = Runner::buildTrace(spec);
+        std::unique_ptr<TraceSource> src = Runner::makeSource(spec, c.chunk);
+        RunOutput out = Runner::run(spec, *src);
+        std::string what = std::string(c.model) + " warmup=" +
+            std::to_string(c.warmup) + " chunk=" + std::to_string(c.chunk);
+        EXPECT_EQ(out.storesPer100,
+                  referenceStoresPer100(trace, c.warmup))
+            << what;
+        EXPECT_GT(out.storesPer100, 0.0) << what;
+    }
+}
+
+TEST(RunnerTally, WarmupAtOrPastEndMeasuresNothing)
+{
+    Trace trace = makeTrace(3000);
+    for (uint64_t warmup : {trace.size(), trace.size() + 2000}) {
+        for (uint64_t chunk : {uint64_t{1}, uint64_t{1000}}) {
+            RunSpec spec;
+            spec.profile = WorkloadProfile::tpcw();
+            spec.warmupInsts = warmup;
+            MaterializedSource src(trace, chunk);
+            RunOutput out = Runner::run(spec, src);
+            EXPECT_EQ(out.sim.instructions, 0u);
+            EXPECT_EQ(out.storesPer100, 0.0);
+            EXPECT_EQ(out.storeMissPer100, 0.0);
+            EXPECT_EQ(out.loadMissPer100, 0.0);
+            EXPECT_EQ(out.instMissPer100, 0.0);
+            EXPECT_EQ(out.tlbMissPer100, 0.0);
+        }
+    }
+}
+
 } // namespace
 } // namespace storemlp
