@@ -82,7 +82,8 @@ constexpr uint64_t kPrefillStride = 0x001000000000ULL;
  * core's private store/load regions at disjoint addresses (matching
  * DualCoreRunner's 0/101 for the first two cores) while every core
  * shares the one global shared-store region — the source of
- * cross-core invalidation traffic.
+ * cross-core invalidation traffic. Each stream generates one chunk
+ * ahead on its own helper thread while the engines simulate.
  */
 std::unique_ptr<TraceSource>
 coreSource(const MultiRunSpec &spec, const WorkloadProfile &prof,
@@ -93,7 +94,7 @@ coreSource(const MultiRunSpec &spec, const WorkloadProfile &prof,
         prof, spec.seed + core, total, gen_id, spec.chunkInsts);
     if (spec.config.memoryModel.wcTraceRewrite())
         src = std::make_unique<WcRewriteSource>(std::move(src));
-    return src;
+    return std::make_unique<ReadAheadSource>(std::move(src));
 }
 
 } // namespace

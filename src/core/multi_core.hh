@@ -10,6 +10,13 @@
  * locks, and shared SMAC capacity emerge from the simulated accesses
  * instead of being modeled.
  *
+ * The engines all run on the calling thread. Each core's trace is
+ * generated one chunk ahead on its own helper thread (a
+ * ReadAheadSource per core), so a run uses up to cores + 1 threads
+ * and its wall time is bound by the engines, not by generation.
+ * Results do not depend on the threads: every core's record stream
+ * is fixed by (profile, seed, core id).
+ *
  * Execution is deterministic quantum-interleaved: every core advances
  * `quantum` instructions per turn, in core-id order, over one shared
  * memory system. The quantum sets how finely cache/coherence

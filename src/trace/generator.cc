@@ -35,23 +35,61 @@ SyntheticTraceGenerator::SyntheticTraceGenerator(
         chip_id * uint64_t(1) * 1024 * 1024;
     for (auto &r : _recent)
         r = 1 + static_cast<uint8_t>(_rng.below(kNumRegs - 1));
+
+    auto th = &Pcg32::threshold;
+    const WorkloadProfile &p = _prof;
+    _t.instCold = th(p.instColdProb);
+    _t.instBurstCont = th(p.instBurstCont);
+    _t.hotCodeJump = th(p.hotCodeJumpProb);
+    _t.hotL1 = th(p.hotL1Frac);
+    _t.sharedLoad = th(p.sharedLoadFrac);
+    _t.sharedHot = th(p.sharedHotFrac);
+    _t.sharedStore = th(p.sharedStoreFrac);
+    _t.storeRevisit = th(p.storeRevisitFrac);
+    _t.depNear = th(p.depNearProb);
+    _t.flushStore = th(p.flushStoreFrac);
+    _t.flushStoreOrLoad = th(p.flushStoreFrac + p.loadFrac);
+    _t.flushCold = th(p.flushColdProb);
+    _t.flushPhase = th(p.flushPhaseProb);
+    _t.flushCont = th(1.0 - 1.0 / std::max(1u, p.flushLenMean));
+    _t.burstStore = th(p.burstStoreFrac);
+    _t.burstCold = th(p.burstColdProb);
+    _t.burstPhase = th(p.burstPhaseProb);
+    _t.burstCont = th(1.0 - 1.0 / std::max(1u, p.burstLenMean));
+    _t.lock = th(p.lockProb);
+    _t.membar = th(p.membarProb);
+    _t.load = th(p.loadFrac);
+    _t.loadOrStore = th(p.loadFrac + p.storeFrac);
+    _t.loadStoreOrBranch = th(p.loadFrac + p.storeFrac + p.branchFrac);
+    double load_mean_burst = 1.0 / (1.0 - p.loadBurstCont);
+    _t.loadColdStart = th(p.loadColdProb / load_mean_burst);
+    _t.loadBurstCont = th(p.loadBurstCont);
+    double store_mean_burst = 1.0 / (1.0 - p.storeBurstCont);
+    _t.storeColdStart = th(p.storeColdProb / store_mean_burst);
+    _t.storeBurstCont = th(p.storeBurstCont);
+    _t.branchDep = th(p.branchDependsOnLoadProb);
+    _t.branchBias = th(p.branchBias);
+    _hotWindow = std::max<uint64_t>(64, p.hotCodeWindowBytes);
+    _easyBranchPermille =
+        static_cast<uint64_t>(p.easyBranchFrac * 1000.0);
 }
 
 Trace
 SyntheticTraceGenerator::generate(uint64_t count)
 {
-    Trace t;
-    generateInto(t, count);
-    return t;
+    std::vector<TraceRecord> records;
+    generateInto(records, count);
+    return Trace(std::move(records));
 }
 
 void
-SyntheticTraceGenerator::generateInto(Trace &trace, uint64_t count)
+SyntheticTraceGenerator::generateInto(std::vector<TraceRecord> &out,
+                                      uint64_t count)
 {
-    trace.reserve(trace.size() + count + 64);
-    uint64_t goal = trace.size() + count;
-    while (trace.size() < goal)
-        emitSlot(trace);
+    out.reserve(out.size() + count + 64);
+    uint64_t goal = out.size() + count;
+    while (out.size() < goal)
+        emitSlot(out);
 }
 
 uint64_t
@@ -65,8 +103,8 @@ SyntheticTraceGenerator::nextPc()
     }
     // Possibly start a cold-code excursion.
     if (!_inCs && _flushLeft == 0 && _prof.instColdProb > 0.0 &&
-        _rng.chance(_prof.instColdProb)) {
-        uint32_t lines = _rng.geometric(_prof.instBurstCont, 4);
+        _rng.chanceT(_t.instCold)) {
+        uint32_t lines = _rng.geometricT(_t.instBurstCont, 4);
         // Stay within `lines` fresh cache lines of cold code.
         _excursionPc = AddressMap::kColdCodeBase + _coldPcCursor;
         _coldPcCursor += lines * kLineBytes;
@@ -78,16 +116,18 @@ SyntheticTraceGenerator::nextPc()
     }
     // Hot code: loop within a window; occasionally hop to another
     // window of the code footprint (function-call locality).
-    uint64_t window = std::max<uint64_t>(64, _prof.hotCodeWindowBytes);
-    if (_prof.hotCodeJumpProb > 0.0 &&
-        _rng.chance(_prof.hotCodeJumpProb) &&
-        _prof.hotCodeBytes > window) {
-        uint64_t windows = _prof.hotCodeBytes / window;
-        _hotWindowBase = _rng.below64(windows) * window;
+    if (_prof.hotCodeJumpProb > 0.0 && _rng.chanceT(_t.hotCodeJump) &&
+        _prof.hotCodeBytes > _hotWindow) {
+        uint64_t windows = _prof.hotCodeBytes / _hotWindow;
+        _hotWindowBase = _rng.below64(windows) * _hotWindow;
         _hotPcOff = 0;
     }
     uint64_t pc = AddressMap::kHotCodeBase + _hotWindowBase + _hotPcOff;
-    _hotPcOff = (_hotPcOff + 4) % window;
+    // _hotPcOff < _hotWindow and _hotWindow >= 64, so one subtraction
+    // is the modulo.
+    _hotPcOff += 4;
+    if (_hotPcOff >= _hotWindow)
+        _hotPcOff -= _hotWindow;
     return pc;
 }
 
@@ -96,7 +136,7 @@ SyntheticTraceGenerator::hotDataAddr()
 {
     // Two-tier temporal locality: most accesses hit an L1-resident
     // tier; the rest roam the full (L2-resident) hot region.
-    uint64_t span = _rng.chance(_prof.hotL1Frac)
+    uint64_t span = _rng.chanceT(_t.hotL1)
         ? std::min(_prof.hotL1Bytes, _prof.hotDataBytes)
         : _prof.hotDataBytes;
     uint64_t off = _rng.below64(span / 8) * 8;
@@ -109,9 +149,8 @@ SyntheticTraceGenerator::coldLoadAddr()
     // Some cold loads read the shared region (consuming data other
     // chips produced); the rest stream fresh private lines
     // (guaranteed compulsory misses).
-    if (_prof.sharedLoadFrac > 0.0 &&
-        _rng.chance(_prof.sharedLoadFrac)) {
-        uint64_t region = _rng.chance(_prof.sharedHotFrac)
+    if (_prof.sharedLoadFrac > 0.0 && _rng.chanceT(_t.sharedLoad)) {
+        uint64_t region = _rng.chanceT(_t.sharedHot)
             ? std::min(_prof.sharedHotBytes,
                        _prof.sharedStoreRegionBytes)
             : _prof.sharedStoreRegionBytes;
@@ -130,19 +169,18 @@ SyntheticTraceGenerator::coldStoreAddr(bool fresh)
         if (_runLinesLeft == 0) {
             // Jump to a random spot, picking the shared or the private
             // region, and start a fresh spatial run of lines.
-            _storeLineShared = _rng.chance(_prof.sharedStoreFrac);
+            _storeLineShared = _rng.chanceT(_t.sharedStore);
             uint64_t region_bytes = _storeLineShared
                 ? _prof.sharedStoreRegionBytes
                 : _prof.storeMissRegionBytes;
-            if (_storeLineShared &&
-                _rng.chance(_prof.sharedHotFrac)) {
+            if (_storeLineShared && _rng.chanceT(_t.sharedHot)) {
                 // Contended shared structures: all chips write these.
                 region_bytes = std::min(region_bytes,
                                         _prof.sharedHotBytes);
             }
             uint64_t lines = region_bytes / kLineBytes;
             if (!fresh && !_storeLineShared && _runRingSize > 0 &&
-                _rng.chance(_prof.storeRevisitFrac)) {
+                _rng.chanceT(_t.storeRevisit)) {
                 // Buffer-pool reuse: rewrite a recently used area.
                 _storeLineOff = _runRing[_rng.below(
                     static_cast<uint32_t>(_runRingSize))];
@@ -184,22 +222,22 @@ SyntheticTraceGenerator::freshReg()
 uint8_t
 SyntheticTraceGenerator::pickSrc()
 {
-    if (_rng.chance(_prof.depNearProb))
+    if (_rng.chanceT(_t.depNear))
         return _recent[_rng.below(8)];
     return 1 + static_cast<uint8_t>(_rng.below(kNumRegs - 1));
 }
 
 void
-SyntheticTraceGenerator::emitSlot(Trace &trace)
+SyntheticTraceGenerator::emitSlot(std::vector<TraceRecord> &out)
 {
     // Flush phases: burst buffer/log writebacks with no locks and no
     // cold loads.
     if (_flushLeft > 0) {
         --_flushLeft;
-        double d = _rng.uniform();
-        if (d < _prof.flushStoreFrac) {
-            emitStore(trace, _rng.chance(_prof.flushColdProb));
-        } else if (d < _prof.flushStoreFrac + _prof.loadFrac) {
+        uint32_t d = _rng.next();
+        if (d < _t.flushStore) {
+            emitStore(out, _rng.chanceT(_t.flushCold));
+        } else if (d < _t.flushStoreOrLoad) {
             _loadBurstLeft = 0; // hot load only
             TraceRecord r;
             r.pc = nextPc();
@@ -209,58 +247,50 @@ SyntheticTraceGenerator::emitSlot(Trace &trace)
             r.src1 = pickSrc();
             r.dst = freshReg();
             _lastLoadDst = r.dst;
-            trace.append(r);
+            out.push_back(r);
         } else {
-            emitAlu(trace);
+            emitAlu(out);
         }
         return;
     }
-    if (_prof.flushPhaseProb > 0.0 &&
-        _rng.chance(_prof.flushPhaseProb)) {
-        double cont = 1.0 - 1.0 / std::max(1u, _prof.flushLenMean);
-        _flushLeft = _rng.geometric(cont, 4 * _prof.flushLenMean);
-    }
+    if (_prof.flushPhaseProb > 0.0 && _rng.chanceT(_t.flushPhase))
+        _flushLeft = _rng.geometricT(_t.flushCont, 4 * _prof.flushLenMean);
 
     // Dense store bursts: store-dominated stretches (memset-like).
     if (_burstLeft > 0) {
         --_burstLeft;
-        double d = _rng.uniform();
-        if (d < _prof.burstStoreFrac) {
-            emitStore(trace, _rng.chance(_prof.burstColdProb));
-        } else {
-            emitAlu(trace);
-        }
+        if (_rng.chanceT(_t.burstStore))
+            emitStore(out, _rng.chanceT(_t.burstCold));
+        else
+            emitAlu(out);
         return;
     }
-    if (_prof.burstPhaseProb > 0.0 &&
-        _rng.chance(_prof.burstPhaseProb)) {
-        double cont = 1.0 - 1.0 / std::max(1u, _prof.burstLenMean);
-        _burstLeft = _rng.geometric(cont, 4 * _prof.burstLenMean);
-    }
+    if (_prof.burstPhaseProb > 0.0 && _rng.chanceT(_t.burstPhase))
+        _burstLeft = _rng.geometricT(_t.burstCont, 4 * _prof.burstLenMean);
 
     // Critical sections are emitted atomically (acquire/body/release).
-    if (_prof.lockProb > 0.0 && _rng.chance(_prof.lockProb)) {
-        emitCriticalSection(trace);
+    if (_prof.lockProb > 0.0 && _rng.chanceT(_t.lock)) {
+        emitCriticalSection(out);
         return;
     }
-    if (_prof.membarProb > 0.0 && _rng.chance(_prof.membarProb)) {
-        emitMembar(trace);
+    if (_prof.membarProb > 0.0 && _rng.chanceT(_t.membar)) {
+        emitMembar(out);
         return;
     }
-    double d = _rng.uniform();
-    if (d < _prof.loadFrac) {
-        emitLoad(trace);
-    } else if (d < _prof.loadFrac + _prof.storeFrac) {
-        emitStore(trace);
-    } else if (d < _prof.loadFrac + _prof.storeFrac + _prof.branchFrac) {
-        emitBranch(trace);
+    uint32_t d = _rng.next();
+    if (d < _t.load) {
+        emitLoad(out);
+    } else if (d < _t.loadOrStore) {
+        emitStore(out);
+    } else if (d < _t.loadStoreOrBranch) {
+        emitBranch(out);
     } else {
-        emitAlu(trace);
+        emitAlu(out);
     }
 }
 
 void
-SyntheticTraceGenerator::emitCriticalSection(Trace &trace)
+SyntheticTraceGenerator::emitCriticalSection(std::vector<TraceRecord> &out)
 {
     _inCs = true;
     uint64_t lock_addr = _lockBase +
@@ -275,18 +305,18 @@ SyntheticTraceGenerator::emitCriticalSection(Trace &trace)
     acq.dst = freshReg();
     acq.src1 = pickSrc();
     acq.flags = kFlagLockAcquire;
-    trace.append(acq);
+    out.push_back(acq);
 
     // Body: loads/stores/alu, no nested locks or cold-code excursions.
     uint32_t body = 4 + _rng.below(std::max(1u, 2 * _prof.csBodyLen - 4));
     for (uint32_t i = 0; i < body; ++i) {
-        double d = _rng.uniform();
-        if (d < _prof.loadFrac) {
-            emitLoad(trace);
-        } else if (d < _prof.loadFrac + _prof.storeFrac) {
-            emitStore(trace);
+        uint32_t d = _rng.next();
+        if (d < _t.load) {
+            emitLoad(out);
+        } else if (d < _t.loadOrStore) {
+            emitStore(out);
         } else {
-            emitAlu(trace);
+            emitAlu(out);
         }
     }
 
@@ -298,22 +328,21 @@ SyntheticTraceGenerator::emitCriticalSection(Trace &trace)
     rel.size = 8;
     rel.src2 = pickSrc();
     rel.flags = kFlagLockRelease;
-    trace.append(rel);
+    out.push_back(rel);
     _inCs = false;
 }
 
 void
-SyntheticTraceGenerator::emitLoad(Trace &trace)
+SyntheticTraceGenerator::emitLoad(std::vector<TraceRecord> &out)
 {
     bool cold;
     if (_loadBurstLeft > 0) {
         cold = true;
         --_loadBurstLeft;
     } else {
-        double mean_burst = 1.0 / (1.0 - _prof.loadBurstCont);
-        cold = _rng.chance(_prof.loadColdProb / mean_burst);
+        cold = _rng.chanceT(_t.loadColdStart);
         if (cold)
-            _loadBurstLeft = _rng.geometric(_prof.loadBurstCont) - 1;
+            _loadBurstLeft = _rng.geometricT(_t.loadBurstCont) - 1;
     }
     TraceRecord r;
     r.pc = nextPc();
@@ -323,11 +352,12 @@ SyntheticTraceGenerator::emitLoad(Trace &trace)
     r.src1 = pickSrc();
     r.dst = freshReg();
     _lastLoadDst = r.dst;
-    trace.append(r);
+    out.push_back(r);
 }
 
 void
-SyntheticTraceGenerator::emitStore(Trace &trace, bool force_cold)
+SyntheticTraceGenerator::emitStore(std::vector<TraceRecord> &out,
+                                   bool force_cold)
 {
     bool cold;
     if (force_cold) {
@@ -336,10 +366,9 @@ SyntheticTraceGenerator::emitStore(Trace &trace, bool force_cold)
         cold = true;
         --_storeBurstLeft;
     } else {
-        double mean_burst = 1.0 / (1.0 - _prof.storeBurstCont);
-        cold = _rng.chance(_prof.storeColdProb / mean_burst);
+        cold = _rng.chanceT(_t.storeColdStart);
         if (cold)
-            _storeBurstLeft = _rng.geometric(_prof.storeBurstCont) - 1;
+            _storeBurstLeft = _rng.geometricT(_t.storeBurstCont) - 1;
     }
     TraceRecord r;
     r.pc = nextPc();
@@ -348,11 +377,11 @@ SyntheticTraceGenerator::emitStore(Trace &trace, bool force_cold)
     r.size = 8;
     r.src1 = pickSrc();
     r.src2 = pickSrc();
-    trace.append(r);
+    out.push_back(r);
 }
 
 void
-SyntheticTraceGenerator::emitBranch(Trace &trace)
+SyntheticTraceGenerator::emitBranch(std::vector<TraceRecord> &out)
 {
     TraceRecord r;
     // Branches live at fixed sites (the last word of each 32-byte
@@ -360,7 +389,7 @@ SyntheticTraceGenerator::emitBranch(Trace &trace)
     // BTB instead of scattering one-shot branch pcs everywhere.
     r.pc = (nextPc() & ~uint64_t(31)) | 28;
     r.cls = InstClass::Branch;
-    if (_rng.chance(_prof.branchDependsOnLoadProb) && _lastLoadDst)
+    if (_rng.chanceT(_t.branchDep) && _lastLoadDst)
         r.src1 = _lastLoadDst;
     else
         r.src1 = pickSrc();
@@ -369,18 +398,17 @@ SyntheticTraceGenerator::emitBranch(Trace &trace)
     // data-dependent branches with a majority bias.
     uint64_t h = ((r.pc >> 2) * 0x9e3779b97f4a7c15ULL) >> 32;
     bool direction = (h & 1) != 0;
-    bool easy = (h >> 1) % 1000 <
-        static_cast<uint64_t>(_prof.easyBranchFrac * 1000.0);
+    bool easy = (h >> 1) % 1000 < _easyBranchPermille;
     bool taken = easy
         ? direction
-        : (_rng.chance(_prof.branchBias) ? direction : !direction);
+        : (_rng.chanceT(_t.branchBias) ? direction : !direction);
     if (taken)
         r.flags |= kFlagTaken;
-    trace.append(r);
+    out.push_back(r);
 }
 
 void
-SyntheticTraceGenerator::emitAlu(Trace &trace)
+SyntheticTraceGenerator::emitAlu(std::vector<TraceRecord> &out)
 {
     TraceRecord r;
     r.pc = nextPc();
@@ -388,16 +416,16 @@ SyntheticTraceGenerator::emitAlu(Trace &trace)
     r.src1 = pickSrc();
     r.src2 = pickSrc();
     r.dst = freshReg();
-    trace.append(r);
+    out.push_back(r);
 }
 
 void
-SyntheticTraceGenerator::emitMembar(Trace &trace)
+SyntheticTraceGenerator::emitMembar(std::vector<TraceRecord> &out)
 {
     TraceRecord r;
     r.pc = nextPc();
     r.cls = InstClass::Membar;
-    trace.append(r);
+    out.push_back(r);
 }
 
 LitmusProgram

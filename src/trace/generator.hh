@@ -72,20 +72,24 @@ class SyntheticTraceGenerator
     /** Generate the next `count` instructions (streamable). */
     Trace generate(uint64_t count);
 
-    /** Append `count` instructions to an existing trace. */
-    void generateInto(Trace &trace, uint64_t count);
+    /**
+     * Append the next `count` instructions to `out`. Whole slots are
+     * emitted, so `out` can grow past `count` by the rest of the last
+     * slot (a critical section is one slot).
+     */
+    void generateInto(std::vector<TraceRecord> &out, uint64_t count);
 
     const WorkloadProfile &profile() const { return _prof; }
     uint32_t chipId() const { return _chipId; }
 
   private:
-    void emitSlot(Trace &trace);
-    void emitCriticalSection(Trace &trace);
-    void emitLoad(Trace &trace);
-    void emitStore(Trace &trace, bool force_cold = false);
-    void emitBranch(Trace &trace);
-    void emitAlu(Trace &trace);
-    void emitMembar(Trace &trace);
+    void emitSlot(std::vector<TraceRecord> &out);
+    void emitCriticalSection(std::vector<TraceRecord> &out);
+    void emitLoad(std::vector<TraceRecord> &out);
+    void emitStore(std::vector<TraceRecord> &out, bool force_cold = false);
+    void emitBranch(std::vector<TraceRecord> &out);
+    void emitAlu(std::vector<TraceRecord> &out);
+    void emitMembar(std::vector<TraceRecord> &out);
 
     uint64_t nextPc();
     uint64_t hotDataAddr();
@@ -98,6 +102,29 @@ class SyntheticTraceGenerator
     WorkloadProfile _prof;
     Pcg32 _rng;
     uint32_t _chipId;
+
+    /**
+     * Pcg32::threshold of every probability the generator draws
+     * against, each built from the same double expression the draw
+     * used to compare with, so every outcome is unchanged.
+     */
+    struct Thresholds
+    {
+        uint64_t instCold, instBurstCont, hotCodeJump;
+        uint64_t hotL1, sharedLoad, sharedHot, sharedStore;
+        uint64_t storeRevisit, depNear;
+        uint64_t flushStore, flushStoreOrLoad, flushCold, flushPhase,
+            flushCont;
+        uint64_t burstStore, burstCold, burstPhase, burstCont;
+        uint64_t lock, membar;
+        uint64_t load, loadOrStore, loadStoreOrBranch; ///< class mix
+        uint64_t loadColdStart, loadBurstCont;
+        uint64_t storeColdStart, storeBurstCont;
+        uint64_t branchDep, branchBias;
+    };
+    Thresholds _t;
+    uint64_t _hotWindow;         ///< hot-code window bytes (>= 64)
+    uint64_t _easyBranchPermille;
 
     // address-space bases resolved for this chip/core
     uint64_t _privStoreBase;

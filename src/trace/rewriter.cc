@@ -6,8 +6,6 @@
 
 #include "trace/rewriter.hh"
 
-#include <algorithm>
-
 namespace storemlp
 {
 
@@ -97,6 +95,9 @@ WcRewriteSource::restart()
 std::shared_ptr<const TraceChunk>
 WcRewriteSource::produceNext()
 {
+    // Room for the chunk plus the expansion that overshoots it.
+    if (!_drained)
+        _outCarry.reserve(_chunkInsts + 64);
     while (!_drained && _outCarry.size() < _chunkInsts) {
         const TraceRecord *r = _cur->tryAt(_inPos);
         if (r) {
@@ -117,15 +118,9 @@ WcRewriteSource::produceNext()
 
     if (_outCarry.empty())
         return nullptr;
-    uint64_t take = std::min<uint64_t>(_chunkInsts, _outCarry.size());
-    std::vector<TraceRecord> recs(_outCarry.begin(),
-                                  _outCarry.begin() +
-                                      static_cast<ptrdiff_t>(take));
-    _outCarry.erase(_outCarry.begin(),
-                    _outCarry.begin() + static_cast<ptrdiff_t>(take));
-    auto chunk =
-        std::make_shared<const TraceChunk>(_emitted, std::move(recs));
-    _emitted += take;
+    std::shared_ptr<const TraceChunk> chunk =
+        takeChunk(_outCarry, _emitted, _chunkInsts);
+    _emitted += chunk->count;
     ++_nextChunk;
     return chunk;
 }

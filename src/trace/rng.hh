@@ -8,6 +8,7 @@
 #ifndef STOREMLP_TRACE_RNG_HH
 #define STOREMLP_TRACE_RNG_HH
 
+#include <cmath>
 #include <cstdint>
 
 namespace storemlp
@@ -76,14 +77,41 @@ class Pcg32
     bool chance(double p) { return uniform() < p; }
 
     /**
+     * Integer form of a probability: ceil(p * 2^32), clamped to
+     * [0, 2^32] (0 for NaN). Since uniform() is exactly next() * 2^-32,
+     * `uniform() < p` holds exactly when `next() < threshold(p)`, so
+     * chanceT(threshold(p)) draws the same outcome as chance(p)
+     * without the int-to-double conversion.
+     */
+    static uint64_t
+    threshold(double p)
+    {
+        if (!(p > 0.0))
+            return 0;
+        if (p >= 1.0)
+            return uint64_t{1} << 32;
+        return static_cast<uint64_t>(std::ceil(p * 4294967296.0));
+    }
+
+    /** Bernoulli draw against a precomputed threshold(p). */
+    bool chanceT(uint64_t t) { return next() < t; }
+
+    /**
      * Geometric draw >= 1 with continuation probability p (mean
      * 1/(1-p)); capped to keep pathological draws bounded.
      */
     uint32_t
     geometric(double p, uint32_t cap = 64)
     {
+        return geometricT(threshold(p), cap);
+    }
+
+    /** geometric() against a precomputed threshold(p). */
+    uint32_t
+    geometricT(uint64_t t, uint32_t cap = 64)
+    {
         uint32_t n = 1;
-        while (n < cap && chance(p))
+        while (n < cap && chanceT(t))
             ++n;
         return n;
     }

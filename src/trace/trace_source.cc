@@ -7,8 +7,11 @@
 #include "trace/trace_source.hh"
 
 #include <algorithm>
+#include <condition_variable>
+#include <exception>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace storemlp
 {
@@ -87,6 +90,23 @@ TraceCursor::slowView(uint64_t idx)
     return &_view;
 }
 
+std::shared_ptr<const TraceChunk>
+takeChunk(std::vector<TraceRecord> &buf, uint64_t first_idx, uint64_t n)
+{
+    // `rest` stays small: the producer reserves the next chunk's room
+    // when it starts filling it. Reserving here, while the consumer
+    // still holds earlier chunks, kept about one more chunk per stream
+    // resident.
+    std::vector<TraceRecord> rest;
+    if (buf.size() > n) {
+        rest.assign(buf.begin() + static_cast<ptrdiff_t>(n), buf.end());
+        buf.resize(n);
+    }
+    auto chunk = std::make_shared<const TraceChunk>(first_idx, std::move(buf));
+    buf = std::move(rest);
+    return chunk;
+}
+
 // ---------------------------------------------------------------------
 // MaterializedSource
 // ---------------------------------------------------------------------
@@ -133,34 +153,27 @@ GeneratorSource::restart()
 std::shared_ptr<const TraceChunk>
 GeneratorSource::produceNext()
 {
-    // Top up the pending buffer one generator request at a time. Each
-    // request asks for exactly min(space, count - generated), so the
-    // generator stops at the same slot boundary as a single
-    // generate(count) call would — the chunked stream is bit-identical
-    // to the materialized one, overshoot included.
+    // Generate straight into the next chunk's buffer, one generator
+    // request at a time. Each request asks for exactly
+    // min(space, count - generated), so the generator stops at the
+    // same slot boundary as a single generate(count) call would: the
+    // chunked stream is bit-identical to the materialized one,
+    // overshoot included.
     while (!_genDone && _pending.size() < _chunkInsts) {
         uint64_t want = std::min<uint64_t>(
             _chunkInsts - _pending.size(), _count - _generated);
-        Trace t;
-        _gen->generateInto(t, want);
-        _generated += t.size();
-        _pending.insert(_pending.end(), t.records().begin(),
-                        t.records().end());
+        size_t before = _pending.size();
+        _gen->generateInto(_pending, want);
+        _generated += _pending.size() - before;
         if (_generated >= _count)
             _genDone = true;
     }
 
     if (_pending.empty())
         return nullptr;
-    uint64_t take = std::min<uint64_t>(_chunkInsts, _pending.size());
-    std::vector<TraceRecord> recs(_pending.begin(),
-                                  _pending.begin() +
-                                      static_cast<ptrdiff_t>(take));
-    _pending.erase(_pending.begin(),
-                   _pending.begin() + static_cast<ptrdiff_t>(take));
-    auto chunk =
-        std::make_shared<const TraceChunk>(_emitted, std::move(recs));
-    _emitted += take;
+    std::shared_ptr<const TraceChunk> chunk =
+        takeChunk(_pending, _emitted, _chunkInsts);
+    _emitted += chunk->count;
     ++_nextChunk;
     return chunk;
 }
@@ -241,6 +254,174 @@ CachedSource::knownSize() const
 {
     std::lock_guard<std::mutex> lk(_mu);
     return _inner->knownSize();
+}
+
+// ---------------------------------------------------------------------
+// ReadAheadSource
+// ---------------------------------------------------------------------
+
+struct ReadAheadSource::Shared
+{
+    enum class State : uint8_t
+    {
+        Idle,    ///< nothing in flight; the consumer owns the inner source
+        Pending, ///< the helper owns the inner source, for chunk aheadIdx
+        Ready,   ///< the fetch of aheadIdx finished; result below
+    };
+
+    std::mutex mu; ///< guards every field below
+    std::condition_variable cv;
+    State state = State::Idle;
+    bool stop = false;
+    bool wanted = false; ///< the consumer waits for the pending chunk
+    uint64_t live = 0;   ///< handed-out chunks the consumer still holds
+    uint64_t aheadIdx = 0;
+    std::shared_ptr<const TraceChunk> ahead;
+    std::exception_ptr aheadError;
+
+    /** Wait for the pending fetch, if any, to finish. */
+    void
+    collect(std::unique_lock<std::mutex> &lk)
+    {
+        if (state == State::Pending) {
+            wanted = true;
+            cv.notify_all();
+            cv.wait(lk, [this] { return state != State::Pending; });
+        }
+        wanted = false;
+    }
+};
+
+/**
+ * Deleter of a handed-out chunk: frees the chunk first, so the helper
+ * it wakes can refill that memory.
+ */
+class ReadAheadSource::Release
+{
+  public:
+    Release(std::shared_ptr<const TraceChunk> chunk,
+            std::shared_ptr<Shared> sh)
+        : _chunk(std::move(chunk)), _sh(std::move(sh))
+    {
+    }
+
+    void
+    operator()(const TraceChunk *)
+    {
+        _chunk.reset();
+        {
+            std::lock_guard<std::mutex> lk(_sh->mu);
+            --_sh->live;
+        }
+        _sh->cv.notify_all();
+    }
+
+  private:
+    std::shared_ptr<const TraceChunk> _chunk;
+    std::shared_ptr<Shared> _sh;
+};
+
+ReadAheadSource::ReadAheadSource(std::unique_ptr<TraceSource> inner)
+    : TraceSource(inner->chunkInsts()), _inner(std::move(inner)),
+      _sh(std::make_shared<Shared>()), _helper([this] { helperLoop(); })
+{
+}
+
+ReadAheadSource::~ReadAheadSource()
+{
+    {
+        std::lock_guard<std::mutex> lk(_sh->mu);
+        _sh->stop = true;
+    }
+    _sh->cv.notify_all();
+    // The helper finishes the inner fetch it may be in, then exits. A
+    // result or error nobody asked for yet is dropped with it.
+    _helper.join();
+}
+
+void
+ReadAheadSource::helperLoop()
+{
+    Shared &sh = *_sh;
+    std::unique_lock<std::mutex> lk(sh.mu);
+    for (;;) {
+        sh.cv.wait(lk, [&sh] {
+            return sh.stop ||
+                (sh.state == Shared::State::Pending &&
+                 (sh.live <= 1 || sh.wanted));
+        });
+        if (sh.stop)
+            return;
+        uint64_t idx = sh.aheadIdx;
+        lk.unlock();
+        std::shared_ptr<const TraceChunk> c;
+        std::exception_ptr err;
+        try {
+            c = _inner->fetch(idx);
+            if (c)
+                c->lanes(); // derive here, off the consumer's thread
+        } catch (...) {
+            err = std::current_exception();
+        }
+        lk.lock();
+        sh.ahead = std::move(c);
+        sh.aheadError = err;
+        sh.state = Shared::State::Ready;
+        sh.cv.notify_all();
+    }
+}
+
+std::shared_ptr<const TraceChunk>
+ReadAheadSource::fetch(uint64_t chunk_idx)
+{
+    Shared &sh = *_sh;
+    std::shared_ptr<const TraceChunk> c;
+    bool hit = false;
+    {
+        std::unique_lock<std::mutex> lk(sh.mu);
+        if (sh.state != Shared::State::Idle) {
+            sh.collect(lk);
+            sh.state = Shared::State::Idle;
+            std::exception_ptr err = std::exchange(sh.aheadError, nullptr);
+            c = std::move(sh.ahead);
+            hit = sh.aheadIdx == chunk_idx;
+            if (hit && err)
+                std::rethrow_exception(err);
+        }
+    }
+    if (!hit) // no read-ahead for this chunk: fetch it here
+        c = _inner->fetch(chunk_idx);
+    if (!c)
+        return nullptr;
+
+    {
+        std::lock_guard<std::mutex> lk(sh.mu);
+        ++sh.live;
+        // A short chunk ends the stream; only a full one has a
+        // successor.
+        if (c->count == _chunkInsts) {
+            sh.aheadIdx = chunk_idx + 1;
+            sh.state = Shared::State::Pending;
+        }
+    }
+    sh.cv.notify_all();
+    const TraceChunk *raw = c.get();
+    return std::shared_ptr<const TraceChunk>(raw,
+                                             Release(std::move(c), _sh));
+}
+
+std::optional<uint64_t>
+ReadAheadSource::knownSize() const
+{
+    std::unique_lock<std::mutex> lk(_sh->mu);
+    _sh->collect(lk);
+    return _inner->knownSize();
+}
+
+std::string
+ReadAheadSource::fingerprint() const
+{
+    return _inner->fingerprint();
 }
 
 // ---------------------------------------------------------------------

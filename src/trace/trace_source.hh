@@ -18,10 +18,23 @@
  *   CachedSource        routes chunk construction through a shared
  *                       TraceCache keyed by (fingerprint, chunk index)
  *                       so parallel sweep workers share chunk decodes.
+ *   ReadAheadSource     pipelines an inner source exactly one chunk
+ *                       ahead of its consumer on a helper thread, which
+ *                       also derives the chunk's lanes.
  *
  * A run reads its stream once: Runner::run tallies the Table-1 store
  * count from the chunks the engine's cursor fetches, so only the lock
  * analysis (SLE/TM runs) adds a second pass.
+ *
+ * Where read-ahead applies: a generated stream (generator, plus the
+ * WC rewrite when the model needs it) costs about as much as the
+ * engine that consumes it, so `storemlp_sim --stream` and every core
+ * of MultiCoreRunner wrap theirs in a ReadAheadSource and wait for
+ * max(generate, simulate) per chunk instead of the sum. Single-core
+ * sweep runs are not pipelined: their `jobs` workers already fill the
+ * cores, and they share chunks through CachedSource. On-disk traces
+ * (`--trace FILE`) decode far faster than the engine runs, so they are
+ * not pipelined either.
  *
  * Chunking is an execution detail, never a semantic one: any chunk
  * size yields the identical record stream, and the equivalence suite
@@ -38,6 +51,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "trace/generator.hh"
@@ -124,6 +138,15 @@ class TraceChunk
     mutable TraceLanes _lanes; ///< derived lanes (no-_extLanes case)
     mutable std::once_flag _lanesOnce;
 };
+
+/**
+ * Move the first min(n, buf.size()) records of a producer's buffer
+ * into an owning chunk at trace index `first_idx`, without copying
+ * them. `buf` keeps only the rest (the producer's overshoot past the
+ * chunk boundary), in a fresh buffer.
+ */
+std::shared_ptr<const TraceChunk>
+takeChunk(std::vector<TraceRecord> &buf, uint64_t first_idx, uint64_t n);
 
 /**
  * A trace presented as a sequence of fixed-size chunks.
@@ -356,6 +379,62 @@ class CachedSource : public TraceSource
     TraceCache &_cache;
     std::string _keyBase;
     mutable std::mutex _mu; ///< serializes inner fetches
+};
+
+/**
+ * Pipelines an inner source one chunk ahead of its consumer: after
+ * handing out chunk k, a persistent helper thread fetches chunk k+1
+ * from the inner source and derives its lanes while the consumer
+ * (the epoch engine) works on chunk k. A streamed run then waits for
+ * max(generate, simulate) per chunk instead of their sum.
+ *
+ * Contract:
+ *  - exactly one chunk ahead: the inner source sees the consumer's
+ *    fetch sequence plus at most one chunk past its last fetch, and
+ *    is never called from two threads at once;
+ *  - a fetch of anything other than the chunk in flight (including a
+ *    backward one) first collects the in-flight fetch, then forwards;
+ *    knownSize() collects first; fingerprint() forwards (it reads
+ *    only construction-time state);
+ *  - an exception on the helper is rethrown from the consumer's fetch
+ *    of that chunk, with its original type;
+ *  - the destructor stops and joins the helper, waiting at most for
+ *    the one inner fetch in flight.
+ *
+ * Memory stays at the unpipelined peak: the helper starts on chunk
+ * k+1 only once the consumer holds no chunk but k (or is already
+ * waiting for k+1), so it refills the memory chunk k-1 just freed
+ * instead of adding a chunk per stream. Handed-out chunks may outlive
+ * the source.
+ *
+ * Meant for one consumer of a sequential, compute-bound source (a
+ * generator or a WC rewrite of one). Not thread-safe for several
+ * consumers; sweep workers share sources through CachedSource
+ * instead.
+ */
+class ReadAheadSource : public TraceSource
+{
+  public:
+    explicit ReadAheadSource(std::unique_ptr<TraceSource> inner);
+    ~ReadAheadSource() override;
+
+    ReadAheadSource(const ReadAheadSource &) = delete;
+    ReadAheadSource &operator=(const ReadAheadSource &) = delete;
+
+    std::shared_ptr<const TraceChunk> fetch(uint64_t chunk_idx) override;
+    std::optional<uint64_t> knownSize() const override;
+    std::string fingerprint() const override;
+
+  private:
+    struct Shared;
+    class Release;
+
+    void helperLoop();
+
+    std::unique_ptr<TraceSource> _inner;
+    /** Hand-off state, shared with the handed-out chunks' deleters. */
+    std::shared_ptr<Shared> _sh;
+    std::thread _helper; ///< last: started after everything it uses
 };
 
 /**

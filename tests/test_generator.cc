@@ -58,7 +58,7 @@ TEST(Generator, StreamingMatchesOneShot)
     WorkloadProfile p = WorkloadProfile::testTiny();
     SyntheticTraceGenerator g1(p, 5), g2(p, 5);
     Trace whole = g1.generate(5000);
-    Trace piecewise;
+    std::vector<TraceRecord> piecewise;
     g2.generateInto(piecewise, 2500);
     g2.generateInto(piecewise, whole.size() - piecewise.size());
     ASSERT_EQ(piecewise.size(), whole.size());

@@ -16,8 +16,11 @@
  * ONLY when a semantic change is intended and reviewed. The matrix
  * covers all shipped configs (PC1-PC3, WC1-WC3, scout, TM, SMAC,
  * multi-chip peer traffic, sibling core), materialized vs generator vs
- * on-disk v1/v3/v4 sources, chunk sizes 1 / non-divisor / default, and
- * jobs=1 vs jobs=4 sweeps.
+ * on-disk v1/v3/v4 sources, chunk sizes 1 / non-divisor / default,
+ * jobs=1 vs jobs=4 sweeps, and the N-core runner (`multi/`). The
+ * `gen/` entries hash the raw record streams of every profile at the
+ * generator ids the multi-core runner hands out, so a generator
+ * change that keeps run stats but moves a record fails here too.
  */
 
 #include <gtest/gtest.h>
@@ -32,6 +35,7 @@
 
 #include "coherence/chip.hh"
 #include "core/mlp_sim.hh"
+#include "core/multi_core.hh"
 #include "core/runner.hh"
 #include "core/sweep.hh"
 #include "stats/stats_json.hh"
@@ -97,6 +101,34 @@ hashSimResult(const SimResult &res)
     StatsRegistry reg;
     res.exportStats(reg);
     return hashRegistry(reg);
+}
+
+std::string
+hashMultiRunOutput(const MultiRunOutput &out)
+{
+    StatsRegistry reg;
+    out.exportStats(reg);
+    return hashRegistry(reg);
+}
+
+/** FNV-1a over every field of every record, in stream order. */
+std::string
+hashTrace(const Trace &trace)
+{
+    std::string bytes;
+    bytes.reserve(trace.size() * 21);
+    for (const TraceRecord &r : trace.records()) {
+        bytes.append(reinterpret_cast<const char *>(&r.pc), sizeof(r.pc));
+        bytes.append(reinterpret_cast<const char *>(&r.addr),
+                     sizeof(r.addr));
+        for (uint8_t b : {static_cast<uint8_t>(r.cls), r.size, r.dst,
+                          r.src1, r.src2, r.flags})
+            bytes.push_back(static_cast<char>(b));
+    }
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(fnv1a(bytes)));
+    return buf;
 }
 
 RunSpec
@@ -180,6 +212,41 @@ buildCases()
             std::string name = std::string("stream/") + model + "_chunk" +
                 std::to_string(chunk);
             out[name] = hashRunOutput(Runner::run(spec, *src));
+        }
+    }
+
+    // ---- N-core runner: coherence, SMAC, per-core streams ----
+    {
+        MultiRunSpec spec;
+        spec.profile = WorkloadProfile::database();
+        spec.config = SimConfig::defaults();
+        spec.warmupInsts = kWarmup;
+        spec.measureInsts = kMeasure;
+        spec.cores = 4;
+        spec.chips = 2;
+        spec.smac = SmacConfig{};
+        spec.smac->entries = 8192;
+        spec.protocol = CoherenceProtocol::Moesi;
+        spec.chunkInsts = 4096; // many chunks per core stream
+        out["multi/smac_moesi_4c2c"] =
+            hashMultiRunOutput(MultiCoreRunner::run(spec));
+
+        // WC rewrite plus SLE: a lock-analysis pass, then a second
+        // pass from chunk 0, on every core's stream.
+        spec.config = SimConfig::wc2();
+        spec.config.sle = true;
+        spec.smac.reset();
+        spec.protocol = CoherenceProtocol::Mesi;
+        out["multi/wc2_sle_4c2c"] =
+            hashMultiRunOutput(MultiCoreRunner::run(spec));
+    }
+
+    // ---- raw generator streams: every profile, multi-core ids ----
+    for (const WorkloadProfile &prof : WorkloadProfile::allCommercial()) {
+        for (uint32_t id : {0u, 101u, 102u, 103u}) {
+            SyntheticTraceGenerator gen(prof, 42 + id, id);
+            out["gen/" + prof.name + "_id" + std::to_string(id)] =
+                hashTrace(gen.generate(kWarmup));
         }
     }
 

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "trace/rng.hh"
 
 namespace storemlp
@@ -125,6 +129,59 @@ TEST(Pcg32, GeometricAtLeastOne)
     Pcg32 r(42);
     for (int i = 0; i < 1000; ++i)
         EXPECT_GE(r.geometric(0.0), 1u);
+}
+
+TEST(Pcg32, ThresholdMatchesUniformCompareExactly)
+{
+    // uniform() is r * 2^-32 for the drawn r, so chance(p) is
+    // `r * 2^-32 < p`; threshold(p) must make `r < threshold(p)` the
+    // same predicate for every r, at the edges around the threshold.
+    const double two32 = 4294967296.0;
+    std::vector<double> ps = {0.0,
+                              -0.0,
+                              std::ldexp(1.0, -40),
+                              std::ldexp(1.0, -33),
+                              0.5,
+                              1.0 - std::ldexp(1.0, -53),
+                              1.0,
+                              1.5,
+                              -0.25,
+                              std::numeric_limits<double>::quiet_NaN()};
+    for (double k : {1.0, 3.0, 12345.0, 2147483648.0, 2147483655.0,
+                     4294967295.0}) {
+        double p = k / two32;
+        ps.push_back(p);
+        ps.push_back(std::nextafter(p, 0.0));
+        ps.push_back(std::nextafter(p, 2.0));
+    }
+    for (double p : ps) {
+        uint64_t t = Pcg32::threshold(p);
+        ASSERT_LE(t, uint64_t{1} << 32) << p;
+        std::vector<uint64_t> rs = {0, t, t + 1, 0xffffffffULL};
+        if (t > 0)
+            rs.push_back(t - 1);
+        for (uint64_t r : rs) {
+            if (r > 0xffffffffULL)
+                continue;
+            bool via_double = static_cast<double>(r) / two32 < p;
+            EXPECT_EQ(r < t, via_double) << "p=" << p << " r=" << r;
+        }
+    }
+    EXPECT_EQ(Pcg32::threshold(0.0), 0u);
+    EXPECT_EQ(Pcg32::threshold(std::numeric_limits<double>::quiet_NaN()),
+              0u);
+    EXPECT_EQ(Pcg32::threshold(1.0), uint64_t{1} << 32);
+    EXPECT_EQ(Pcg32::threshold(0.5), uint64_t{1} << 31);
+}
+
+TEST(Pcg32, ThresholdDrawsMatchDoubleDraws)
+{
+    Pcg32 a(99), b(99);
+    for (double p : {0.0, 0.013, 0.25, 0.5, 0.97, 1.0}) {
+        uint64_t t = Pcg32::threshold(p);
+        for (int i = 0; i < 2000; ++i)
+            ASSERT_EQ(a.chance(p), b.chanceT(t)) << p;
+    }
 }
 
 } // namespace

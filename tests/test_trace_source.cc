@@ -7,10 +7,14 @@
  * end. Chunking is an execution strategy, never a model input.
  */
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +28,7 @@
 #include "trace/trace_file_source.hh"
 #include "trace/trace_io.hh"
 #include "trace/trace_source.hh"
+#include "util/error.hh"
 #include "sim_test_util.hh"
 
 namespace storemlp
@@ -515,6 +520,369 @@ TEST(RunnerTally, WarmupAtOrPastEndMeasuresNothing)
             EXPECT_EQ(out.tlbMissPer100, 0.0);
         }
     }
+}
+
+
+// ---------------------------------------------------------------------
+// ReadAheadSource: a one-chunk read-ahead on a helper thread
+// ---------------------------------------------------------------------
+
+/** Generator stream, optionally WC-rewritten, as the tools compose it. */
+std::unique_ptr<TraceSource>
+pipelineStream(bool wc, uint64_t n, uint64_t chunk)
+{
+    std::unique_ptr<TraceSource> src = std::make_unique<GeneratorSource>(
+        WorkloadProfile::database(), 7, n, 0, chunk);
+    if (wc)
+        src = std::make_unique<WcRewriteSource>(std::move(src));
+    return src;
+}
+
+void
+expectSameChunk(const TraceChunk &a, const TraceChunk &b,
+                const std::string &what)
+{
+    ASSERT_EQ(a.firstIdx, b.firstIdx) << what;
+    ASSERT_EQ(a.count, b.count) << what;
+    TraceChunk::LaneRefs la = a.lanes();
+    TraceChunk::LaneRefs lb = b.lanes();
+    for (uint64_t i = 0; i < a.count; ++i) {
+        ASSERT_TRUE(sameRec(a.data[i], b.data[i])) << what << " rec " << i;
+        ASSERT_EQ(la.pc[i], lb.pc[i]) << what << " lane " << i;
+        ASSERT_EQ(la.addr[i], lb.addr[i]) << what << " lane " << i;
+        ASSERT_EQ(la.cls[i], lb.cls[i]) << what << " lane " << i;
+        ASSERT_EQ(la.meta[i], lb.meta[i]) << what << " lane " << i;
+    }
+}
+
+TEST(ReadAheadSource, ChunkForChunkIdenticalToBareSource)
+{
+    struct Case
+    {
+        uint64_t chunk;
+        uint64_t records;
+    };
+    // Each length spans several chunks and ends in a partial one.
+    for (const Case &c : {Case{1, 3000}, Case{1000, 25000},
+                          Case{uint64_t{1} << 16, 150000}}) {
+        for (bool wc : {false, true}) {
+            std::string what = std::string(wc ? "wc" : "pc") +
+                " chunk=" + std::to_string(c.chunk);
+            std::unique_ptr<TraceSource> bare =
+                pipelineStream(wc, c.records, c.chunk);
+            ReadAheadSource ahead(pipelineStream(wc, c.records, c.chunk));
+            EXPECT_EQ(ahead.chunkInsts(), bare->chunkInsts());
+            EXPECT_EQ(ahead.fingerprint(), bare->fingerprint());
+            uint64_t k = 0;
+            for (;; ++k) {
+                std::shared_ptr<const TraceChunk> want = bare->fetch(k);
+                std::shared_ptr<const TraceChunk> got = ahead.fetch(k);
+                ASSERT_EQ(got == nullptr, want == nullptr)
+                    << what << " chunk " << k;
+                if (!want)
+                    break;
+                expectSameChunk(*got, *want,
+                                what + " chunk " + std::to_string(k));
+            }
+            EXPECT_GE(k, 2u) << what;
+            EXPECT_EQ(ahead.knownSize(), bare->knownSize()) << what;
+        }
+    }
+}
+
+TEST(ReadAheadSource, InnerSeesInOrderFetchesAndOneChunkAhead)
+{
+    constexpr uint64_t kChunk = 500;
+    auto log_src = std::make_unique<FetchLogSource>(
+        pipelineStream(false, 20 * kChunk, kChunk));
+    FetchLogSource &log = *log_src;
+    ReadAheadSource ahead(std::move(log_src));
+
+    // Consume a prefix only: the inner source may run at most one
+    // chunk past the consumer, never more.
+    for (uint64_t k = 0; k < 6; ++k)
+        ASSERT_NE(ahead.fetch(k), nullptr);
+    ahead.knownSize(); // collects the fetch in flight
+    ASSERT_EQ(log.log.size(), 7u);
+    for (uint64_t k = 0; k < 7; ++k) {
+        EXPECT_EQ(log.log[k].idx, k);
+        EXPECT_TRUE(log.log[k].hit);
+    }
+
+    // Reading on to the end is still one in-order pass, with at most
+    // one empty probe past the last chunk.
+    uint64_t k = 6;
+    while (ahead.fetch(k))
+        ++k;
+    ahead.knownSize();
+    EXPECT_EQ(countSinglePasses(log.log, k), 1);
+}
+
+TEST(ReadAheadSource, RunsBitIdenticalAndReadsEachChunkOnce)
+{
+    constexpr uint64_t kChunk = 4096;
+    for (const SimConfig &cfg :
+         {SimConfig::pc2().withScout(ScoutMode::Hws2), SimConfig::wc2()}) {
+        for (bool sle : {false, true}) {
+            RunSpec spec;
+            spec.profile = WorkloadProfile::specjbb();
+            spec.config = cfg;
+            spec.config.sle = sle;
+            spec.warmupInsts = 15000;
+            spec.measureInsts = 25000;
+            Trace trace = Runner::buildTrace(spec);
+            RunOutput want = test::runMaterialized(spec, trace);
+
+            auto log_src = std::make_unique<FetchLogSource>(
+                Runner::makeSource(spec, kChunk));
+            FetchLogSource &log = *log_src;
+            ReadAheadSource ahead(std::move(log_src));
+            RunOutput got = Runner::run(spec, ahead);
+            EXPECT_EQ(got.sim, want.sim) << cfg.name << " sle=" << sle;
+            EXPECT_EQ(got.storesPer100, want.storesPer100) << cfg.name;
+            // SLE adds exactly one pass, the lock analysis.
+            ahead.knownSize();
+            uint64_t chunks = (trace.size() + kChunk - 1) / kChunk;
+            EXPECT_EQ(countSinglePasses(log.log, chunks), sle ? 2 : 1)
+                << cfg.name << " sle=" << sle;
+        }
+    }
+}
+
+TEST(ReadAheadSource, BackwardFetchWhileInFlightReplays)
+{
+    constexpr uint64_t kChunk = 700;
+    constexpr uint64_t kRecords = 10 * kChunk;
+    for (bool wc : {false, true}) {
+        std::unique_ptr<TraceSource> bare =
+            pipelineStream(wc, kRecords, kChunk);
+        auto log_src = std::make_unique<FetchLogSource>(
+            pipelineStream(wc, kRecords, kChunk));
+        FetchLogSource &log = *log_src;
+        ReadAheadSource ahead(std::move(log_src));
+
+        for (uint64_t k : {0, 1, 2, 0, 1, 5, 3}) {
+            std::string what = std::string(wc ? "wc" : "pc") +
+                " chunk " + std::to_string(k);
+            std::shared_ptr<const TraceChunk> want = bare->fetch(k);
+            std::shared_ptr<const TraceChunk> got = ahead.fetch(k);
+            ASSERT_NE(want, nullptr) << what;
+            ASSERT_NE(got, nullptr) << what;
+            expectSameChunk(*got, *want, what);
+        }
+        ahead.knownSize();
+        // Every consumer fetch reaches the inner source, each followed
+        // by its one-ahead; a miss collects the fetch in flight first.
+        std::vector<uint64_t> idx;
+        for (const FetchLogSource::Fetch &f : log.log)
+            idx.push_back(f.idx);
+        EXPECT_EQ(idx, (std::vector<uint64_t>{0, 1, 2, 3, 0, 1, 2, 5, 6,
+                                              3, 4}));
+    }
+}
+
+/** Pass-through that counts inner fetches, readable from any thread. */
+class CountingSource : public TraceSource
+{
+  public:
+    explicit CountingSource(std::unique_ptr<TraceSource> inner,
+                            std::atomic<int> &fetches)
+        : TraceSource(inner->chunkInsts()), _inner(std::move(inner)),
+          _fetches(fetches)
+    {
+    }
+
+    std::shared_ptr<const TraceChunk>
+    fetch(uint64_t chunk_idx) override
+    {
+        ++_fetches;
+        return _inner->fetch(chunk_idx);
+    }
+    std::optional<uint64_t> knownSize() const override
+    {
+        return _inner->knownSize();
+    }
+
+  private:
+    std::unique_ptr<TraceSource> _inner;
+    std::atomic<int> &_fetches;
+};
+
+TEST(ReadAheadSource, ReadsAheadOnlyOnceTheConsumerLetsGo)
+{
+    // Memory stays at the unpipelined peak: while the consumer holds
+    // two chunks, the helper must not fill a third.
+    std::atomic<int> fetches{0};
+    ReadAheadSource ahead(std::make_unique<CountingSource>(
+        pipelineStream(false, 10 * 500, 500), fetches));
+    auto waitFor = [&](int n) {
+        auto until = std::chrono::steady_clock::now() +
+            std::chrono::seconds(10);
+        while (fetches.load() < n &&
+               std::chrono::steady_clock::now() < until)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        return fetches.load();
+    };
+
+    std::shared_ptr<const TraceChunk> c0 = ahead.fetch(0);
+    EXPECT_EQ(waitFor(2), 2); // holding one chunk: chunk 1 is read
+    std::shared_ptr<const TraceChunk> c1 = ahead.fetch(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_EQ(fetches.load(), 2); // holding two: no read-ahead yet
+    c0.reset();
+    EXPECT_EQ(waitFor(3), 3); // chunk 0 released: chunk 2 is read
+
+    // A consumer that keeps every chunk still gets each one: asking
+    // for the pending chunk starts its read.
+    std::vector<std::shared_ptr<const TraceChunk>> kept{c1};
+    for (uint64_t k = 2; k < 10; ++k) {
+        kept.push_back(ahead.fetch(k));
+        ASSERT_NE(kept.back(), nullptr);
+        EXPECT_EQ(kept.back()->firstIdx, k * 500);
+    }
+}
+
+/** Throws `E` from fetch(`bad`); otherwise generates `chunks` chunks. */
+template <typename E>
+class ThrowingSource : public TraceSource
+{
+  public:
+    ThrowingSource(uint64_t chunk, uint64_t bad)
+        : TraceSource(chunk), _inner(WorkloadProfile::tpcw(), 3,
+                                     20 * chunk, 0, chunk),
+          _bad(bad)
+    {
+    }
+
+    std::shared_ptr<const TraceChunk>
+    fetch(uint64_t chunk_idx) override
+    {
+        if (chunk_idx == _bad)
+            throw E("chunk " + std::to_string(chunk_idx) + " is bad");
+        return _inner.fetch(chunk_idx);
+    }
+    std::optional<uint64_t> knownSize() const override
+    {
+        return _inner.knownSize();
+    }
+
+  private:
+    GeneratorSource _inner;
+    uint64_t _bad;
+};
+
+TEST(ReadAheadSource, HelperExceptionRethrownFromThatFetch)
+{
+    {
+        ReadAheadSource ahead(
+            std::make_unique<ThrowingSource<TraceFormatError>>(256, 3));
+        for (uint64_t k = 0; k < 3; ++k)
+            ASSERT_NE(ahead.fetch(k), nullptr);
+        EXPECT_THROW(ahead.fetch(3), TraceFormatError);
+        // The error is not sticky: a later fetch forwards again.
+        EXPECT_NE(ahead.fetch(1), nullptr);
+        EXPECT_THROW(ahead.fetch(3), TraceFormatError);
+    }
+    {
+        // Not SimError: the tools map it to exit 70, so the type must
+        // survive the thread hop too.
+        ReadAheadSource ahead(
+            std::make_unique<ThrowingSource<std::logic_error>>(256, 1));
+        ASSERT_NE(ahead.fetch(0), nullptr);
+        EXPECT_THROW(ahead.fetch(1), std::logic_error);
+    }
+    {
+        // An error on a chunk the consumer never asks for stays silent.
+        ReadAheadSource ahead(
+            std::make_unique<ThrowingSource<TraceFormatError>>(256, 1));
+        ASSERT_NE(ahead.fetch(0), nullptr);
+        EXPECT_NE(ahead.fetch(0), nullptr);
+    }
+}
+
+/** Inner source whose every fetch takes `delay`. */
+class SlowSource : public TraceSource
+{
+  public:
+    SlowSource(uint64_t chunk, std::chrono::milliseconds delay)
+        : TraceSource(chunk),
+          _inner(WorkloadProfile::tpcw(), 3, 1000 * chunk, 0, chunk),
+          _delay(delay)
+    {
+    }
+
+    std::shared_ptr<const TraceChunk>
+    fetch(uint64_t chunk_idx) override
+    {
+        std::this_thread::sleep_for(_delay);
+        return _inner.fetch(chunk_idx);
+    }
+    std::optional<uint64_t> knownSize() const override
+    {
+        return _inner.knownSize();
+    }
+
+  private:
+    GeneratorSource _inner;
+    std::chrono::milliseconds _delay;
+};
+
+/** Pass-through that throws, as a failing engine would, on `bad`. */
+class FailAtSource : public TraceSource
+{
+  public:
+    FailAtSource(TraceSource &inner, uint64_t bad)
+        : TraceSource(inner.chunkInsts()), _inner(inner), _bad(bad)
+    {
+    }
+
+    std::shared_ptr<const TraceChunk>
+    fetch(uint64_t chunk_idx) override
+    {
+        if (chunk_idx == _bad)
+            throw SimError("engine failed at chunk " +
+                           std::to_string(chunk_idx));
+        return _inner.fetch(chunk_idx);
+    }
+    std::optional<uint64_t> knownSize() const override
+    {
+        return std::nullopt;
+    }
+
+  private:
+    TraceSource &_inner;
+    uint64_t _bad;
+};
+
+TEST(ReadAheadSource, DestructionMidStreamIsPrompt)
+{
+    using Clock = std::chrono::steady_clock;
+    constexpr auto kDelay = std::chrono::milliseconds(50);
+    // Destroyed with a fetch in flight: waits for that one fetch only.
+    for (int consumed : {0, 1, 3}) {
+        auto t0 = Clock::now();
+        {
+            ReadAheadSource ahead(std::make_unique<SlowSource>(64, kDelay));
+            for (int k = 0; k < consumed; ++k)
+                ASSERT_NE(ahead.fetch(static_cast<uint64_t>(k)), nullptr);
+        }
+        EXPECT_LT(Clock::now() - t0, (consumed + 20) * kDelay)
+            << "consumed=" << consumed;
+    }
+
+    // The engine throws mid-run with a read-ahead in flight; unwinding
+    // the run destroys the source without hanging.
+    RunSpec spec;
+    spec.profile = WorkloadProfile::tpcw();
+    spec.warmupInsts = 5000;
+    spec.measureInsts = 20000;
+    auto t0 = Clock::now();
+    {
+        ReadAheadSource ahead(Runner::makeSource(spec, 1000));
+        FailAtSource failing(ahead, 7);
+        EXPECT_THROW(Runner::run(spec, failing), SimError);
+    }
+    EXPECT_LT(Clock::now() - t0, std::chrono::seconds(10));
 }
 
 } // namespace

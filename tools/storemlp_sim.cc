@@ -18,6 +18,7 @@
 #include "core/runner.hh"
 #include "stats/stats_json.hh"
 #include "trace/trace_file_source.hh"
+#include "trace/trace_source.hh"
 
 using namespace storemlp;
 using namespace storemlp::tools;
@@ -297,9 +298,10 @@ toolMain(int argc, char **argv)
         StreamingFileSource src(cli.str("trace", ""), chunk);
         out = Runner::run(spec, src);
     } else if (cli.flag("stream") || chunk) {
-        std::unique_ptr<TraceSource> src =
-            Runner::makeSource(spec, chunk);
-        out = Runner::run(spec, *src);
+        // Generation (and the WC rewrite) runs one chunk ahead on a
+        // helper thread while the engine simulates.
+        ReadAheadSource src(Runner::makeSource(spec, chunk));
+        out = Runner::run(spec, src);
     } else {
         Trace trace = Runner::buildTrace(spec);
         MaterializedSource src(trace);

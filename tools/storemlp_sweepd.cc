@@ -11,16 +11,20 @@
  *
  * `--port 0` binds an ephemeral port and prints "listening on
  * HOST:PORT" (flushed) so a harness can scrape it; --port-file also
- * writes the bare port number to a file for the same purpose.
+ * writes the bare port number to a file for the same purpose,
+ * atomically (write a temporary file, then rename).
  * SIGINT/SIGTERM shut the daemon down cleanly.
  */
 
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <thread>
+
+#include <unistd.h>
 
 #include "cli_util.hh"
 #include "net/sweep_server.hh"
@@ -82,11 +86,24 @@ toolMain(int argc, char **argv)
               << std::endl; // flushed: harnesses scrape this line
 
     if (cli.has("port-file")) {
+        // Write a temporary file beside PATH, then rename it over
+        // PATH: a reader sees no file or the whole port, never an
+        // empty or partial one.
         std::string path = cli.str("port-file", "");
-        std::ofstream pf(path);
-        if (!pf)
+        std::string tmp = path + ".tmp" + std::to_string(::getpid());
+        {
+            std::ofstream pf(tmp);
+            pf << server.port() << "\n";
+            pf.close();
+            if (!pf) {
+                std::remove(tmp.c_str());
+                cli.fail("cannot write --port-file '" + path + "'");
+            }
+        }
+        if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+            std::remove(tmp.c_str());
             cli.fail("cannot write --port-file '" + path + "'");
-        pf << server.port() << "\n";
+        }
     }
 
     std::signal(SIGINT, onSignal);
