@@ -83,7 +83,8 @@ constexpr uint64_t kPrefillStride = 0x001000000000ULL;
  * DualCoreRunner's 0/101 for the first two cores) while every core
  * shares the one global shared-store region — the source of
  * cross-core invalidation traffic. Each stream generates one chunk
- * ahead on its own helper thread while the engines simulate.
+ * ahead on its own helper thread while the engines simulate, unless
+ * the run is one of several on a parallel pool (pipelineGenerated).
  */
 std::unique_ptr<TraceSource>
 coreSource(const MultiRunSpec &spec, const WorkloadProfile &prof,
@@ -94,7 +95,7 @@ coreSource(const MultiRunSpec &spec, const WorkloadProfile &prof,
         prof, spec.seed + core, total, gen_id, spec.chunkInsts);
     if (spec.config.memoryModel.wcTraceRewrite())
         src = std::make_unique<WcRewriteSource>(std::move(src));
-    return std::make_unique<ReadAheadSource>(std::move(src));
+    return pipelineGenerated(std::move(src));
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 #include <mutex>
 #include <thread>
 
+#include "util/parallel.hh"
 #include "util/parse.hh"
 
 #ifdef _WIN32
@@ -203,8 +204,12 @@ SweepEngine::executeWith(const SweepOptions &opts,
     } else {
         std::vector<std::thread> pool;
         pool.reserve(jobs);
-        for (unsigned t = 0; t < jobs; ++t)
-            pool.emplace_back(worker);
+        for (unsigned t = 0; t < jobs; ++t) {
+            pool.emplace_back([&worker] {
+                ParallelWorkerScope scope;
+                worker();
+            });
+        }
         for (auto &t : pool)
             t.join();
     }
@@ -337,8 +342,12 @@ parallelForEach(const std::vector<std::function<void()>> &tasks,
     } else {
         std::vector<std::thread> pool;
         pool.reserve(jobs);
-        for (unsigned t = 0; t < jobs; ++t)
-            pool.emplace_back(worker);
+        for (unsigned t = 0; t < jobs; ++t) {
+            pool.emplace_back([&worker] {
+                ParallelWorkerScope scope;
+                worker();
+            });
+        }
         for (auto &t : pool)
             t.join();
     }

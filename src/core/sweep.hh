@@ -143,6 +143,9 @@ using RunObserver =
  * like SweepEngine::defaultJobs). Tasks must not share mutable state.
  * Exceptions are captured per task — every task still executes — and
  * reported in the returned statuses (statuses[i] <-> tasks[i]).
+ * With more than one worker, each worker thread runs under a
+ * ParallelWorkerScope (util/parallel.hh), so the streams its tasks
+ * generate are not pipelined on extra helper threads.
  */
 std::vector<TaskStatus>
 parallelForEach(const std::vector<std::function<void()>> &tasks,

@@ -84,11 +84,18 @@ SweepServer::stop()
     _listener.close();
 }
 
-void
+bool
 SweepServer::registerConn(FrameConn *conn)
 {
+    // stop() sets _stop before it takes _connMu to kick the registered
+    // connections, so a handler that registers late (its client was
+    // accepted during the accept loop's last poll) sees _stop here
+    // and is refused instead of blocking in recv() unkicked.
     std::lock_guard<std::mutex> lk(_connMu);
+    if (_stop.load())
+        return false;
     _activeConns.push_back(conn);
+    return true;
 }
 
 void
@@ -123,7 +130,8 @@ void
 SweepServer::serveConnection(int fd)
 {
     FrameConn conn(fd);
-    registerConn(&conn);
+    if (!registerConn(&conn))
+        return; // the server is stopping: close without serving
     struct Unregister
     {
         SweepServer *server;

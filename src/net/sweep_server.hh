@@ -82,7 +82,8 @@ class SweepServer
   private:
     void acceptLoop();
     void serveConnection(int fd);
-    void registerConn(FrameConn *conn);
+    /** Track `conn` for stop(); false (not tracked) once stopping. */
+    bool registerConn(FrameConn *conn);
     void unregisterConn(FrameConn *conn);
 
     SweepServerOptions _opts;

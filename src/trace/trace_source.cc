@@ -13,6 +13,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "util/parallel.hh"
+
 namespace storemlp
 {
 
@@ -427,6 +429,14 @@ ReadAheadSource::fingerprint() const
 // ---------------------------------------------------------------------
 // helpers
 // ---------------------------------------------------------------------
+
+std::unique_ptr<TraceSource>
+pipelineGenerated(std::unique_ptr<TraceSource> src)
+{
+    if (onParallelWorker())
+        return src;
+    return std::make_unique<ReadAheadSource>(std::move(src));
+}
 
 Trace
 materializeSource(TraceSource &src)

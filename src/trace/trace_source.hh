@@ -29,12 +29,15 @@
  * Where read-ahead applies: a generated stream (generator, plus the
  * WC rewrite when the model needs it) costs about as much as the
  * engine that consumes it, so `storemlp_sim --stream` and every core
- * of MultiCoreRunner wrap theirs in a ReadAheadSource and wait for
- * max(generate, simulate) per chunk instead of the sum. Single-core
- * sweep runs are not pipelined: their `jobs` workers already fill the
- * cores, and they share chunks through CachedSource. On-disk traces
- * (`--trace FILE`) decode far faster than the engine runs, so they are
- * not pipelined either.
+ * of MultiCoreRunner pass theirs through pipelineGenerated(), which
+ * wraps it in a ReadAheadSource: the run waits for
+ * max(generate, simulate) per chunk instead of the sum. Runs on the
+ * worker threads of a parallel pool (sweeps, and multi-core runs fanned
+ * out by `storemlp_sweep --cores` or the benchmarks with more than one
+ * job) are not pipelined: the pool's `jobs` workers already fill the
+ * cores. Single-core sweep runs share chunks through CachedSource
+ * instead. On-disk traces (`--trace FILE`) decode far faster than the
+ * engine runs, so they are not pipelined either.
  *
  * Chunking is an execution detail, never a semantic one: any chunk
  * size yields the identical record stream, and the equivalence suite
@@ -436,6 +439,17 @@ class ReadAheadSource : public TraceSource
     std::shared_ptr<Shared> _sh;
     std::thread _helper; ///< last: started after everything it uses
 };
+
+/**
+ * The one place that decides whether a generated stream (generator,
+ * plus the WC rewrite when the model needs it) is pipelined: wraps
+ * `src` in a ReadAheadSource, unless the calling thread is a worker of
+ * a parallel pool (onParallelWorker(), util/parallel.hh), where the
+ * sibling workers already fill the CPUs and a helper per stream would
+ * only add threads and memory. Returns `src` itself in that case.
+ */
+std::unique_ptr<TraceSource>
+pipelineGenerated(std::unique_ptr<TraceSource> src);
 
 /**
  * Walk records [begin, end) of a source, invoking `fn(record)` for

@@ -14,7 +14,10 @@
 
 #include <filesystem>
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #ifndef _WIN32
@@ -374,6 +377,58 @@ TEST(SweepServer, ClientVanishingMidBatchDoesNotKillServer)
     EXPECT_EQ(report.failedRuns(), 0u);
     EXPECT_EQ(report.reconnects, 0u);
     server.stop();
+}
+
+TEST(SweepServer, StopReturnsWhileClientsKeepConnecting)
+{
+    // Idle clients (connect, never send) dial every millisecond while
+    // stop() starts. One accepted during the accept loop's last poll
+    // must be refused, not left blocked in recv(): stop() joins every
+    // handler, so that would hang it.
+    using Clock = std::chrono::steady_clock;
+    for (int round = 0; round < 3; ++round) {
+        SweepServer server;
+        server.start();
+        uint16_t port = server.port();
+        std::atomic<bool> stopping{false};
+        std::vector<int> clients;
+        std::thread dialer([&] {
+            // Few dials once stop() has begun: past the listen backlog
+            // (16) a connect to a hung server would block for minutes.
+            int after_stop = 0;
+            while (after_stop < 8) {
+                if (stopping.load())
+                    ++after_stop;
+                try {
+                    clients.push_back(tcpConnect("127.0.0.1", port));
+                } catch (const NetError &) {
+                    break; // listener closed
+                }
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            }
+        });
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+        std::atomic<bool> stopped{false};
+        stopping.store(true);
+        std::thread stopper([&] {
+            server.stop();
+            stopped.store(true);
+        });
+        Clock::time_point deadline = Clock::now() + std::chrono::seconds(5);
+        while (!stopped.load() && Clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        bool returned = stopped.load();
+
+        dialer.join();
+        // Closing the clients releases any handler stuck in recv(), so
+        // a failing round ends instead of hanging the suite.
+        for (int fd : clients)
+            ::close(fd);
+        stopper.join();
+        EXPECT_TRUE(returned)
+            << "round " << round << ": stop() still waiting after 5 s";
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -10,11 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <sstream>
 
 #include "core/sweep.hh"
 #include "trace/generator.hh"
+#include "util/parallel.hh"
 #include "sim_test_util.hh"
 
 namespace storemlp
@@ -281,6 +283,42 @@ TEST(SweepEngine, RunTasksExecutesEveryTask)
     makeEngine(cache, 4).runTasks(tasks);
     for (size_t i = 0; i < done.size(); ++i)
         EXPECT_EQ(done[i], 1) << "task " << i;
+}
+
+// Runs on the threads of a multi-worker pool must see that sibling
+// workers fill the CPUs (pipelineGenerated skips their read-ahead);
+// a one-job pool runs its tasks on the caller and marks nothing.
+TEST(ParallelForEach, MarksWorkerThreadsOnlyWithSeveralJobs)
+{
+    for (unsigned jobs : {1u, 3u}) {
+        std::vector<int> marked(6, -1);
+        std::vector<std::function<void()>> tasks;
+        for (size_t i = 0; i < marked.size(); ++i)
+            tasks.push_back([&marked, i] { marked[i] = onParallelWorker(); });
+        parallelForEach(tasks, jobs);
+        for (size_t i = 0; i < marked.size(); ++i)
+            EXPECT_EQ(marked[i], jobs > 1 ? 1 : 0)
+                << "jobs " << jobs << " task " << i;
+
+        std::vector<RunSpec> specs = mixedSpecs();
+        specs.resize(3);
+        std::atomic<size_t> runs{0}, runs_marked{0};
+        SweepOptions opts;
+        opts.jobs = jobs;
+        opts.progress = false;
+        opts.runOverride = [&](const RunSpec &, const Trace *) {
+            ++runs;
+            if (onParallelWorker())
+                ++runs_marked;
+            return RunOutput{};
+        };
+        TraceCache cache;
+        executeSpecs(SweepEngine(opts, &cache), specs);
+        EXPECT_EQ(runs.load(), specs.size());
+        EXPECT_EQ(runs_marked.load(), jobs > 1 ? specs.size() : 0)
+            << "jobs " << jobs;
+    }
+    EXPECT_FALSE(onParallelWorker());
 }
 
 TEST(SweepEngine, PerRunTimingIsPopulated)

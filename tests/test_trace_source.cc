@@ -29,6 +29,7 @@
 #include "trace/trace_io.hh"
 #include "trace/trace_source.hh"
 #include "util/error.hh"
+#include "util/parallel.hh"
 #include "sim_test_util.hh"
 
 namespace storemlp
@@ -853,6 +854,24 @@ class FailAtSource : public TraceSource
     TraceSource &_inner;
     uint64_t _bad;
 };
+
+TEST(ReadAheadSource, PipelineGeneratedSkipsParallelWorkers)
+{
+    RunSpec spec;
+    spec.profile = WorkloadProfile::tpcw();
+    spec.warmupInsts = 1000;
+    spec.measureInsts = 3000;
+
+    std::unique_ptr<TraceSource> piped =
+        pipelineGenerated(Runner::makeSource(spec, 1000));
+    EXPECT_NE(dynamic_cast<ReadAheadSource *>(piped.get()), nullptr);
+
+    ParallelWorkerScope worker;
+    std::unique_ptr<TraceSource> bare = Runner::makeSource(spec, 1000);
+    TraceSource *raw = bare.get();
+    std::unique_ptr<TraceSource> kept = pipelineGenerated(std::move(bare));
+    EXPECT_EQ(kept.get(), raw);
+}
 
 TEST(ReadAheadSource, DestructionMidStreamIsPrompt)
 {

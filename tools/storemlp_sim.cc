@@ -11,6 +11,7 @@
 
 #include <fstream>
 #include <iostream>
+#include <memory>
 
 #include "cli_util.hh"
 #include "core/config_io.hh"
@@ -300,8 +301,9 @@ toolMain(int argc, char **argv)
     } else if (cli.flag("stream") || chunk) {
         // Generation (and the WC rewrite) runs one chunk ahead on a
         // helper thread while the engine simulates.
-        ReadAheadSource src(Runner::makeSource(spec, chunk));
-        out = Runner::run(spec, src);
+        std::unique_ptr<TraceSource> src =
+            pipelineGenerated(Runner::makeSource(spec, chunk));
+        out = Runner::run(spec, *src);
     } else {
         Trace trace = Runner::buildTrace(spec);
         MaterializedSource src(trace);
