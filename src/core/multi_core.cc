@@ -12,9 +12,8 @@
 #include "coherence/bus.hh"
 #include "coherence/chip.hh"
 #include "core/mlp_sim.hh"
+#include "core/runner.hh"
 #include "trace/lock_detector.hh"
-#include "trace/rewriter.hh"
-#include "trace/trace_source.hh"
 #include "util/error.hh"
 
 namespace storemlp
@@ -77,27 +76,6 @@ namespace
 constexpr uint64_t kPrefillBase = 0xF00000000000ULL;
 constexpr uint64_t kPrefillStride = 0x001000000000ULL;
 
-/**
- * Core i's record stream. Generator ids 0, 101, 102, ... place each
- * core's private store/load regions at disjoint addresses (matching
- * DualCoreRunner's 0/101 for the first two cores) while every core
- * shares the one global shared-store region — the source of
- * cross-core invalidation traffic. Each stream generates one chunk
- * ahead on its own helper thread while the engines simulate, unless
- * the run is one of several on a parallel pool (pipelineGenerated).
- */
-std::unique_ptr<TraceSource>
-coreSource(const MultiRunSpec &spec, const WorkloadProfile &prof,
-           uint32_t core, uint64_t total)
-{
-    uint32_t gen_id = core == 0 ? 0 : 100 + core;
-    std::unique_ptr<TraceSource> src = std::make_unique<GeneratorSource>(
-        prof, spec.seed + core, total, gen_id, spec.chunkInsts);
-    if (spec.config.memoryModel.wcTraceRewrite())
-        src = std::make_unique<WcRewriteSource>(std::move(src));
-    return pipelineGenerated(std::move(src));
-}
-
 } // namespace
 
 MultiRunOutput
@@ -115,7 +93,6 @@ MultiCoreRunner::run(const MultiRunSpec &spec)
 
     uint32_t n = spec.cores;
     uint32_t m = spec.chips;
-    uint64_t total = spec.warmupInsts + spec.measureInsts;
 
     // Contention knobs override the profile the generators see; the
     // knobs shape the traces, never the machine.
@@ -126,10 +103,22 @@ MultiCoreRunner::run(const MultiRunSpec &spec)
         prof.lockProb = *spec.lockProb;
 
     // ---- per-core streams ----
+    // Generator ids 0, 101, 102, ... place each core's private regions
+    // at disjoint addresses (DualCoreRunner uses 0/101), while every
+    // core shares the one global shared-store region: the source of
+    // cross-core invalidation traffic.
     std::vector<std::unique_ptr<TraceSource>> sources;
     sources.reserve(n);
-    for (uint32_t c = 0; c < n; ++c)
-        sources.push_back(coreSource(spec, prof, c, total));
+    SourceSpec src;
+    src.profile = prof;
+    src.count = spec.warmupInsts + spec.measureInsts;
+    src.wcRewrite = spec.config.memoryModel.wcTraceRewrite();
+    src.chunkInsts = spec.chunkInsts;
+    for (uint32_t c = 0; c < n; ++c) {
+        src.seed = spec.seed + c;
+        src.generatorId = c == 0 ? 0 : 100 + c;
+        sources.push_back(openRunSource(src));
+    }
 
     // Lock analysis feeds SLE/TM only; skip the extra streaming pass
     // unless those optimizations are on (Runner::run semantics).

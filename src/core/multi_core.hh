@@ -10,16 +10,15 @@
  * locks, and shared SMAC capacity emerge from the simulated accesses
  * instead of being modeled.
  *
- * The engines all run on the calling thread. Each core's trace is
- * generated one chunk ahead on its own helper thread (a
- * ReadAheadSource per core), so a run uses up to cores + 1 threads
- * and its wall time is bound by the engines, not by generation. A run
- * launched on a worker of a parallel pool (`storemlp_sweep --cores`
- * or bench/perf_multicore with more than one job) generates inline
- * instead, because the pool already fills the CPUs
- * (pipelineGenerated, trace/trace_source.hh). Results do not depend
- * on the threads: every core's record stream is fixed by
- * (profile, seed, core id).
+ * The engines all run on the calling thread. Each core's stream comes
+ * from openRunSource (core/runner.hh), so it is generated one chunk
+ * ahead on its own helper thread (a ReadAheadSource per core): a run
+ * uses up to cores + 1 threads and its wall time is bound by the
+ * engines, not by generation. A run launched on a worker of a
+ * parallel pool (`storemlp_sweep --cores` or bench/perf_multicore
+ * with more than one job) generates inline instead, because the pool
+ * already fills the CPUs. Results do not depend on the threads: every
+ * core's record stream is fixed by (profile, seed, core id).
  *
  * Execution is deterministic quantum-interleaved: every core advances
  * `quantum` instructions per turn, in core-id order, over one shared

@@ -20,6 +20,8 @@
 #include "trace/generator.hh"
 #include "trace/lock_detector.hh"
 #include "trace/rewriter.hh"
+#include "trace/trace_file_source.hh"
+#include "util/parallel.hh"
 
 namespace storemlp
 {
@@ -174,23 +176,41 @@ Runner::traceCacheKey(const RunSpec &spec)
     return os.str();
 }
 
-std::unique_ptr<TraceSource>
-Runner::makeSource(const RunSpec &spec, uint64_t chunk_insts,
-                   TraceCache *chunk_cache)
+SourceSpec
+SourceSpec::forRun(const RunSpec &spec, uint64_t chunk_insts)
 {
-    std::unique_ptr<TraceSource> src = std::make_unique<GeneratorSource>(
-        spec.profile, spec.seed,
-        spec.warmupInsts + spec.measureInsts, 0, chunk_insts);
-    if (spec.config.memoryModel.wcTraceRewrite())
-        src = std::make_unique<WcRewriteSource>(std::move(src));
-    if (chunk_cache) {
-        std::string key = traceCacheKey(spec) +
-            "|chunk=" + std::to_string(src->chunkInsts());
-        src = std::make_unique<CachedSource>(std::move(src),
-                                             *chunk_cache,
-                                             std::move(key));
+    SourceSpec s;
+    s.profile = spec.profile;
+    s.seed = spec.seed;
+    s.count = spec.warmupInsts + spec.measureInsts;
+    s.wcRewrite = spec.config.memoryModel.wcTraceRewrite();
+    s.chunkInsts = chunk_insts;
+    return s;
+}
+
+std::unique_ptr<TraceSource>
+openRunSource(const SourceSpec &spec)
+{
+    std::unique_ptr<TraceSource> src;
+    if (!spec.tracePath.empty()) {
+        src = std::make_unique<StreamingFileSource>(spec.tracePath,
+                                                    spec.chunkInsts);
+    } else {
+        src = std::make_unique<GeneratorSource>(
+            spec.profile, spec.seed, spec.count, spec.generatorId,
+            spec.chunkInsts);
+        if (spec.wcRewrite)
+            src = std::make_unique<WcRewriteSource>(std::move(src));
     }
-    return src;
+    if (spec.cache) {
+        std::string key = src->fingerprint() +
+            "|chunk=" + std::to_string(src->chunkInsts());
+        return std::make_unique<CachedSource>(std::move(src), *spec.cache,
+                                              std::move(key));
+    }
+    if (onParallelWorker())
+        return src;
+    return std::make_unique<ReadAheadSource>(std::move(src));
 }
 
 RunOutput

@@ -127,6 +127,35 @@ struct RunOutput
     void exportStats(StatsRegistry &reg) const;
 };
 
+/** One run's record stream: an on-disk trace, or a synthetic one. */
+struct SourceSpec
+{
+    std::string tracePath; ///< trace file; empty means generate
+
+    WorkloadProfile profile;
+    uint64_t seed = 42;
+    uint64_t count = 0;
+    uint32_t generatorId = 0; ///< GeneratorSource chip id
+    bool wcRewrite = false;   ///< generated streams only
+
+    uint64_t chunkInsts = 0;    ///< 0: default; v4 files keep theirs
+    TraceCache *cache = nullptr; ///< share chunks (sweep workers)
+
+    /** The stream `Runner::buildTrace(spec)` materializes. */
+    static SourceSpec forRun(const RunSpec &spec, uint64_t chunk_insts = 0);
+};
+
+/**
+ * Build a run's stream: the one place that decides which stages a run
+ * gets and whether it is pipelined. Innermost first: the file or
+ * generator; the PC->WC rewrite (generated streams only; files replay
+ * as written); a CachedSource keyed by fingerprint and chunk size when
+ * `cache` is set; and a ReadAheadSource, unless the stream is
+ * cache-backed or the calling thread is a parallel pool worker
+ * (onParallelWorker()), whose siblings already fill the CPUs.
+ */
+std::unique_ptr<TraceSource> openRunSource(const SourceSpec &spec);
+
 /** Orchestrates experiments. */
 class Runner
 {
@@ -134,7 +163,8 @@ class Runner
     /**
      * Run one full epoch-model experiment against a record stream.
      * `source` must already reflect the spec's memory model (i.e. be
-     * the stream `buildTrace`/`makeSource` would produce). This is the
+     * the stream `buildTrace` would produce, or an on-disk trace
+     * written for that model); openRunSource builds it. This is the
      * primary entry point: resident trace memory is O(chunk) for
      * streaming sources, and a MaterializedSource reproduces the
      * historical whole-trace behavior bit for bit.
@@ -152,18 +182,6 @@ class Runner
      * rewrite when the spec's config uses weak consistency.
      */
     static Trace buildTrace(const RunSpec &spec);
-
-    /**
-     * Streaming equivalent of buildTrace: compose the spec's stream
-     * (generator, then PC->WC rewrite when the spec uses weak
-     * consistency) without materializing it. `chunk_insts` 0 means
-     * the default chunk size. With `chunk_cache`, the composed source
-     * is fronted by a CachedSource keyed off traceCacheKey(spec) so
-     * concurrent sweep workers share chunk production.
-     */
-    static std::unique_ptr<TraceSource>
-    makeSource(const RunSpec &spec, uint64_t chunk_insts = 0,
-               TraceCache *chunk_cache = nullptr);
 
     /**
      * Cache key identifying `buildTrace(spec)`'s output: everything

@@ -84,9 +84,9 @@ SweepEngine::runOnce(const RunSpec &spec, const SweepOptions &opts,
         // O(chunk) resident memory per worker. Chunk-level sharing
         // happens inside the CachedSource, so the per-run `hit` flag
         // stays false; hits are visible in the cache stats instead.
-        std::unique_ptr<TraceSource> src = Runner::makeSource(
-            spec, opts.chunkInsts,
-            opts.useTraceCache ? _cache : nullptr);
+        SourceSpec src_spec = SourceSpec::forRun(spec, opts.chunkInsts);
+        src_spec.cache = opts.useTraceCache ? _cache : nullptr;
+        std::unique_ptr<TraceSource> src = openRunSource(src_spec);
         return Runner::run(spec, *src);
     }
     if (opts.useTraceCache && _cache) {

@@ -46,7 +46,7 @@ struct SweepOptions
     /** Share input traces across runs via the trace cache. */
     bool useTraceCache = true;
     /**
-     * Execute runs against a streaming source (Runner::makeSource)
+     * Execute runs against a streaming source (openRunSource)
      * instead of a materialized whole trace: resident trace memory is
      * O(chunk) per worker, and with the trace cache enabled workers
      * share decoded *chunks* rather than whole traces. Results are

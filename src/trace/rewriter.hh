@@ -67,6 +67,7 @@ class WcRewriteSource : public TraceSource
     std::shared_ptr<const TraceChunk> fetch(uint64_t chunk_idx) override;
     std::optional<uint64_t> knownSize() const override;
     std::string fingerprint() const override;
+    const TraceSource *inner() const override { return _inner.get(); }
 
   private:
     void restart();

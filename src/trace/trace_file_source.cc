@@ -216,38 +216,6 @@ StreamingFileSource::chunkByteBegin(uint64_t chunk_idx) const
 }
 
 void
-StreamingFileSource::readAhead(uint64_t next_chunk_idx) const
-{
-#if STOREMLP_HAVE_MMAP
-    if (!_mapped || next_chunk_idx * _chunkInsts >= _count)
-        return;
-    std::optional<uint64_t> begin_opt = chunkByteBegin(next_chunk_idx);
-    if (!begin_opt)
-        return;
-    uint64_t begin = *begin_opt;
-    uint64_t len;
-    if (_bodyFormat == kBodyChunked) {
-        // The index knows the exact compressed extent.
-        len = v4Entry(_data, _indexOff, next_chunk_idx).byteLen;
-    } else {
-        // Exact for v1; v2 records average well under the v1 width,
-        // and the advice is a hint, so a generous bound is fine.
-        len = _chunkInsts * kRecordBytesV1;
-    }
-    if (begin >= _fileBytes)
-        return;
-    len = std::min(len, _fileBytes - begin);
-    long page = ::sysconf(_SC_PAGESIZE);
-    uint64_t mask = page > 0 ? static_cast<uint64_t>(page) - 1 : 4095;
-    uint64_t aligned = begin & ~mask;
-    ::madvise(const_cast<uint8_t *>(_data + aligned),
-              len + (begin - aligned), MADV_WILLNEED);
-#else
-    (void)next_chunk_idx;
-#endif
-}
-
-void
 StreamingFileSource::releaseBehind(uint64_t chunk_idx) const
 {
 #if STOREMLP_HAVE_MMAP
@@ -378,19 +346,27 @@ StreamingFileSource::fetch(uint64_t chunk_idx)
     uint64_t n = std::min<uint64_t>(_chunkInsts, _count - first);
 
     std::vector<TraceRecord> records;
-    if (_bodyFormat == kBodyFixed) {
-        records = decodeV1(first, n);
-    } else if (_bodyFormat == kBodyChunked) {
-        records = decodeV4ChunkAt(chunk_idx);
-    } else {
-        // Walk forward from the last memoized boundary if this chunk
-        // hasn't been reached yet; each crossing memoizes its state,
-        // so the walk happens at most once per chunk per source.
-        while (_bounds.size() <= chunk_idx)
-            decodeV2Chunk(_bounds.size() - 1);
-        records = decodeV2Chunk(chunk_idx);
+    try {
+        if (_bodyFormat == kBodyFixed) {
+            records = decodeV1(first, n);
+        } else if (_bodyFormat == kBodyChunked) {
+            records = decodeV4ChunkAt(chunk_idx);
+        } else {
+            // Walk forward from the last memoized boundary if this
+            // chunk hasn't been reached yet; each crossing memoizes its
+            // state, so the walk happens at most once per chunk.
+            while (_bounds.size() <= chunk_idx)
+                decodeV2Chunk(_bounds.size() - 1);
+            records = decodeV2Chunk(chunk_idx);
+        }
+    } catch (const TraceFormatError &e) {
+        // Same type, so the tools still exit 1, but naming the file
+        // and where in it the body went bad.
+        throw TraceFormatError(
+            _path + ": chunk " + std::to_string(chunk_idx) + " (records " +
+            std::to_string(first) + ".." + std::to_string(first + n) +
+            "): " + e.what());
     }
-    readAhead(chunk_idx + 1);
     releaseBehind(chunk_idx);
     return std::make_shared<const TraceChunk>(first, std::move(records));
 }

@@ -14,11 +14,12 @@
  * extents plus decode seeds, validated in full before the first
  * fetch), so every chunk is random access from the start and decodes
  * through the wide path in trace_codec.cc; the source adopts the
- * file's chunk geometry. Each fetch also advises the kernel to read
- * the following chunk's byte range ahead, and to drop the pages behind
- * the current chunk from this process (they remain in the page cache,
- * so a backward fetch only minor-faults them back). Resident memory is
- * therefore O(chunk) even when the mapped file is many gigabytes.
+ * file's chunk geometry. Each fetch also advises the kernel to drop
+ * the pages behind the current chunk from this process (they remain in
+ * the page cache, so a backward fetch only minor-faults them back), so
+ * resident memory is O(chunk) even when the mapped file is many
+ * gigabytes. Reading ahead is ReadAheadSource's job: a run decodes the
+ * next chunk on a helper thread, which faults its pages in.
  */
 
 #ifndef STOREMLP_TRACE_TRACE_FILE_SOURCE_HH
@@ -74,7 +75,6 @@ class StreamingFileSource : public TraceSource
     std::vector<TraceRecord> decodeV4ChunkAt(uint64_t chunk_idx) const;
     /** First mapped byte of `chunk_idx`, if locatable without decode. */
     std::optional<uint64_t> chunkByteBegin(uint64_t chunk_idx) const;
-    void readAhead(uint64_t next_chunk_idx) const;
     /** Drop mapped pages strictly before `chunk_idx`'s first byte. */
     void releaseBehind(uint64_t chunk_idx) const;
 

@@ -26,18 +26,17 @@
  * count from the chunks the engine's cursor fetches, so only the lock
  * analysis (SLE/TM runs) adds a second pass.
  *
- * Where read-ahead applies: a generated stream (generator, plus the
- * WC rewrite when the model needs it) costs about as much as the
- * engine that consumes it, so `storemlp_sim --stream` and every core
- * of MultiCoreRunner pass theirs through pipelineGenerated(), which
- * wraps it in a ReadAheadSource: the run waits for
- * max(generate, simulate) per chunk instead of the sum. Runs on the
- * worker threads of a parallel pool (sweeps, and multi-core runs fanned
- * out by `storemlp_sweep --cores` or the benchmarks with more than one
- * job) are not pipelined: the pool's `jobs` workers already fill the
- * cores. Single-core sweep runs share chunks through CachedSource
- * instead. On-disk traces (`--trace FILE`) decode far faster than the
- * engine runs, so they are not pipelined either.
+ * Where read-ahead applies: openRunSource() (core/runner.hh) composes
+ * every run's stream and alone decides. Generation (plus the WC
+ * rewrite) costs about as much as the engine, and decoding an on-disk
+ * trace about a third of a file run, so both get a ReadAheadSource:
+ * the run waits for max(produce, simulate) per chunk instead of the
+ * sum. Two kinds of stream are not pipelined. Cache-backed streams
+ * (CachedSource) belong to sweep workers, which share chunks instead.
+ * Runs on the worker threads of a parallel pool (onParallelWorker():
+ * sweeps, and multi-core runs fanned out by `storemlp_sweep --cores`
+ * or the benchmarks with more than one job) are not pipelined either,
+ * because the pool's `jobs` workers already fill the cores.
  *
  * Chunking is an execution detail, never a semantic one: any chunk
  * size yields the identical record stream, and the equivalence suite
@@ -190,6 +189,9 @@ class TraceSource
      * rewrite). Empty means "not cacheable".
      */
     virtual std::string fingerprint() const { return {}; }
+
+    /** The source this stage wraps; nullptr for a producer. */
+    virtual const TraceSource *inner() const { return nullptr; }
 
   protected:
     explicit TraceSource(uint64_t chunk_insts)
@@ -376,6 +378,7 @@ class CachedSource : public TraceSource
     std::shared_ptr<const TraceChunk> fetch(uint64_t chunk_idx) override;
     std::optional<uint64_t> knownSize() const override;
     std::string fingerprint() const override { return _keyBase; }
+    const TraceSource *inner() const override { return _inner.get(); }
 
   private:
     std::unique_ptr<TraceSource> _inner;
@@ -410,10 +413,10 @@ class CachedSource : public TraceSource
  * instead of adding a chunk per stream. Handed-out chunks may outlive
  * the source.
  *
- * Meant for one consumer of a sequential, compute-bound source (a
- * generator or a WC rewrite of one). Not thread-safe for several
- * consumers; sweep workers share sources through CachedSource
- * instead.
+ * Meant for one consumer of a source whose fetches cost CPU time: a
+ * generator, a WC rewrite of one, or a chunk-decoding file source.
+ * Not thread-safe for several consumers; sweep workers share sources
+ * through CachedSource instead.
  */
 class ReadAheadSource : public TraceSource
 {
@@ -427,6 +430,7 @@ class ReadAheadSource : public TraceSource
     std::shared_ptr<const TraceChunk> fetch(uint64_t chunk_idx) override;
     std::optional<uint64_t> knownSize() const override;
     std::string fingerprint() const override;
+    const TraceSource *inner() const override { return _inner.get(); }
 
   private:
     struct Shared;
@@ -439,17 +443,6 @@ class ReadAheadSource : public TraceSource
     std::shared_ptr<Shared> _sh;
     std::thread _helper; ///< last: started after everything it uses
 };
-
-/**
- * The one place that decides whether a generated stream (generator,
- * plus the WC rewrite when the model needs it) is pipelined: wraps
- * `src` in a ReadAheadSource, unless the calling thread is a worker of
- * a parallel pool (onParallelWorker(), util/parallel.hh), where the
- * sibling workers already fill the CPUs and a helper per stream would
- * only add threads and memory. Returns `src` itself in that case.
- */
-std::unique_ptr<TraceSource>
-pipelineGenerated(std::unique_ptr<TraceSource> src);
 
 /**
  * Walk records [begin, end) of a source, invoking `fn(record)` for

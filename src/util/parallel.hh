@@ -4,8 +4,8 @@
  * run can see that sibling workers already compete for the CPUs. The
  * pools (parallelForEach and SweepEngine, src/core/sweep.cc) open a
  * ParallelWorkerScope on each of their threads when they run more than
- * one worker; pipelineGenerated() (trace/trace_source.hh) reads it to
- * decide whether a generated stream gets a read-ahead helper thread.
+ * one worker; openRunSource() (core/runner.hh) reads it to decide
+ * whether a run's stream gets a read-ahead helper thread.
  */
 
 #ifndef STOREMLP_UTIL_PARALLEL_HH

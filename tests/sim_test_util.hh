@@ -9,6 +9,7 @@
 #define STOREMLP_TESTS_SIM_TEST_UTIL_HH
 
 #include <initializer_list>
+#include <memory>
 #include <unordered_set>
 
 #include "coherence/chip.hh"
@@ -40,6 +41,13 @@ runMaterialized(const RunSpec &spec, const Trace &trace)
 {
     MaterializedSource src(trace);
     return Runner::run(spec, src);
+}
+
+/** The spec's generated stream as openRunSource composes it. */
+inline std::unique_ptr<TraceSource>
+openRun(const RunSpec &spec, uint64_t chunk_insts = 0)
+{
+    return openRunSource(SourceSpec::forRun(spec, chunk_insts));
 }
 
 /** Addresses guaranteed to be off-chip misses (never warmed). */

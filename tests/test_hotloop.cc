@@ -208,7 +208,7 @@ buildCases()
                                         : SimConfig::wc2();
         for (uint64_t chunk : {uint64_t{1}, uint64_t{7777}, uint64_t{0}}) {
             RunSpec spec = baseSpec(cfg);
-            auto src = Runner::makeSource(spec, chunk);
+            auto src = test::openRun(spec, chunk);
             std::string name = std::string("stream/") + model + "_chunk" +
                 std::to_string(chunk);
             out[name] = hashRunOutput(Runner::run(spec, *src));

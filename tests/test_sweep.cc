@@ -286,7 +286,7 @@ TEST(SweepEngine, RunTasksExecutesEveryTask)
 }
 
 // Runs on the threads of a multi-worker pool must see that sibling
-// workers fill the CPUs (pipelineGenerated skips their read-ahead);
+// workers fill the CPUs (openRunSource skips their read-ahead);
 // a one-job pool runs its tasks on the caller and marks nothing.
 TEST(ParallelForEach, MarksWorkerThreadsOnlyWithSeveralJobs)
 {

@@ -7,11 +7,15 @@
  * end. Chunking is an execution strategy, never a model input.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <functional>
+#include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -305,8 +309,7 @@ TEST(RunnerStreaming, BitIdenticalToMaterializedOnShippedConfigs)
 
         RunOutput mat = test::runMaterialized(spec);
         for (uint64_t chunk : {uint64_t{1009}, uint64_t{0}}) {
-            std::unique_ptr<TraceSource> src =
-                Runner::makeSource(spec, chunk);
+            std::unique_ptr<TraceSource> src = test::openRun(spec, chunk);
             RunOutput streamed = Runner::run(spec, *src);
             EXPECT_EQ(streamed.sim, mat.sim)
                 << f << " chunk=" << chunk;
@@ -436,7 +439,7 @@ TEST_F(FileSourceTest, RunnerReadsEachChunkOnce)
 
     using Make = std::function<std::unique_ptr<TraceSource>()>;
     std::vector<std::pair<std::string, Make>> kinds = {
-        {"generator", [&] { return Runner::makeSource(spec, kChunk); }},
+        {"generator", [&] { return test::openRun(spec, kChunk); }},
         {"file",
          [&] { return std::make_unique<StreamingFileSource>(path, kChunk); }},
         {"materialized",
@@ -492,7 +495,7 @@ TEST(RunnerTally, MatchesReferenceCountAcrossChunkings)
         spec.measureInsts = 6000;
 
         Trace trace = Runner::buildTrace(spec);
-        std::unique_ptr<TraceSource> src = Runner::makeSource(spec, c.chunk);
+        std::unique_ptr<TraceSource> src = test::openRun(spec, c.chunk);
         RunOutput out = Runner::run(spec, *src);
         std::string what = std::string(c.model) + " warmup=" +
             std::to_string(c.warmup) + " chunk=" + std::to_string(c.chunk);
@@ -537,6 +540,14 @@ pipelineStream(bool wc, uint64_t n, uint64_t chunk)
     if (wc)
         src = std::make_unique<WcRewriteSource>(std::move(src));
     return src;
+}
+
+/** The spec's stream without the read-ahead, as a pool worker gets it. */
+std::unique_ptr<TraceSource>
+unpipelinedStream(const RunSpec &spec, uint64_t chunk)
+{
+    ParallelWorkerScope worker;
+    return test::openRun(spec, chunk);
 }
 
 void
@@ -635,7 +646,7 @@ TEST(ReadAheadSource, RunsBitIdenticalAndReadsEachChunkOnce)
             RunOutput want = test::runMaterialized(spec, trace);
 
             auto log_src = std::make_unique<FetchLogSource>(
-                Runner::makeSource(spec, kChunk));
+                unpipelinedStream(spec, kChunk));
             FetchLogSource &log = *log_src;
             ReadAheadSource ahead(std::move(log_src));
             RunOutput got = Runner::run(spec, ahead);
@@ -855,24 +866,6 @@ class FailAtSource : public TraceSource
     uint64_t _bad;
 };
 
-TEST(ReadAheadSource, PipelineGeneratedSkipsParallelWorkers)
-{
-    RunSpec spec;
-    spec.profile = WorkloadProfile::tpcw();
-    spec.warmupInsts = 1000;
-    spec.measureInsts = 3000;
-
-    std::unique_ptr<TraceSource> piped =
-        pipelineGenerated(Runner::makeSource(spec, 1000));
-    EXPECT_NE(dynamic_cast<ReadAheadSource *>(piped.get()), nullptr);
-
-    ParallelWorkerScope worker;
-    std::unique_ptr<TraceSource> bare = Runner::makeSource(spec, 1000);
-    TraceSource *raw = bare.get();
-    std::unique_ptr<TraceSource> kept = pipelineGenerated(std::move(bare));
-    EXPECT_EQ(kept.get(), raw);
-}
-
 TEST(ReadAheadSource, DestructionMidStreamIsPrompt)
 {
     using Clock = std::chrono::steady_clock;
@@ -897,11 +890,294 @@ TEST(ReadAheadSource, DestructionMidStreamIsPrompt)
     spec.measureInsts = 20000;
     auto t0 = Clock::now();
     {
-        ReadAheadSource ahead(Runner::makeSource(spec, 1000));
+        ReadAheadSource ahead(unpipelinedStream(spec, 1000));
         FailAtSource failing(ahead, 7);
         EXPECT_THROW(Runner::run(spec, failing), SimError);
     }
     EXPECT_LT(Clock::now() - t0, std::chrono::seconds(10));
+}
+
+// ---------------------------------------------------------------------
+// openRunSource: the one composition of a run's stream
+// ---------------------------------------------------------------------
+
+/** The stages of a composed stream, outermost first. */
+std::vector<std::string>
+stageNames(const TraceSource &src)
+{
+    std::vector<std::string> names;
+    for (const TraceSource *s = &src; s; s = s->inner()) {
+        if (dynamic_cast<const ReadAheadSource *>(s))
+            names.push_back("readahead");
+        else if (dynamic_cast<const CachedSource *>(s))
+            names.push_back("cache");
+        else if (dynamic_cast<const WcRewriteSource *>(s))
+            names.push_back("wc");
+        else if (dynamic_cast<const GeneratorSource *>(s))
+            names.push_back("generator");
+        else if (dynamic_cast<const StreamingFileSource *>(s))
+            names.push_back("file");
+        else
+            names.push_back("?");
+    }
+    return names;
+}
+
+using OpenRunSource = FileSourceTest;
+
+TEST_F(OpenRunSource, StagesPerInput)
+{
+    constexpr uint64_t kChunk = 1000;
+    RunSpec pc;
+    pc.profile = WorkloadProfile::tpcw();
+    pc.warmupInsts = 1000;
+    pc.measureInsts = 3000;
+    RunSpec wc = pc;
+    wc.config = SimConfig::wc2();
+
+    Trace trace = Runner::buildTrace(pc);
+    std::string v1 = writeTemp(
+        "stages_v1", [&](std::ostream &os) { writeTrace(os, trace); });
+    std::string v4 = writeTemp("stages_v4", [&](std::ostream &os) {
+        writeTraceV4(os, trace, "stages", kChunk);
+    });
+    TraceCache cache(64ull << 20);
+
+    auto generated = [&](const RunSpec &spec) {
+        return SourceSpec::forRun(spec, kChunk);
+    };
+    auto file = [&](const RunSpec &spec, const std::string &path) {
+        SourceSpec s = generated(spec);
+        s.tracePath = path;
+        return s;
+    };
+    auto cached = [&](const RunSpec &spec) {
+        SourceSpec s = generated(spec);
+        s.cache = &cache;
+        return s;
+    };
+    struct Case
+    {
+        const char *what;
+        SourceSpec spec;
+        bool onWorker;
+        std::vector<std::string> stages;
+    };
+    const Case cases[] = {
+        {"generated pc", generated(pc), false, {"readahead", "generator"}},
+        {"generated wc", generated(wc), false,
+         {"readahead", "wc", "generator"}},
+        {"v1 file", file(pc, v1), false, {"readahead", "file"}},
+        {"v4 file", file(pc, v4), false, {"readahead", "file"}},
+        // Files replay as written: a WC model adds no rewrite.
+        {"v4 file, wc model", file(wc, v4), false, {"readahead", "file"}},
+        {"cache given", cached(wc), false, {"cache", "wc", "generator"}},
+        {"pool worker, generated", generated(wc), true, {"wc", "generator"}},
+        {"pool worker, file", file(pc, v4), true, {"file"}},
+        {"pool worker, cache given", cached(pc), true, {"cache", "generator"}},
+    };
+    for (const Case &c : cases) {
+        std::optional<ParallelWorkerScope> worker;
+        if (c.onWorker)
+            worker.emplace();
+        std::unique_ptr<TraceSource> src = openRunSource(c.spec);
+        EXPECT_EQ(stageNames(*src), c.stages) << c.what;
+        EXPECT_EQ(src->chunkInsts(), kChunk) << c.what;
+    }
+
+    // Cached chunks keep the key sweeps have always used.
+    EXPECT_EQ(openRunSource(cached(wc))->fingerprint(),
+              Runner::traceCacheKey(wc) + "|chunk=1000");
+}
+
+/** The shipped configs reachable from the test cwd, by file name. */
+std::vector<std::pair<std::string, SimConfig>>
+shippedConfigs()
+{
+    namespace fs = std::filesystem;
+    std::vector<std::pair<std::string, SimConfig>> out;
+    for (const char *dir : {"configs", "../configs", "../../configs"}) {
+        std::error_code ec;
+        if (!fs::is_directory(dir, ec))
+            continue;
+        for (const fs::directory_entry &e : fs::directory_iterator(dir)) {
+            if (e.path().extension() == ".cfg") {
+                out.emplace_back(e.path().stem().string(),
+                                 loadSimConfigFile(e.path().string()));
+            }
+        }
+        break;
+    }
+    std::sort(out.begin(), out.end(),
+              [](const auto &a, const auto &b) { return a.first < b.first; });
+    return out;
+}
+
+void
+expectSameRun(const RunOutput &got, const RunOutput &want,
+              const std::string &what)
+{
+    EXPECT_EQ(got.sim, want.sim) << what;
+    EXPECT_EQ(got.storesPer100, want.storesPer100) << what;
+    EXPECT_EQ(got.storeMissPer100, want.storeMissPer100) << what;
+    EXPECT_EQ(got.loadMissPer100, want.loadMissPer100) << what;
+    EXPECT_EQ(got.l2Accesses, want.l2Accesses) << what;
+    EXPECT_EQ(got.tlbMissPer100, want.tlbMissPer100) << what;
+}
+
+TEST_F(OpenRunSource, FileRunsBitIdenticalToBareFile)
+{
+    constexpr uint64_t kChunk = 4096;
+    std::vector<std::pair<std::string, SimConfig>> configs =
+        shippedConfigs();
+    if (configs.empty())
+        GTEST_SKIP() << "configs/ not reachable from test cwd";
+    // No shipped config turns TM on; its lock analysis is the other
+    // pre-pass the pipelined file stream must survive.
+    SimConfig tm = SimConfig::pc2();
+    tm.tm.enabled = true;
+    configs.emplace_back("pc2+tm", tm);
+
+    for (const auto &[name, cfg] : configs) {
+        RunSpec spec;
+        spec.profile = WorkloadProfile::specjbb();
+        spec.config = cfg;
+        spec.warmupInsts = 8000;
+        spec.measureInsts = 20000;
+        Trace full = Runner::buildTrace(spec);
+        // Whole chunks only, then a short last chunk.
+        for (uint64_t n : {6 * kChunk, 6 * kChunk + 123}) {
+            ASSERT_GE(full.size(), n) << name;
+            Trace trace(std::vector<TraceRecord>(
+                full.records().begin(),
+                full.records().begin() + static_cast<ptrdiff_t>(n)));
+            std::string tag = name + "_" + std::to_string(n);
+            std::string v1 = writeTemp("bare_v1_" + tag, [&](std::ostream &os) {
+                writeTrace(os, trace);
+            });
+            std::string v4 = writeTemp("bare_v4_" + tag, [&](std::ostream &os) {
+                writeTraceV4(os, trace, "bare-" + tag, kChunk);
+            });
+            for (const std::string &path : {v1, v4}) {
+                std::string what = path + " " + name;
+                StreamingFileSource bare(path, kChunk);
+                RunOutput want = Runner::run(spec, bare);
+                SourceSpec s = SourceSpec::forRun(spec, kChunk);
+                s.tracePath = path;
+                std::unique_ptr<TraceSource> piped = openRunSource(s);
+                ASSERT_NE(dynamic_cast<ReadAheadSource *>(piped.get()),
+                          nullptr) << what;
+                expectSameRun(Runner::run(spec, *piped), want, what);
+            }
+        }
+    }
+}
+
+/** What the two ends of one read-ahead stream have asked for. */
+struct AheadProbe
+{
+    std::mutex mu;
+    uint64_t last = 0; ///< the consumer's latest request
+    uint64_t prev = 0; ///< and the one before it
+    std::vector<int64_t> leads; ///< per inner fetch: index - consumer's
+};
+
+/** Consumer side: notes each request before passing it on. */
+class AskSource : public TraceSource
+{
+  public:
+    AskSource(TraceSource &inner, AheadProbe &probe)
+        : TraceSource(inner.chunkInsts()), _inner(inner), _probe(probe)
+    {
+    }
+
+    std::shared_ptr<const TraceChunk>
+    fetch(uint64_t chunk_idx) override
+    {
+        {
+            std::lock_guard<std::mutex> lk(_probe.mu);
+            _probe.prev = _probe.last;
+            _probe.last = chunk_idx;
+        }
+        return _inner.fetch(chunk_idx);
+    }
+    std::optional<uint64_t> knownSize() const override
+    {
+        return _inner.knownSize();
+    }
+
+  private:
+    TraceSource &_inner;
+    AheadProbe &_probe;
+};
+
+/**
+ * Inner side: logs each fetch and how far past the consumer it is.
+ * A read-ahead started before the consumer's latest request may land
+ * after it, so the lead is taken from the later of the consumer's two
+ * latest requests.
+ */
+class LeadLogSource : public FetchLogSource
+{
+  public:
+    LeadLogSource(std::unique_ptr<TraceSource> inner, AheadProbe &probe)
+        : FetchLogSource(std::move(inner)), _probe(probe)
+    {
+    }
+
+    std::shared_ptr<const TraceChunk>
+    fetch(uint64_t chunk_idx) override
+    {
+        {
+            std::lock_guard<std::mutex> lk(_probe.mu);
+            _probe.leads.push_back(static_cast<int64_t>(chunk_idx) -
+                static_cast<int64_t>(std::max(_probe.last, _probe.prev)));
+        }
+        return FetchLogSource::fetch(chunk_idx);
+    }
+
+  private:
+    AheadProbe &_probe;
+};
+
+TEST_F(OpenRunSource, SleFileRunIsAnalysisThenOnePass)
+{
+    // With SLE on, the lock analysis reads the file once; the engine
+    // then refetches chunk 0 once and reads the file again, in order.
+    constexpr uint64_t kChunk = 4096;
+    RunSpec spec;
+    spec.profile = WorkloadProfile::specjbb();
+    spec.config = SimConfig::wc2();
+    spec.config.sle = true;
+    spec.warmupInsts = 10000;
+    spec.measureInsts = 20000;
+    Trace trace = Runner::buildTrace(spec);
+    std::string path = writeTemp("sle_v4", [&](std::ostream &os) {
+        writeTraceV4(os, trace, "sle", kChunk);
+    });
+    uint64_t chunks = (trace.size() + kChunk - 1) / kChunk;
+    ASSERT_GT(chunks, 3u);
+
+    StreamingFileSource bare(path);
+    RunOutput want = Runner::run(spec, bare);
+
+    AheadProbe probe;
+    auto log_src = std::make_unique<LeadLogSource>(
+        std::make_unique<StreamingFileSource>(path), probe);
+    LeadLogSource &log = *log_src;
+    ReadAheadSource ahead(std::move(log_src));
+    AskSource consumer(ahead, probe);
+    expectSameRun(Runner::run(spec, consumer), want, "sle v4");
+    ahead.knownSize(); // collects the fetch in flight
+
+    EXPECT_EQ(countSinglePasses(log.log, chunks), 2);
+    int backward = 0;
+    for (size_t i = 1; i < log.log.size(); ++i)
+        backward += log.log[i].idx < log.log[i - 1].idx;
+    EXPECT_EQ(backward, 1);
+    ASSERT_EQ(probe.leads.size(), log.log.size());
+    for (size_t i = 0; i < probe.leads.size(); ++i)
+        EXPECT_LE(probe.leads[i], 1) << "inner fetch " << i;
 }
 
 } // namespace

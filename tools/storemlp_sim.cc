@@ -18,8 +18,6 @@
 #include "core/multi_core.hh"
 #include "core/runner.hh"
 #include "stats/stats_json.hh"
-#include "trace/trace_file_source.hh"
-#include "trace/trace_source.hh"
 
 using namespace storemlp;
 using namespace storemlp::tools;
@@ -76,12 +74,15 @@ toolMain(int argc, char **argv)
         {"epoch-log", "PATH",
          "write a JSON-lines per-epoch trace to PATH"},
         {"trace", "PATH",
-         "simulate an on-disk trace file (streamed in chunks;\n"
-         "the file must already reflect --model)"},
+         "simulate an on-disk trace file (decoded one chunk\n"
+         "ahead; the file must already reflect --model)"},
         {"stream", "",
-         "synthesize the trace chunk-by-chunk instead of\n"
-         "materializing it (O(chunk) trace memory)"},
-        kChunkInstsFlag,
+         "accepted for compatibility; every run streams its\n"
+         "trace in chunks (O(chunk) trace memory)"},
+        {"chunk-insts", "N",
+         "records per chunk (default 65536; a v4 --trace\n"
+         "file keeps its own); results are identical for\n"
+         "every chunk size"},
         kFormatFlag, kOutFlag,
     });
 
@@ -206,7 +207,7 @@ toolMain(int argc, char **argv)
         // bus. The statistical remote-traffic machinery (--peers,
         // --sibling) and on-disk traces don't apply here.
         for (const char *bad : {"peers", "sibling", "trace",
-                                "epoch-log", "stream"}) {
+                                "epoch-log"}) {
             if (cli.has(bad)) {
                 cli.fail(std::string("--") + bad +
                          " cannot be combined with --cores");
@@ -291,24 +292,15 @@ toolMain(int argc, char **argv)
         spec.epochLog = &epoch_ofs;
     }
 
-    uint64_t chunk = cli.num("chunk-insts", 0);
-    RunOutput out;
-    if (cli.has("trace")) {
-        // On-disk input: mmap-backed, decoded chunk by chunk — a
-        // 50M-instruction trace runs in O(chunk) resident memory.
-        StreamingFileSource src(cli.str("trace", ""), chunk);
-        out = Runner::run(spec, src);
-    } else if (cli.flag("stream") || chunk) {
-        // Generation (and the WC rewrite) runs one chunk ahead on a
-        // helper thread while the engine simulates.
-        std::unique_ptr<TraceSource> src =
-            pipelineGenerated(Runner::makeSource(spec, chunk));
-        out = Runner::run(spec, *src);
-    } else {
-        Trace trace = Runner::buildTrace(spec);
-        MaterializedSource src(trace);
-        out = Runner::run(spec, src);
-    }
+    // Streamed in O(chunk) memory; openRunSource decodes or generates
+    // one chunk ahead on a helper thread while the engine simulates.
+    SourceSpec src_spec =
+        SourceSpec::forRun(spec, cli.num("chunk-insts", 0));
+    src_spec.tracePath = cli.str("trace", "");
+    if (cli.has("trace") && src_spec.tracePath.empty())
+        cli.fail("--trace needs a file path");
+    std::unique_ptr<TraceSource> src = openRunSource(src_spec);
+    RunOutput out = Runner::run(spec, *src);
 
     OutFormat fmt = outFormat(cli);
     OutputSink sink(cli);
