@@ -65,25 +65,32 @@ instClassName(InstClass c)
     }
 }
 
+void
+Trace::Mix::add(const TraceRecord *data, uint64_t n)
+{
+    total += n;
+    for (const TraceRecord *r = data; r != data + n; ++r) {
+        if (r->cls == InstClass::AtomicCas ||
+            r->cls == InstClass::StoreCond ||
+            r->cls == InstClass::LoadLocked) {
+            ++atomics;
+        }
+        if (isLoadClass(r->cls))
+            ++loads;
+        if (isStoreClass(r->cls))
+            ++stores;
+        if (r->cls == InstClass::Branch)
+            ++branches;
+        if (isBarrierClass(r->cls))
+            ++barriers;
+    }
+}
+
 Trace::Mix
 Trace::mix() const
 {
     Mix m;
-    m.total = _records.size();
-    for (const auto &r : _records) {
-        if (r.cls == InstClass::AtomicCas || r.cls == InstClass::StoreCond ||
-            r.cls == InstClass::LoadLocked) {
-            ++m.atomics;
-        }
-        if (isLoadClass(r.cls))
-            ++m.loads;
-        if (isStoreClass(r.cls))
-            ++m.stores;
-        if (r.cls == InstClass::Branch)
-            ++m.branches;
-        if (isBarrierClass(r.cls))
-            ++m.barriers;
-    }
+    m.add(_records.data(), _records.size());
     return m;
 }
 

@@ -77,6 +77,9 @@ class Trace
         uint64_t branches = 0;
         uint64_t atomics = 0;
         uint64_t barriers = 0;
+
+        /** Tally `n` more records (a chunk of a streamed trace). */
+        void add(const TraceRecord *data, uint64_t n);
     };
     Mix mix() const;
 

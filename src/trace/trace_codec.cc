@@ -11,6 +11,7 @@
 
 #include "trace/trace_codec.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <string>
@@ -50,16 +51,6 @@ memClassBits(uint8_t cls_bits)
 fail(const std::string &msg)
 {
     throw TraceFormatError(msg);
-}
-
-void
-appendVarint(std::vector<uint8_t> &out, uint64_t v)
-{
-    while (v >= 0x80) {
-        out.push_back(static_cast<uint8_t>(v) | 0x80);
-        v >>= 7;
-    }
-    out.push_back(static_cast<uint8_t>(v));
 }
 
 // ---- control-byte scan ------------------------------------------------
@@ -399,8 +390,13 @@ encodeV4Chunk(std::vector<uint8_t> &out, const TraceRecord *records,
               uint64_t n, CodecSeeds &seeds)
 {
     size_t base = out.size();
+    // Grow geometrically: callers append many chunks to one vector,
+    // and an exact reserve per chunk would copy the whole body each
+    // time.
+    size_t want = base + kChunkHeaderBytesV4 + 6 * n;
+    if (out.capacity() < want)
+        out.reserve(std::max(want, 2 * out.capacity()));
     out.resize(base + kChunkHeaderBytesV4);
-    out.reserve(base + kChunkHeaderBytesV4 + 6 * n);
 
     std::vector<uint8_t> pcs, addrs, regs, flags, aux;
     pcs.reserve(n / 4);

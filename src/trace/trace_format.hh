@@ -32,6 +32,7 @@
 #define STOREMLP_TRACE_TRACE_FORMAT_HH
 
 #include <cstdint>
+#include <vector>
 
 namespace storemlp::trace_format
 {
@@ -120,6 +121,17 @@ getU32(const uint8_t *p)
     for (int i = 0; i < 4; ++i)
         v |= static_cast<uint32_t>(p[i]) << (8 * i);
     return v;
+}
+
+/** Append `v` as a LEB128 varint (7 bits per byte, low first). */
+inline void
+appendVarint(std::vector<uint8_t> &out, uint64_t v)
+{
+    while (v >= 0x80) {
+        out.push_back(static_cast<uint8_t>(v) | 0x80);
+        v >>= 7;
+    }
+    out.push_back(static_cast<uint8_t>(v));
 }
 
 inline uint64_t

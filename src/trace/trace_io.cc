@@ -16,13 +16,20 @@
 
 #include "trace/trace_io.hh"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <array>
+#include <atomic>
+#include <cerrno>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <istream>
 #include <optional>
 #include <ostream>
+#include <sstream>
 
 #include "trace/trace_codec.hh"
 #include "trace/trace_format.hh"
@@ -34,16 +41,6 @@ namespace
 {
 
 using namespace trace_format;
-
-void
-putVarint(std::ostream &os, uint64_t v)
-{
-    while (v >= 0x80) {
-        os.put(static_cast<char>((v & 0x7f) | 0x80));
-        v >>= 7;
-    }
-    os.put(static_cast<char>(v));
-}
 
 uint64_t
 getVarint(std::istream &is)
@@ -61,6 +58,13 @@ getVarint(std::istream &is)
 }
 
 void
+writeBytes(std::ostream &os, const std::vector<uint8_t> &bytes)
+{
+    os.write(reinterpret_cast<const char *>(bytes.data()),
+             static_cast<std::streamsize>(bytes.size()));
+}
+
+void
 writeCountHeader(std::ostream &os, uint64_t count)
 {
     uint8_t hdr[8];
@@ -68,28 +72,37 @@ writeCountHeader(std::ostream &os, uint64_t count)
     os.write(reinterpret_cast<const char *>(hdr), sizeof(hdr));
 }
 
+/** Append the fixed-width v1 encoding of records[0..n) to `out`. */
 void
-writeV1Body(std::ostream &os, const Trace &trace)
+encodeV1Records(std::vector<uint8_t> &out, const TraceRecord *records,
+                uint64_t n)
 {
-    std::array<uint8_t, kRecordBytesV1> buf;
-    for (const auto &r : trace.records()) {
-        putU64(buf.data(), r.pc);
-        putU64(buf.data() + 8, r.addr);
-        buf[16] = static_cast<uint8_t>(r.cls);
-        buf[17] = r.size;
-        buf[18] = r.dst;
-        buf[19] = r.src1;
-        buf[20] = r.src2;
-        buf[21] = r.flags;
-        os.write(reinterpret_cast<const char *>(buf.data()), buf.size());
+    size_t at = out.size();
+    out.resize(at + n * kRecordBytesV1);
+    uint8_t *p = out.data() + at;
+    for (const TraceRecord *r = records; r != records + n;
+         ++r, p += kRecordBytesV1) {
+        putU64(p, r->pc);
+        putU64(p + 8, r->addr);
+        p[16] = static_cast<uint8_t>(r->cls);
+        p[17] = r->size;
+        p[18] = r->dst;
+        p[19] = r->src1;
+        p[20] = r->src2;
+        p[21] = r->flags;
     }
 }
 
+/**
+ * Append the v2 delta encoding of records[0..n) to `out`. `prev_pc`
+ * carries the pc delta base across calls.
+ */
 void
-writeV2Body(std::ostream &os, const Trace &trace)
+encodeV2Records(std::vector<uint8_t> &out, const TraceRecord *records,
+                uint64_t n, uint64_t &prev_pc)
 {
-    uint64_t prev_pc = 0;
-    for (const auto &r : trace.records()) {
+    for (const TraceRecord *p = records; p != records + n; ++p) {
+        const TraceRecord &r = *p;
         bool seq = r.pc == prev_pc + 4;
         bool regs = r.dst || r.src1 || r.src2 || r.size;
         uint8_t ctrl = static_cast<uint8_t>(r.cls);
@@ -99,24 +112,64 @@ writeV2Body(std::ostream &os, const Trace &trace)
             ctrl |= kCtrlRegs;
         if (r.flags)
             ctrl |= kCtrlFlags;
-        os.put(static_cast<char>(ctrl));
+        out.push_back(ctrl);
 
         if (!seq) {
-            putVarint(os, zigzag(static_cast<int64_t>(r.pc) -
-                                 static_cast<int64_t>(prev_pc)));
+            appendVarint(out, zigzag(static_cast<int64_t>(r.pc) -
+                                     static_cast<int64_t>(prev_pc)));
         }
         prev_pc = r.pc;
 
         if (isMemClass(r.cls))
-            putVarint(os, r.addr);
-        if (regs) {
-            os.put(static_cast<char>(r.size));
-            os.put(static_cast<char>(r.dst));
-            os.put(static_cast<char>(r.src1));
-            os.put(static_cast<char>(r.src2));
-        }
+            appendVarint(out, r.addr);
+        if (regs)
+            out.insert(out.end(), {r.size, r.dst, r.src1, r.src2});
         if (r.flags)
-            os.put(static_cast<char>(r.flags));
+            out.push_back(r.flags);
+    }
+}
+
+/** Records per block the v1/v2 body writer encodes before writing. */
+constexpr uint64_t kBodyBlockRecords = uint64_t{1} << 14;
+
+/**
+ * The v1/v2 record body encoder behind every v1-v3 writer: encodes
+ * appended records block by block into one reused buffer.
+ */
+class RecordBodyWriter
+{
+  public:
+    explicit RecordBodyWriter(bool delta) : _delta(delta) {}
+
+    void
+    append(std::ostream &os, const TraceRecord *records, uint64_t n)
+    {
+        for (uint64_t done = 0; done < n;) {
+            uint64_t k = std::min(n - done, kBodyBlockRecords);
+            _buf.clear();
+            if (_delta)
+                encodeV2Records(_buf, records + done, k, _prevPc);
+            else
+                encodeV1Records(_buf, records + done, k);
+            writeBytes(os, _buf);
+            done += k;
+        }
+    }
+
+  private:
+    bool _delta;
+    uint64_t _prevPc = 0; ///< v2 delta base
+    std::vector<uint8_t> _buf;
+};
+
+void
+checkFingerprint(const std::string &fingerprint)
+{
+    if (fingerprint.size() > kMaxMetaBytes) {
+        throw TraceFormatError("trace fingerprint length " +
+                               std::to_string(fingerprint.size()) +
+                               " exceeds limit " +
+                               std::to_string(kMaxMetaBytes));
     }
 }
 
@@ -125,12 +178,7 @@ void
 writeEnvelopePrefix(std::ostream &os, const char *magic,
                     uint8_t body_format, const std::string &fingerprint)
 {
-    if (fingerprint.size() > kMaxMetaBytes) {
-        throw TraceFormatError("trace fingerprint length " +
-                               std::to_string(fingerprint.size()) +
-                               " exceeds limit " +
-                               std::to_string(kMaxMetaBytes));
-    }
+    checkFingerprint(fingerprint);
     os.write(magic, kMagicBytes);
     os.put(static_cast<char>(body_format));
     uint8_t len[4];
@@ -140,82 +188,357 @@ writeEnvelopePrefix(std::ostream &os, const char *magic,
              static_cast<std::streamsize>(fingerprint.size()));
 }
 
+bool
+isDelta(TraceContainer c)
+{
+    return c == TraceContainer::V2 || c == TraceContainer::V3Delta;
+}
+
+/** v1-v3 header: magic (v1/v2) or envelope (v3), then the count. */
+void
+writeRecordHeader(std::ostream &os, TraceContainer c,
+                  const std::string &fingerprint, uint64_t count)
+{
+    if (c == TraceContainer::V1)
+        os.write(kMagicV1, kMagicBytes);
+    else if (c == TraceContainer::V2)
+        os.write(kMagicV2, kMagicBytes);
+    else
+        writeEnvelopePrefix(os, kMagicV3, isDelta(c) ? kBodyDelta
+                                                     : kBodyFixed,
+                            fingerprint);
+    writeCountHeader(os, count);
+}
+
+/**
+ * The v4 body encoder behind both v4 writers: cuts appended records
+ * into exact `chunk_insts`-record chunks, carrying a short remainder
+ * and the codec seeds across appends, and encodes each chunk into one
+ * reused buffer before writing it to the body stream. Only the
+ * 40-byte index entries stay resident; the index precedes the body
+ * on disk, so writeHeader() comes after finish().
+ */
+class V4BodyWriter
+{
+  public:
+    explicit V4BodyWriter(uint64_t chunk_insts) : _chunkInsts(chunk_insts)
+    {
+        if (chunk_insts == 0 || chunk_insts > kMaxChunkInstsV4) {
+            throw TraceFormatError("v4 chunk size " +
+                                   std::to_string(chunk_insts) +
+                                   " outside [1, " +
+                                   std::to_string(kMaxChunkInstsV4) +
+                                   "]");
+        }
+    }
+
+    void
+    append(std::ostream &body, const TraceRecord *records, uint64_t n)
+    {
+        if (!_carry.empty()) {
+            uint64_t take = std::min(n, _chunkInsts - _carry.size());
+            _carry.insert(_carry.end(), records, records + take);
+            records += take;
+            n -= take;
+            if (_carry.size() < _chunkInsts)
+                return;
+            encodeChunk(body, _carry.data(), _carry.size());
+        }
+        for (; n >= _chunkInsts; records += _chunkInsts, n -= _chunkInsts)
+            encodeChunk(body, records, _chunkInsts);
+        _carry.assign(records, records + n);
+    }
+
+    /** Encode the carried short chunk, if any: the stream's last. */
+    void
+    finish(std::ostream &body)
+    {
+        if (!_carry.empty())
+            encodeChunk(body, _carry.data(), _carry.size());
+        _carry.clear();
+    }
+
+    /** Envelope, record count, chunk geometry and index. */
+    void
+    writeHeader(std::ostream &os, const std::string &fingerprint) const
+    {
+        writeEnvelopePrefix(os, kMagicV4, kBodyChunked, fingerprint);
+        writeCountHeader(os, _records);
+        uint8_t geom[16];
+        putU64(geom, _chunkInsts);
+        putU64(geom + 8, _index.size() / kIndexEntryBytesV4);
+        os.write(reinterpret_cast<const char *>(geom), sizeof(geom));
+        writeBytes(os, _index);
+    }
+
+  private:
+    void
+    encodeChunk(std::ostream &body, const TraceRecord *records,
+                uint64_t n)
+    {
+        trace_codec::V4IndexEntry e;
+        e.records = n;
+        e.byteOff = _bodyBytes;
+        e.seeds = _seeds;
+        _buf.clear();
+        e.byteLen = trace_codec::encodeV4Chunk(_buf, records, n, _seeds);
+        writeBytes(body, _buf);
+        _bodyBytes += e.byteLen;
+        _records += n;
+        size_t at = _index.size();
+        _index.resize(at + kIndexEntryBytesV4);
+        trace_codec::writeV4IndexEntry(_index.data() + at, e);
+    }
+
+    uint64_t _chunkInsts;
+    uint64_t _records = 0;   ///< records in encoded chunks
+    uint64_t _bodyBytes = 0; ///< bytes of encoded chunks
+    trace_codec::CodecSeeds _seeds;
+    std::vector<TraceRecord> _carry; ///< records of a partial chunk
+    std::vector<uint8_t> _buf;       ///< one chunk's encoding
+    std::vector<uint8_t> _index;     ///< serialized index entries
+};
+
+/** Copy the rest of `in` to `out` in 1 MiB blocks. */
+void
+copyStream(std::istream &in, std::ostream &out)
+{
+    std::vector<char> block(uint64_t{1} << 20);
+    while (in) {
+        in.read(block.data(), static_cast<std::streamsize>(block.size()));
+        out.write(block.data(), in.gcount());
+    }
+}
+
+} // namespace
+
+// ---- TraceFileWriter --------------------------------------------------
+
+struct TraceFileWriter::Impl
+{
+    std::string path;
+    std::string tmp;     ///< file under construction (path if in place)
+    std::string bodyTmp; ///< v4 chunk spill; empty for v1-v3
+    std::string fingerprint;
+    std::ofstream out;
+    std::fstream body; ///< v4: written, then read back at commit
+    std::optional<RecordBodyWriter> records; ///< v1-v3
+    std::optional<V4BodyWriter> v4;
+    std::streamoff countPos = 0; ///< v1-v3 count header to patch
+    uint64_t count = 0;
+    bool committed = false;
+
+    /** Runs when a constructor throws, too: no temp outlives us. */
+    ~Impl()
+    {
+        out.close();
+        body.close();
+        if (!bodyTmp.empty())
+            std::remove(bodyTmp.c_str());
+        if (!committed && tmp != path)
+            std::remove(tmp.c_str());
+    }
+
+    [[noreturn]] void
+    writeFailed() const
+    {
+        throw TraceFormatError("write failed: " + path);
+    }
+};
+
+TraceFileWriter::TraceFileWriter(const std::string &path,
+                                 TraceContainer container,
+                                 const std::string &fingerprint,
+                                 uint64_t chunk_insts)
+    : _impl(std::make_unique<Impl>())
+{
+    Impl &w = *_impl;
+    w.path = path;
+    w.fingerprint = fingerprint;
+    if (container != TraceContainer::V1 &&
+        container != TraceContainer::V2)
+        checkFingerprint(fingerprint);
+    if (container == TraceContainer::V4)
+        w.v4.emplace(chunk_insts);
+    else
+        w.records.emplace(isDelta(container));
+
+    // Build beside the target and rename over it at commit; a device
+    // such as /dev/null cannot be replaced, so it is written in place.
+    std::string stem = path + ".tmp." + std::to_string(::getpid());
+    std::error_code ec;
+    std::filesystem::file_status st = std::filesystem::status(path, ec);
+    bool in_place = std::filesystem::exists(st) &&
+        !std::filesystem::is_regular_file(st);
+    w.tmp = in_place ? path : stem;
+    if (w.v4) {
+        static std::atomic<uint64_t> serial{0};
+        w.bodyTmp = in_place
+            ? (std::filesystem::temp_directory_path(ec) /
+               ("storemlp_trace." + std::to_string(::getpid()) + "." +
+                std::to_string(serial++) + ".body"))
+                  .string()
+            : stem + ".body";
+    }
+
+    w.out.open(w.tmp, std::ios::binary | std::ios::trunc);
+    if (!w.out)
+        throw TraceFormatError("cannot open for write: " + path);
+    if (w.v4) {
+        w.body.open(w.bodyTmp, std::ios::binary | std::ios::in |
+                                   std::ios::out | std::ios::trunc);
+        if (!w.body)
+            throw TraceFormatError("cannot open for write: " + w.bodyTmp);
+        return;
+    }
+
+    // v1-v3: header with a placeholder count, patched at commit.
+    writeRecordHeader(w.out, container, fingerprint, 0);
+    w.countPos = w.out.tellp() - std::streamoff{8};
+    if (!w.out)
+        w.writeFailed();
+}
+
+TraceFileWriter::~TraceFileWriter() = default;
+
+void
+TraceFileWriter::append(const TraceRecord *records, uint64_t n)
+{
+    Impl &w = *_impl;
+    if (w.v4) {
+        w.v4->append(w.body, records, n);
+        if (!w.body)
+            w.writeFailed();
+    } else {
+        w.records->append(w.out, records, n);
+        if (!w.out)
+            w.writeFailed();
+    }
+    w.count += n;
+}
+
+void
+TraceFileWriter::commit()
+{
+    Impl &w = *_impl;
+    if (w.v4) {
+        w.v4->finish(w.body);
+        w.body.seekg(0);
+        if (!w.body)
+            w.writeFailed();
+        w.v4->writeHeader(w.out, w.fingerprint);
+        copyStream(w.body, w.out);
+        if (!w.body.eof())
+            w.writeFailed();
+    } else {
+        w.out.seekp(w.countPos);
+        writeCountHeader(w.out, w.count);
+    }
+    w.out.close();
+    if (!w.out)
+        w.writeFailed();
+    if (w.tmp != w.path &&
+        std::rename(w.tmp.c_str(), w.path.c_str()) != 0) {
+        throw TraceFormatError("cannot rename " + w.tmp + " to " +
+                               w.path + ": " + std::strerror(errno));
+    }
+    w.committed = true;
+}
+
+// ---- whole-trace writers ----------------------------------------------
+
+namespace
+{
+
+void
+writeRecordTrace(std::ostream &os, TraceContainer c, const Trace &trace,
+                 const std::string &fingerprint = {})
+{
+    writeRecordHeader(os, c, fingerprint, trace.size());
+    RecordBodyWriter(isDelta(c)).append(os, trace.records().data(),
+                                        trace.size());
+}
+
 } // namespace
 
 void
 writeTrace(std::ostream &os, const Trace &trace)
 {
-    os.write(kMagicV1, kMagicBytes);
-    writeCountHeader(os, trace.size());
-    writeV1Body(os, trace);
+    writeRecordTrace(os, TraceContainer::V1, trace);
 }
 
 void
 writeTraceCompressed(std::ostream &os, const Trace &trace)
 {
-    os.write(kMagicV2, kMagicBytes);
-    writeCountHeader(os, trace.size());
-    writeV2Body(os, trace);
+    writeRecordTrace(os, TraceContainer::V2, trace);
 }
 
 void
 writeTraceV3(std::ostream &os, const Trace &trace,
              const std::string &fingerprint, bool compressed)
 {
-    writeEnvelopePrefix(os, kMagicV3, compressed ? kBodyDelta : kBodyFixed,
-                        fingerprint);
-    writeCountHeader(os, trace.size());
-    if (compressed)
-        writeV2Body(os, trace);
-    else
-        writeV1Body(os, trace);
+    writeRecordTrace(os,
+                     compressed ? TraceContainer::V3Delta
+                                : TraceContainer::V3Fixed,
+                     trace, fingerprint);
 }
 
 void
 writeTraceV4(std::ostream &os, const Trace &trace,
              const std::string &fingerprint, uint64_t chunk_insts)
 {
-    if (chunk_insts == 0 || chunk_insts > kMaxChunkInstsV4) {
-        throw TraceFormatError("v4 chunk size " +
-                               std::to_string(chunk_insts) +
-                               " outside [1, " +
-                               std::to_string(kMaxChunkInstsV4) + "]");
-    }
-    uint64_t count = trace.size();
-    uint64_t chunk_count =
-        count ? (count + chunk_insts - 1) / chunk_insts : 0;
+    V4BodyWriter v4(chunk_insts);
+    std::stringstream body;
+    v4.append(body, trace.records().data(), trace.size());
+    v4.finish(body);
+    v4.writeHeader(os, fingerprint);
+    copyStream(body, os);
+}
 
-    writeEnvelopePrefix(os, kMagicV4, kBodyChunked, fingerprint);
-    writeCountHeader(os, count);
-    uint8_t geom[16];
-    putU64(geom, chunk_insts);
-    putU64(geom + 8, chunk_count);
-    os.write(reinterpret_cast<const char *>(geom), sizeof(geom));
+namespace
+{
 
-    // The index precedes the body, so encode all chunks first to
-    // learn their byte extents.
-    std::vector<uint8_t> index(chunk_count * kIndexEntryBytesV4);
-    std::vector<uint8_t> body;
-    trace_codec::CodecSeeds seeds;
-    const TraceRecord *records = trace.records().data();
-    uint64_t off = 0;
-    for (uint64_t c = 0; c < chunk_count; ++c) {
-        uint64_t first = c * chunk_insts;
-        trace_codec::V4IndexEntry e;
-        e.records = std::min(chunk_insts, count - first);
-        e.byteOff = off;
-        e.seeds = seeds;
-        e.byteLen =
-            trace_codec::encodeV4Chunk(body, records + first,
-                                       e.records, seeds);
-        off += e.byteLen;
-        trace_codec::writeV4IndexEntry(
-            index.data() + c * kIndexEntryBytesV4, e);
-    }
-    os.write(reinterpret_cast<const char *>(index.data()),
-             static_cast<std::streamsize>(index.size()));
-    os.write(reinterpret_cast<const char *>(body.data()),
-             static_cast<std::streamsize>(body.size()));
+void
+writeWholeTrace(const std::string &path, const Trace &trace,
+                TraceContainer container,
+                const std::string &fingerprint = {},
+                uint64_t chunk_insts = uint64_t{1} << 16)
+{
+    TraceFileWriter w(path, container, fingerprint, chunk_insts);
+    w.append(trace.records().data(), trace.size());
+    w.commit();
+}
+
+} // namespace
+
+void
+writeTraceFile(const std::string &path, const Trace &trace)
+{
+    writeWholeTrace(path, trace, TraceContainer::V1);
+}
+
+void
+writeTraceCompressedFile(const std::string &path, const Trace &trace)
+{
+    writeWholeTrace(path, trace, TraceContainer::V2);
+}
+
+void
+writeTraceFileV3(const std::string &path, const Trace &trace,
+                 const std::string &fingerprint, bool compressed)
+{
+    writeWholeTrace(path, trace,
+                    compressed ? TraceContainer::V3Delta
+                               : TraceContainer::V3Fixed,
+                    fingerprint);
+}
+
+void
+writeTraceFileV4(const std::string &path, const Trace &trace,
+                 const std::string &fingerprint, uint64_t chunk_insts)
+{
+    writeWholeTrace(path, trace, TraceContainer::V4, fingerprint,
+                    chunk_insts);
 }
 
 namespace
@@ -526,52 +849,6 @@ readTrace(std::istream &is)
         return readV4Body(is, readCountHeader(is));
     }
     throw TraceFormatError("bad trace magic");
-}
-
-void
-writeTraceFile(const std::string &path, const Trace &trace)
-{
-    std::ofstream ofs(path, std::ios::binary);
-    if (!ofs)
-        throw TraceFormatError("cannot open for write: " + path);
-    writeTrace(ofs, trace);
-    if (!ofs)
-        throw TraceFormatError("write failed: " + path);
-}
-
-void
-writeTraceCompressedFile(const std::string &path, const Trace &trace)
-{
-    std::ofstream ofs(path, std::ios::binary);
-    if (!ofs)
-        throw TraceFormatError("cannot open for write: " + path);
-    writeTraceCompressed(ofs, trace);
-    if (!ofs)
-        throw TraceFormatError("write failed: " + path);
-}
-
-void
-writeTraceFileV3(const std::string &path, const Trace &trace,
-                 const std::string &fingerprint, bool compressed)
-{
-    std::ofstream ofs(path, std::ios::binary);
-    if (!ofs)
-        throw TraceFormatError("cannot open for write: " + path);
-    writeTraceV3(ofs, trace, fingerprint, compressed);
-    if (!ofs)
-        throw TraceFormatError("write failed: " + path);
-}
-
-void
-writeTraceFileV4(const std::string &path, const Trace &trace,
-                 const std::string &fingerprint, uint64_t chunk_insts)
-{
-    std::ofstream ofs(path, std::ios::binary);
-    if (!ofs)
-        throw TraceFormatError("cannot open for write: " + path);
-    writeTraceV4(ofs, trace, fingerprint, chunk_insts);
-    if (!ofs)
-        throw TraceFormatError("write failed: " + path);
 }
 
 Trace

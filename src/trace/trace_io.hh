@@ -10,6 +10,7 @@
 #define STOREMLP_TRACE_TRACE_IO_HH
 
 #include <iosfwd>
+#include <memory>
 #include <string>
 
 #include "trace/trace.hh"
@@ -27,9 +28,61 @@ class TraceFormatError : public SimError
     }
 };
 
+/** On-disk container (and record body) a TraceFileWriter emits. */
+enum class TraceContainer
+{
+    V1,      ///< bare fixed-width records
+    V2,      ///< bare delta-compressed records
+    V3Fixed, ///< enveloped, fixed-width body
+    V3Delta, ///< enveloped, delta-compressed body
+    V4,      ///< enveloped, chunk-indexed compressed body
+};
+
+/**
+ * Streaming writer for every container: records arrive in appends of
+ * any size and the file appears atomically. The output goes to
+ * `<path>.tmp.<pid>` and is renamed over `path` by commit(); a writer
+ * destroyed before commit() removes its temporaries and leaves `path`
+ * as it was. An existing non-regular `path` (/dev/null, a device) is
+ * written in place instead. Resident memory is O(chunk): v1-v3 patch
+ * the 8-byte record count in place at commit; v4 keeps only the
+ * 40-byte index entries, spills encoded chunks to a sibling body
+ * temp, and assembles header + index + body at commit. Throws
+ * TraceFormatError on an unwritable path, a fingerprint over
+ * trace_format::kMaxMetaBytes, a v4 chunk size outside
+ * [1, trace_format::kMaxChunkInstsV4], or a failed write.
+ */
+class TraceFileWriter
+{
+  public:
+    /** `fingerprint` is ignored by the bare v1/v2 containers and
+     *  `chunk_insts` by every container but v4. */
+    TraceFileWriter(const std::string &path, TraceContainer container,
+                    const std::string &fingerprint = {},
+                    uint64_t chunk_insts = uint64_t{1} << 16);
+    ~TraceFileWriter();
+
+    TraceFileWriter(const TraceFileWriter &) = delete;
+    TraceFileWriter &operator=(const TraceFileWriter &) = delete;
+
+    /** Encode records[0..n); any n, including 0. */
+    void append(const TraceRecord *records, uint64_t n);
+
+    /** Finish the file and move it into place. Call at most once. */
+    void commit();
+
+  private:
+    struct Impl;
+    std::unique_ptr<Impl> _impl;
+};
+
 /** Serialize a trace to a stream (fixed-width v1 format). */
 void writeTrace(std::ostream &os, const Trace &trace);
-/** Serialize a trace to a file. Throws on I/O failure. */
+/**
+ * Serialize a trace to a file. Throws on I/O failure. Every
+ * whole-trace `write*File` function is a TraceFileWriter over the
+ * trace, so the file appears atomically.
+ */
 void writeTraceFile(const std::string &path, const Trace &trace);
 
 /**

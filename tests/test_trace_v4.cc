@@ -191,6 +191,24 @@ TEST(TraceV4, BadChunkSizeRejectedAtEncode)
         TraceFormatError);
 }
 
+TEST(TraceV4, EncoderGrowsItsOutputGeometrically)
+{
+    // Appending many chunks to one vector must not reallocate (and
+    // copy the whole body) once per chunk.
+    Trace t = makeTrace(256 * 64);
+    std::vector<uint8_t> out;
+    trace_codec::CodecSeeds seeds;
+    const uint8_t *data = out.data();
+    int moves = 0;
+    for (uint64_t c = 0; c < 256; ++c) {
+        trace_codec::encodeV4Chunk(out, t.records().data() + c * 64, 64,
+                                   seeds);
+        moves += out.data() != data;
+        data = out.data();
+    }
+    EXPECT_LE(moves, 32);
+}
+
 // ---- corruption rejection ---------------------------------------------
 
 /**

@@ -1,7 +1,9 @@
 /**
  * @file
  * storemlp_tracegen: generate a synthetic workload trace and write it
- * in the storemlp binary trace format. The generation report goes to
+ * in the storemlp binary trace format. The trace streams chunk by
+ * chunk from the generator (and WC rewrite) into the file, so memory
+ * stays O(chunk) at any --count. The generation report goes to
  * stdout (text, JSON document, or CSV).
  *
  *   storemlp_tracegen --workload tpcw --count 5000000 \
@@ -11,10 +13,11 @@
 #include <iostream>
 
 #include "cli_util.hh"
+#include "core/runner.hh"
 #include "stats/stats_json.hh"
-#include "trace/generator.hh"
-#include "trace/rewriter.hh"
+#include "trace/trace_format.hh"
 #include "trace/trace_io.hh"
+#include "trace/trace_source.hh"
 
 using namespace storemlp;
 using namespace storemlp::tools;
@@ -35,8 +38,11 @@ toolMain(int argc, char **argv)
         {"v2", "", "delta-compressed record encoding"},
         {"compress", "[=v4]",
          "chunk-indexed compressed v4 container (smallest,\n"
-         "random access); --chunk-insts sets its chunk size"},
-        kChunkInstsFlag,
+         "random access)"},
+        {"chunk-insts", "N",
+         "v4 records per chunk, 1.." +
+             std::to_string(trace_format::kMaxChunkInstsV4) +
+             "\n(default 65536; needs --compress)"},
         {"legacy", "",
          "bare v1/v2 container (no fingerprint header);\n"
          "default is the self-describing v3 container"},
@@ -45,7 +51,8 @@ toolMain(int argc, char **argv)
     });
     if (!cli.has("out"))
         cli.fail("--out is required");
-    if (cli.has("compress")) {
+    bool compress = cli.has("compress");
+    if (compress) {
         std::string v = cli.str("compress", "");
         if (!v.empty() && v != "v4")
             cli.fail("bad --compress value '" + v + "' (only v4)");
@@ -54,61 +61,63 @@ toolMain(int argc, char **argv)
                      "container (drop --legacy)");
         if (cli.flag("v2"))
             cli.fail("--compress and --v2 are mutually exclusive");
+    } else if (cli.has("chunk-insts")) {
+        cli.fail("--chunk-insts sets the v4 chunk size (needs "
+                 "--compress)");
     }
+    uint64_t chunk_insts = cli.num("chunk-insts", 65536);
+    if (chunk_insts == 0 || chunk_insts > trace_format::kMaxChunkInstsV4)
+        cli.fail("--chunk-insts " + std::to_string(chunk_insts) +
+                 " outside [1, " +
+                 std::to_string(trace_format::kMaxChunkInstsV4) + "]");
 
-    WorkloadProfile profile =
-        workloadByName(cli, cli.str("workload", "database"));
-    uint64_t seed = cli.num("seed", 42);
-    uint64_t count = cli.num("count", 1000 * 1000);
-    uint64_t chip = cli.num("chip", 0);
-    SyntheticTraceGenerator gen(profile, seed,
-                                static_cast<uint32_t>(chip));
-    Trace trace = gen.generate(count);
+    SourceSpec spec;
+    spec.profile = workloadByName(cli, cli.str("workload", "database"));
+    spec.seed = cli.num("seed", 42);
+    spec.count = cli.num("count", 1000 * 1000);
+    spec.generatorId = static_cast<uint32_t>(cli.num("chip", 0));
+    spec.wcRewrite = cli.flag("wc");
+    std::string out = cli.str("out", "");
 
-    if (cli.flag("wc"))
-        trace = TraceRewriter().toWeakConsistency(trace);
-
+    TraceContainer container = compress ? TraceContainer::V4
+        : cli.flag("legacy")
+        ? (cli.flag("v2") ? TraceContainer::V2 : TraceContainer::V1)
+        : (cli.flag("v2") ? TraceContainer::V3Delta
+                          : TraceContainer::V3Fixed);
+    Trace::Mix mix;
     try {
-        if (cli.flag("legacy")) {
-            // Bare v1/v2 stream, for consumers predating the v3
-            // container.
-            if (cli.flag("v2"))
-                writeTraceCompressedFile(cli.str("out", ""), trace);
-            else
-                writeTraceFile(cli.str("out", ""), trace);
-        } else {
-            // Same provenance string GeneratorSource streams under,
-            // so a file round-trip is cache-compatible with the
-            // equivalent synthesized source.
-            std::string fp = profile.cacheKey() +
-                "|seed=" + std::to_string(seed) +
-                "|n=" + std::to_string(count) +
-                "|wc=" + (cli.flag("wc") ? "1" : "0") +
-                "|chip=" + std::to_string(chip);
-            if (cli.has("compress")) {
-                writeTraceFileV4(cli.str("out", ""), trace, fp,
-                                 cli.num("chunk-insts", 65536));
-            } else {
-                writeTraceFileV3(cli.str("out", ""), trace, fp,
-                                 cli.flag("v2"));
-            }
+        // Generator -> WC rewrite -> read-ahead, as storemlp_sim
+        // streams it; the file carries the same provenance string, so
+        // a file round-trip is cache-compatible with the synthesized
+        // stream.
+        std::unique_ptr<TraceSource> src = openRunSource(spec);
+        TraceFileWriter writer(out, container, src->fingerprint(),
+                               chunk_insts);
+        // Each chunk is dropped before the next fetch: holding two
+        // would stall the read-ahead helper.
+        for (uint64_t k = 0;; ++k) {
+            std::shared_ptr<const TraceChunk> chunk = src->fetch(k);
+            if (!chunk)
+                break;
+            mix.add(chunk->data, chunk->count);
+            writer.append(chunk->data, chunk->count);
         }
+        writer.commit();
     } catch (const TraceFormatError &e) {
         std::cerr << "error: " << e.what() << "\n";
         return 1;
     }
 
-    Trace::Mix mix = trace.mix();
     OutFormat fmt = outFormat(cli);
     if (fmt != OutFormat::Text) {
         StatsMeta meta = {
             {"tool", "storemlp_tracegen"},
-            {"workload", profile.name},
-            {"model", cli.flag("wc") ? "wc" : "pc"},
-            {"file", cli.str("out", "")},
+            {"workload", spec.profile.name},
+            {"model", spec.wcRewrite ? "wc" : "pc"},
+            {"file", out},
         };
         StatsRegistry reg;
-        reg.counter("trace.records", trace.size());
+        reg.counter("trace.records", mix.total);
         reg.counter("trace.loads", mix.loads);
         reg.counter("trace.stores", mix.stores);
         reg.counter("trace.branches", mix.branches);
@@ -121,9 +130,9 @@ toolMain(int argc, char **argv)
         return 0;
     }
 
-    std::cout << "wrote " << trace.size() << " records ("
-              << profile.name << (cli.flag("wc") ? ", WC" : ", PC/TSO")
-              << ")\n"
+    std::cout << "wrote " << mix.total << " records ("
+              << spec.profile.name
+              << (spec.wcRewrite ? ", WC" : ", PC/TSO") << ")\n"
               << "  loads " << mix.loads << ", stores " << mix.stores
               << ", branches " << mix.branches << ", atomics "
               << mix.atomics << ", barriers " << mix.barriers << "\n";
