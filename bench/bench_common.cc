@@ -30,7 +30,6 @@ struct BenchIo
     std::optional<uint64_t> warmupOverride;
     std::optional<uint64_t> measureOverride;
     unsigned jobs = 0;
-    bool streaming = false;
     uint64_t chunkInsts = 0;
 };
 
@@ -64,9 +63,6 @@ benchInit(int argc, char **argv, const char *tool)
     tools::Cli cli(argc, argv, {
         tools::kFormatFlag, tools::kOutFlag,
         tools::kJobsFlag, tools::kWarmupFlag, tools::kMeasureFlag,
-        {"stream", "",
-         "run against streaming trace sources (O(chunk) trace\n"
-         "memory per worker)"},
         tools::kChunkInstsFlag,
     });
     io().fmt = tools::outFormat(cli);
@@ -85,8 +81,7 @@ benchInit(int argc, char **argv, const char *tool)
         io().measureOverride = cli.num("measure", 0);
     if (cli.has("jobs"))
         io().jobs = static_cast<unsigned>(cli.num("jobs", 0));
-    io().streaming = cli.flag("stream") || cli.has("chunk-insts");
-    io().chunkInsts = cli.num("chunk-insts", 0);
+    io().chunkInsts = tools::chunkInstsArg(cli);
 }
 
 tools::OutFormat
@@ -138,21 +133,6 @@ applyScale(RunSpec &spec, const BenchScale &scale)
     spec.measureInsts = scale.measure;
 }
 
-SweepEngine &
-sweepEngine()
-{
-    // Lazily built on first use, after benchInit has parsed the
-    // command line, so flag overrides land in the engine options.
-    static SweepEngine engine([] {
-        SweepOptions opts;
-        opts.jobs = io().jobs;
-        opts.streaming = io().streaming;
-        opts.chunkInsts = io().chunkInsts;
-        return opts;
-    }());
-    return engine;
-}
-
 std::vector<RunOutput>
 sweepAll(const std::vector<RunSpec> &specs)
 {
@@ -161,7 +141,15 @@ sweepAll(const std::vector<RunSpec> &specs)
         planned[i].name = "bench" + std::to_string(i);
         planned[i].spec = specs[i];
     }
-    std::vector<RunOutcome> outcomes = sweepEngine().execute(planned);
+    // Built on first use, after benchInit has parsed the command
+    // line; the process-wide engine shares one trace cache.
+    static SweepEngine engine([] {
+        SweepOptions opts;
+        opts.jobs = io().jobs;
+        opts.chunkInsts = io().chunkInsts;
+        return opts;
+    }());
+    std::vector<RunOutcome> outcomes = engine.execute(planned);
     std::vector<RunOutput> outs;
     outs.reserve(outcomes.size());
     for (RunOutcome &o : outcomes) {

@@ -2,8 +2,8 @@
  * @file
  * Shared helpers for the table/figure reproduction binaries. Every
  * bench prints paper-style rows via TextTable, executes its runs
- * through the shared SweepEngine (parallel across STOREMLP_JOBS
- * workers, input traces deduplicated by the process-wide TraceCache),
+ * through one shared SweepEngine (parallel across STOREMLP_JOBS
+ * workers, trace chunks shared through the process-wide TraceCache),
  * and honours environment variables so CI can scale run length:
  *   STOREMLP_WARMUP   warmup instructions  (default 600000)
  *   STOREMLP_MEASURE  measured instructions (default 1000000)
@@ -30,7 +30,7 @@ namespace storemlp::bench
 
 /**
  * Parse the shared bench flags (--format, --out, --jobs, --warmup,
- * --measure, --stream, --chunk-insts, --help); call first in every
+ * --measure, --chunk-insts, --help); call first in every
  * bench main. `tool` names the binary in JSON artifact metadata.
  * Flags override the corresponding STOREMLP_* environment knobs.
  * Without this call the bench behaves as before (text to stdout).
@@ -86,9 +86,6 @@ std::vector<RunOutput> sweepAll(const std::vector<RunSpec> &specs);
 
 /** Run independent non-RunSpec tasks on the sweep worker pool. */
 void sweepTasks(const std::vector<std::function<void()>> &tasks);
-
-/** The process-wide engine (shared trace cache, env-driven jobs). */
-SweepEngine &sweepEngine();
 
 } // namespace storemlp::bench
 

@@ -4,7 +4,7 @@
  * a fig7-style configuration batch at 1/2/4 worker threads, and the
  * trace-cache effect in isolation (same batch, cache on vs off, one
  * worker). The batch is 12 runs over 2 distinct traces (PC + WC
- * rewrite), so the cache eliminates 10 of 12 generations.
+ * rewrite), so the chunk cache eliminates 10 of 12 generations.
  */
 
 #include <ostream>
@@ -33,7 +33,7 @@ class NullBuf : public std::streambuf
     }
 };
 
-std::vector<RunSpec>
+std::vector<PlannedRun>
 fig7StyleBatch(uint64_t warmup, uint64_t measure)
 {
     const SimConfig configs[] = {SimConfig::defaults(),
@@ -42,25 +42,25 @@ fig7StyleBatch(uint64_t warmup, uint64_t measure)
                                  SimConfig::wc1(),
                                  SimConfig::wc2(),
                                  SimConfig::wc3()};
-    std::vector<RunSpec> specs;
+    std::vector<PlannedRun> runs;
     for (const SimConfig &cfg : configs) {
         for (StorePrefetch sp :
              {StorePrefetch::AtRetire, StorePrefetch::AtExecute}) {
-            RunSpec spec;
-            spec.profile = WorkloadProfile::database();
-            spec.config = cfg.withPrefetch(sp);
-            spec.warmupInsts = warmup;
-            spec.measureInsts = measure;
-            specs.push_back(spec);
+            PlannedRun run;
+            run.spec.profile = WorkloadProfile::database();
+            run.spec.config = cfg.withPrefetch(sp);
+            run.spec.warmupInsts = warmup;
+            run.spec.measureInsts = measure;
+            runs.push_back(run);
         }
     }
-    return specs;
+    return runs;
 }
 
 void
 BM_SweepJobs(benchmark::State &state)
 {
-    std::vector<RunSpec> specs = fig7StyleBatch(100000, 200000);
+    std::vector<PlannedRun> runs = fig7StyleBatch(100000, 200000);
     for (auto _ : state) {
         // Fresh engine + cache per iteration: measures a cold sweep
         // (generation + simulation), the shape of a bench binary run.
@@ -69,11 +69,11 @@ BM_SweepJobs(benchmark::State &state)
         opts.jobs = static_cast<unsigned>(state.range(0));
         opts.progress = false;
         SweepEngine engine(opts, &cache);
-        auto results = engine.run(specs);
+        auto results = engine.execute(runs);
         benchmark::DoNotOptimize(results.size());
     }
     state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(specs.size()));
+                            static_cast<int64_t>(runs.size()));
 }
 BENCHMARK(BM_SweepJobs)
     ->Arg(1)
@@ -86,7 +86,7 @@ BENCHMARK(BM_SweepJobs)
 void
 BM_SweepTraceCache(benchmark::State &state)
 {
-    std::vector<RunSpec> specs = fig7StyleBatch(100000, 200000);
+    std::vector<PlannedRun> runs = fig7StyleBatch(100000, 200000);
     bool use_cache = state.range(0) != 0;
     for (auto _ : state) {
         TraceCache cache;
@@ -95,11 +95,11 @@ BM_SweepTraceCache(benchmark::State &state)
         opts.useTraceCache = use_cache;
         opts.progress = false;
         SweepEngine engine(opts, &cache);
-        auto results = engine.run(specs);
+        auto results = engine.execute(runs);
         benchmark::DoNotOptimize(results.size());
     }
     state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(specs.size()));
+                            static_cast<int64_t>(runs.size()));
 }
 BENCHMARK(BM_SweepTraceCache)
     ->Arg(0)

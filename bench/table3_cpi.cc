@@ -24,21 +24,19 @@ main(int argc, char **argv)
                   "SPECweb"});
 
     // One CPI-model evaluation per workload, parallel on the sweep
-    // pool with trace generation deduplicated by the shared cache.
+    // pool. Each trace feeds one evaluation, so nothing is cached.
     auto profiles = workloads();
     std::vector<CpiModel::Breakdown> bds(profiles.size());
     std::vector<std::function<void()>> tasks;
     for (size_t i = 0; i < profiles.size(); ++i) {
         tasks.push_back([&, i] {
-            RunSpec key;
-            key.profile = profiles[i];
-            key.seed = 42;
-            key.warmupInsts = scale.warmup;
-            key.measureInsts = scale.measure;
-            auto trace = sweepEngine().traceCache().getOrBuild(
-                Runner::traceCacheKey(key),
-                [&] { return Runner::buildTrace(key); });
-            bds[i] = CpiModel().evaluate(*trace, scale.warmup);
+            RunSpec spec;
+            spec.profile = profiles[i];
+            spec.seed = 42;
+            spec.warmupInsts = scale.warmup;
+            spec.measureInsts = scale.measure;
+            bds[i] = CpiModel().evaluate(Runner::buildTrace(spec),
+                                         scale.warmup);
         });
     }
     sweepTasks(tasks);

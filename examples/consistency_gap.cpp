@@ -12,7 +12,6 @@
 
 #include "core/mlp_sim.hh"
 #include "core/runner.hh"
-#include "trace/trace_source.hh"
 #include "stats/table.hh"
 #include "trace/generator.hh"
 #include "trace/rewriter.hh"
@@ -24,9 +23,7 @@ namespace
 RunOutput
 runOnce(const RunSpec &spec)
 {
-    Trace trace = Runner::buildTrace(spec);
-    MaterializedSource src(trace);
-    return Runner::run(spec, src);
+    return Runner::run(spec, *openRunSource(SourceSpec::forRun(spec)));
 }
 } // namespace
 

@@ -10,7 +10,6 @@
 
 #include "core/dual_core.hh"
 #include "core/runner.hh"
-#include "trace/trace_source.hh"
 #include "stats/table.hh"
 
 using namespace storemlp;
@@ -50,9 +49,8 @@ main(int argc, char **argv)
     solo.config = SimConfig::defaults();
     solo.warmupInsts = insts / 2;
     solo.measureInsts = insts;
-    Trace solo_trace = Runner::buildTrace(solo);
-    MaterializedSource solo_src(solo_trace);
-    double alone = Runner::run(solo, solo_src).sim.epochsPer1000();
+    auto solo_src = openRunSource(SourceSpec::forRun(solo));
+    double alone = Runner::run(solo, *solo_src).sim.epochsPer1000();
     table.beginRow();
     table.cell(std::string("core0 alone (Sp1 reference)"));
     table.cell(alone, 3);

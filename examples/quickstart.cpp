@@ -13,7 +13,6 @@
 #include <string>
 
 #include "core/runner.hh"
-#include "trace/trace_source.hh"
 
 using namespace storemlp;
 
@@ -55,9 +54,10 @@ main(int argc, char **argv)
               << "config:   paper default (PC, Sp1, SB16/SQ32, 8B "
                  "coalescing)\n\n";
 
-    Trace trace = Runner::buildTrace(spec);
-    MaterializedSource src(trace);
-    RunOutput out = Runner::run(spec, src);
+    // Generate the trace chunk by chunk (PC->WC rewrite included when
+    // the model asks for it) while the epoch engine simulates it.
+    auto src = openRunSource(SourceSpec::forRun(spec));
+    RunOutput out = Runner::run(spec, *src);
     out.sim.print(std::cout);
 
     std::cout << "\nmiss rates per 100 instructions (cf. Table 1):\n"

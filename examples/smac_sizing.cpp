@@ -11,7 +11,6 @@
 #include <iostream>
 
 #include "core/runner.hh"
-#include "trace/trace_source.hh"
 #include "stats/table.hh"
 
 using namespace storemlp;
@@ -21,9 +20,7 @@ namespace
 RunOutput
 runOnce(const RunSpec &spec)
 {
-    Trace trace = Runner::buildTrace(spec);
-    MaterializedSource src(trace);
-    return Runner::run(spec, src);
+    return Runner::run(spec, *openRunSource(SourceSpec::forRun(spec)));
 }
 } // namespace
 

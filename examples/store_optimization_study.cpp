@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/runner.hh"
-#include "trace/trace_source.hh"
 #include "stats/table.hh"
 
 using namespace storemlp;
@@ -22,9 +21,7 @@ namespace
 RunOutput
 runOnce(const RunSpec &spec)
 {
-    Trace trace = Runner::buildTrace(spec);
-    MaterializedSource src(trace);
-    return Runner::run(spec, src);
+    return Runner::run(spec, *openRunSource(SourceSpec::forRun(spec)));
 }
 } // namespace
 

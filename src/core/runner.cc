@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -164,16 +163,6 @@ Runner::buildTrace(const RunSpec &spec)
         trace = rewriter.toWeakConsistency(trace);
     }
     return trace;
-}
-
-std::string
-Runner::traceCacheKey(const RunSpec &spec)
-{
-    std::ostringstream os;
-    os << spec.profile.cacheKey() << "|seed=" << spec.seed
-       << "|n=" << (spec.warmupInsts + spec.measureInsts) << "|wc="
-       << spec.config.memoryModel.wcTraceRewrite() << "|chip=0";
-    return os.str();
 }
 
 SourceSpec

@@ -179,17 +179,12 @@ class Runner
     /**
      * Build the input trace for a spec: generate
      * warmupInsts + measureInsts instructions and apply the PC->WC
-     * rewrite when the spec's config uses weak consistency.
+     * rewrite when the spec's config uses weak consistency. Sweeps and
+     * the tools stream instead (openRunSource); this whole-trace form
+     * stays for the whole-trace CPI model, for the tests that compare
+     * streamed runs against it, and for e2ebench's layer tracer.
      */
     static Trace buildTrace(const RunSpec &spec);
-
-    /**
-     * Cache key identifying `buildTrace(spec)`'s output: everything
-     * that determines the trace bytes (profile fingerprint, seed,
-     * length, memory-model rewrite) and nothing else, so specs that
-     * differ only in machine configuration share one cached trace.
-     */
-    static std::string traceCacheKey(const RunSpec &spec);
 
     /**
      * Cache-only measurement of the paper's Table 1 statistics: no

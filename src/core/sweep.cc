@@ -76,33 +76,16 @@ SweepEngine::resolveJobs(size_t work_items) const
 }
 
 RunOutput
-SweepEngine::runOnce(const RunSpec &spec, const SweepOptions &opts,
-                     bool *hit)
+SweepEngine::runOnce(const RunSpec &spec, const SweepOptions &opts)
 {
-    *hit = false;
-    if (opts.streaming && !opts.runOverride) {
-        // O(chunk) resident memory per worker. Chunk-level sharing
-        // happens inside the CachedSource, so the per-run `hit` flag
-        // stays false; hits are visible in the cache stats instead.
-        SourceSpec src_spec = SourceSpec::forRun(spec, opts.chunkInsts);
-        src_spec.cache = opts.useTraceCache ? _cache : nullptr;
-        std::unique_ptr<TraceSource> src = openRunSource(src_spec);
-        return Runner::run(spec, *src);
-    }
-    if (opts.useTraceCache && _cache) {
-        std::shared_ptr<const Trace> trace = _cache->getOrBuild(
-            Runner::traceCacheKey(spec),
-            [&spec] { return Runner::buildTrace(spec); }, hit);
-        if (opts.runOverride)
-            return opts.runOverride(spec, trace.get());
-        MaterializedSource src(std::move(trace));
-        return Runner::run(spec, src);
-    }
     if (opts.runOverride)
-        return opts.runOverride(spec, nullptr);
-    Trace trace = Runner::buildTrace(spec);
-    MaterializedSource src(trace);
-    return Runner::run(spec, src);
+        return opts.runOverride(spec);
+    // O(chunk) memory per worker; with the cache on, workers share
+    // chunks through a CachedSource.
+    SourceSpec src_spec = SourceSpec::forRun(spec, opts.chunkInsts);
+    src_spec.cache = opts.useTraceCache ? _cache : nullptr;
+    std::unique_ptr<TraceSource> src = openRunSource(src_spec);
+    return Runner::run(spec, *src);
 }
 
 std::vector<RunOutcome>
@@ -118,10 +101,17 @@ SweepEngine::executeWith(const SweepOptions &opts,
     unsigned max_attempts = std::max(1u, opts.maxAttempts);
     std::atomic<size_t> next{0};
     std::atomic<size_t> done{0};
-    std::atomic<uint64_t> hits{0};
     std::atomic<uint64_t> failed{0};
     std::mutex sink_mu; // serializes observer calls + progress line
     Clock::time_point t0 = Clock::now();
+    // The progress line reports this batch's chunk hits: the cache is
+    // shared (and its stats monotonic), so count from a baseline.
+    TraceCache *cache = opts.useTraceCache ? _cache : nullptr;
+    uint64_t hits0 = cache ? cache->stats().hits : 0;
+    auto batchHits = [&] {
+        return static_cast<unsigned long long>(
+            cache ? cache->stats().hits - hits0 : 0);
+    };
 
     auto worker = [&]() {
         size_t i;
@@ -145,16 +135,14 @@ SweepEngine::executeWith(const SweepOptions &opts,
                 res.attempts = attempt;
                 if (attempt > 1)
                     _runRetries.fetch_add(1);
-                bool hit = false;
                 try {
-                    res.output = runOnce(run.spec, opts, &hit);
+                    res.output = runOnce(run.spec, opts);
                     res.ok = true;
                 } catch (const std::exception &e) {
                     err = e.what();
                 } catch (...) {
                     err = "unknown exception";
                 }
-                res.traceCacheHit = hit;
                 if (res.ok)
                     break;
             }
@@ -169,8 +157,6 @@ SweepEngine::executeWith(const SweepOptions &opts,
                 _runsFailed.fetch_add(1);
                 failed.fetch_add(1);
             }
-            if (res.traceCacheHit)
-                hits.fetch_add(1);
             size_t d = done.fetch_add(1) + 1;
             if (observer || opts.progress) {
                 std::lock_guard<std::mutex> lk(sink_mu);
@@ -188,9 +174,8 @@ SweepEngine::executeWith(const SweepOptions &opts,
                     std::fprintf(
                         stderr,
                         "\r[sweep] %zu/%zu runs, %llu trace-cache "
-                        "hits, %llu failed, %.1fs elapsed ",
-                        d, runs.size(),
-                        static_cast<unsigned long long>(hits.load()),
+                        "chunk hits, %llu failed, %.1fs elapsed ",
+                        d, runs.size(), batchHits(),
                         static_cast<unsigned long long>(failed.load()),
                         msSince(t0) / 1000.0);
                     std::fflush(stderr);
@@ -217,9 +202,9 @@ SweepEngine::executeWith(const SweepOptions &opts,
     if (opts.progress) {
         std::fprintf(stderr,
                      "\r[sweep] %zu runs done in %.1fs (%u jobs, %llu "
-                     "trace-cache hits, %llu failed)        \n",
+                     "trace-cache chunk hits, %llu failed)        \n",
                      runs.size(), msSince(t0) / 1000.0, jobs,
-                     static_cast<unsigned long long>(hits.load()),
+                     batchHits(),
                      static_cast<unsigned long long>(failed.load()));
         std::fflush(stderr);
     }
@@ -245,43 +230,6 @@ SweepEngine::execute(const SweepRequest &request,
     applyRequestOptions(opts, request);
     _lastMaxAttempts.store(std::max(1u, opts.maxAttempts));
     return executeWith(opts, runs, observer);
-}
-
-std::vector<SweepResult>
-SweepEngine::run(const std::vector<RunSpec> &specs)
-{
-    std::vector<PlannedRun> runs(specs.size());
-    for (size_t i = 0; i < specs.size(); ++i) {
-        runs[i].name = specs[i].config.name;
-        runs[i].configName = specs[i].config.name;
-        runs[i].spec = specs[i];
-    }
-    std::vector<RunOutcome> outcomes = execute(runs);
-    std::vector<SweepResult> results(outcomes.size());
-    for (size_t i = 0; i < outcomes.size(); ++i) {
-        results[i].output = std::move(outcomes[i].output);
-        results[i].wallMs = outcomes[i].wallMs;
-        results[i].traceCacheHit = outcomes[i].traceCacheHit;
-        results[i].ok = outcomes[i].ok;
-        results[i].attempts = outcomes[i].attempts;
-        results[i].errorMessage = std::move(outcomes[i].errorMessage);
-    }
-    return results;
-}
-
-std::vector<RunOutput>
-SweepEngine::runOutputs(const std::vector<RunSpec> &specs)
-{
-    std::vector<SweepResult> res = run(specs);
-    std::vector<RunOutput> outs;
-    outs.reserve(res.size());
-    for (size_t i = 0; i < res.size(); ++i) {
-        // errorMessage already carries the run index + config name.
-        if (!res[i].ok)
-            throw SimError(res[i].errorMessage);
-        outs.push_back(std::move(res[i].output));
-    }
-    return outs;
 }
 
 void
@@ -352,12 +300,6 @@ parallelForEach(const std::vector<std::function<void()>> &tasks,
             t.join();
     }
     return statuses;
-}
-
-std::vector<TaskStatus>
-SweepEngine::runTasks(const std::vector<std::function<void()>> &tasks)
-{
-    return parallelForEach(tasks, _opts.jobs);
 }
 
 } // namespace storemlp

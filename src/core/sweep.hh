@@ -4,17 +4,19 @@
  * independent `RunSpec`s — the epoch model shares no mutable state
  * between runs, so the batch is embarrassingly parallel. The engine
  * executes specs on a fixed pool of worker threads (a shared work
- * queue of spec indices), routes trace construction through a shared
- * `TraceCache` so configurations over the same workload generate the
- * trace once, and writes results into submission-order slots so
+ * queue of spec indices), streams every run's trace from
+ * `openRunSource` through a shared `TraceCache` so configurations over
+ * the same workload generate each chunk once (`sweep.traceCache.*`
+ * counts chunks), and writes results into submission-order slots so
  * tables are deterministic regardless of scheduling.
  *
- * Results are bit-identical across `jobs` values: each run owns its
- * machine state and RNG (seeded from the spec), the only shared input
- * is an immutable trace, and result slots are index-addressed.
+ * Results are bit-identical across `jobs` values and chunk sizes:
+ * each run owns its machine state and RNG (seeded from the spec), the
+ * only shared input is immutable chunks, and result slots are
+ * index-addressed.
  *
  * Faults are contained per run: an exception thrown by trace
- * construction or by the runner marks that run's `SweepResult` as
+ * construction or by the runner marks that run's `RunOutcome` as
  * failed (`ok == false`, diagnostic in `errorMessage`) and the sweep
  * continues — one corrupt configuration or transient failure never
  * discards the other N-1 results or terminates the process.
@@ -43,18 +45,9 @@ struct SweepOptions
 {
     /** Worker threads; 0 = STOREMLP_JOBS, else hardware_concurrency. */
     unsigned jobs = 0;
-    /** Share input traces across runs via the trace cache. */
+    /** Share trace chunks across runs via the trace cache. */
     bool useTraceCache = true;
-    /**
-     * Execute runs against a streaming source (openRunSource)
-     * instead of a materialized whole trace: resident trace memory is
-     * O(chunk) per worker, and with the trace cache enabled workers
-     * share decoded *chunks* rather than whole traces. Results are
-     * bit-identical to the materialized path. `runOverride` always
-     * takes the materialized path (it is Trace-shaped).
-     */
-    bool streaming = false;
-    /** Chunk size (instructions) for streaming runs; 0 = default. */
+    /** Chunk size (instructions) of every run's stream; 0 = default. */
     uint64_t chunkInsts = 0;
     /**
      * Attempts per run (>= 1). Values above 1 retry a throwing run —
@@ -64,35 +57,21 @@ struct SweepOptions
      */
     unsigned maxAttempts = 1;
     /**
-     * Emit a live progress line (runs completed / total, cache hits)
-     * to stderr. Defaults from the environment: on when stderr is a
-     * terminal, forced by STOREMLP_PROGRESS=1, silenced by =0.
+     * Emit a live progress line (runs completed / total, trace-cache
+     * chunk hits) to stderr. Defaults from the environment: on when
+     * stderr is a terminal, forced by STOREMLP_PROGRESS=1, silenced
+     * by =0.
      */
     bool progress = progressFromEnv();
     /**
      * Test/fault-injection hook: when set, executes a run instead of
-     * `Runner::run(spec, trace)`. Lets tests throw from the Nth run
-     * (or return synthetic outputs) without touching the production
-     * path; null for normal operation.
+     * opening its stream and calling `Runner::run`. Lets tests throw
+     * from the Nth run (or return synthetic outputs) without touching
+     * the production path; null for normal operation.
      */
-    std::function<RunOutput(const RunSpec &, const Trace *)>
-        runOverride;
+    std::function<RunOutput(const RunSpec &)> runOverride;
 
     static bool progressFromEnv();
-};
-
-/** One completed run: its output plus per-run observability. */
-struct SweepResult
-{
-    RunOutput output;
-    double wallMs = 0.0;        ///< wall-clock time of this run
-    bool traceCacheHit = false; ///< input trace came from the cache
-    /** Run completed; when false `output` is default-initialized. */
-    bool ok = true;
-    /** Attempts consumed (1 unless maxAttempts retried the run). */
-    unsigned attempts = 1;
-    /** Diagnostic from the last failed attempt when !ok. */
-    std::string errorMessage;
 };
 
 /** Outcome of one `parallelForEach` task. */
@@ -104,9 +83,9 @@ struct TaskStatus
 
 /**
  * One completed planned run: identity (so a result streamed over a
- * wire is self-describing) plus the output and per-run observability
- * that `SweepResult` carried. This is the result half of the
- * transport-agnostic job API (`SweepRequest` -> `RunOutcome`).
+ * wire is self-describing) plus the output and per-run observability.
+ * This is the result half of the transport-agnostic job API
+ * (`SweepRequest` -> `RunOutcome`).
  */
 struct RunOutcome
 {
@@ -116,8 +95,7 @@ struct RunOutcome
     std::string model;      ///< model axis value; "" when not crossed
 
     RunOutput output;
-    double wallMs = 0.0;        ///< wall-clock time of this run
-    bool traceCacheHit = false; ///< input trace came from the cache
+    double wallMs = 0.0; ///< wall-clock time of this run
     /** Run completed; when false `output` is default-initialized. */
     bool ok = true;
     /** Attempts consumed (1 unless maxAttempts retried the run). */
@@ -176,38 +154,15 @@ class SweepEngine
      * Execute a serializable request: expands the axis cross-product
      * (throws ConfigError on a malformed request, before any run
      * starts) and applies the request's execution options (retries,
-     * streaming, chunk size) for this batch. The daemon, the local
+     * chunk size) for this batch. The daemon, the local
      * sweep tool and in-process callers all submit through here.
      */
     std::vector<RunOutcome> execute(const SweepRequest &request,
                                     const RunObserver &observer = {});
 
-    /**
-     * DEPRECATED (removal next PR): pre-RunOutcome surface. Wraps
-     * execute() over name-less planned runs and strips run identity
-     * from the outcomes. New callers use execute().
-     */
-    std::vector<SweepResult> run(const std::vector<RunSpec> &specs);
-
-    /**
-     * DEPRECATED (removal next PR): outputs only, submission order,
-     * throwing on the first failed run. New callers use execute()
-     * and inspect per-run `ok`.
-     */
-    std::vector<RunOutput> runOutputs(const std::vector<RunSpec> &specs);
-
-    /**
-     * DEPRECATED (removal next PR): generic task fan-out. Forwards to
-     * the free `parallelForEach` with this engine's job count — the
-     * engine itself now only executes sweep-shaped work.
-     */
-    std::vector<TaskStatus>
-    runTasks(const std::vector<std::function<void()>> &tasks);
-
     /** Valid only when constructed with a non-null cache. */
     TraceCache &traceCache() { return *_cache; }
     bool hasTraceCache() const { return _cache != nullptr; }
-    const SweepOptions &options() const { return _opts; }
 
     /** Runs that completed / failed across this engine's lifetime. */
     uint64_t runsSucceeded() const { return _runsOk.load(); }
@@ -230,8 +185,7 @@ class SweepEngine
   private:
     unsigned resolveJobs(size_t work_items) const;
     /** One attempt of a run under `opts`; throws on failure. */
-    RunOutput runOnce(const RunSpec &spec, const SweepOptions &opts,
-                      bool *hit);
+    RunOutput runOnce(const RunSpec &spec, const SweepOptions &opts);
     /** execute() body against explicit options (request overrides). */
     std::vector<RunOutcome>
     executeWith(const SweepOptions &opts,

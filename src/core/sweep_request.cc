@@ -15,6 +15,7 @@
 
 #include "core/config_io.hh"
 #include "core/sweep.hh"
+#include "trace/trace_format.hh"
 #include "util/parse.hh"
 
 #ifndef _WIN32
@@ -79,6 +80,18 @@ parseU64Field(const std::string &key, const std::string &value)
     return *v;
 }
 
+/** A request's chunk size: 0 (default) or a v4-sized chunk. */
+uint64_t
+checkedChunkInsts(uint64_t chunk_insts)
+{
+    if (chunk_insts > trace_format::kMaxChunkInstsV4) {
+        throw ConfigError(
+            "sweep request: chunkInsts " + std::to_string(chunk_insts) +
+            " above " + std::to_string(trace_format::kMaxChunkInstsV4));
+    }
+    return chunk_insts;
+}
+
 void
 validateConfigName(const std::string &name)
 {
@@ -116,6 +129,7 @@ expandSweepRuns(const SweepRequest &req)
         throw ConfigError("sweep request has no configs");
     if (req.workloads.empty())
         throw ConfigError("sweep request has no workloads");
+    checkedChunkInsts(req.chunkInsts);
 
     // Parse the model axis once; positional names for custom specs so
     // run names never contain a descriptor's commas.
@@ -182,7 +196,6 @@ void
 applyRequestOptions(SweepOptions &opts, const SweepRequest &req)
 {
     opts.maxAttempts = 1 + req.retries;
-    opts.streaming = req.streaming;
     opts.chunkInsts = req.chunkInsts;
 }
 
@@ -296,7 +309,7 @@ loadSweepRequest(std::istream &is)
                     "sweep request: bad boolean for 'streaming': " +
                     value);
         } else if (key == "chunkInsts") {
-            req.chunkInsts = parseU64Field(key, value);
+            req.chunkInsts = checkedChunkInsts(parseU64Field(key, value));
         } else if (key == "runs") {
             req.runFilter = splitList(value, ';');
         } else {
@@ -371,8 +384,6 @@ runOutcomeEnvelope(const RunOutcome &outcome, const ArtifactSource &src,
     env.run.push_back({"ok", outcome.ok ? "1" : "0"});
     env.run.push_back({"attempts", std::to_string(outcome.attempts)});
     env.run.push_back({"wallMs", jsonDouble(outcome.wallMs)});
-    env.run.push_back(
-        {"traceCacheHit", outcome.traceCacheHit ? "1" : "0"});
     return env;
 }
 

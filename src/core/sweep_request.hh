@@ -69,9 +69,14 @@ struct SweepRequest
 
     /** Extra attempts per failing run (at-least-once shard retry). */
     unsigned retries = 0;
-    /** Execute against streaming sources (O(chunk) trace memory). */
+    /**
+     * Accepted and ignored: every sweep run streams. The field and its
+     * `streaming` wire key stay so requests from older clients still
+     * parse and every request keeps its fingerprint (the canonical
+     * text carries the key); e2ebench's layer tracer also sets it.
+     */
     bool streaming = false;
-    /** Streaming chunk size in instructions; 0 = default. */
+    /** Chunk size in instructions; 0 = default, > 2^26 ConfigError. */
     uint64_t chunkInsts = 0;
 
     /**
@@ -104,8 +109,9 @@ WorkloadProfile workloadProfileForName(const std::string &name);
  * Expand a request into its planned runs: the full
  * workloads x configs x models cross-product, filtered by
  * `runFilter` when present. Throws ConfigError on empty config or
- * workload lists, unknown workloads/models, duplicate expanded run
- * names, or filter names that match no run.
+ * workload lists, an out-of-range `chunkInsts`, unknown
+ * workloads/models, duplicate expanded run names, or filter names
+ * that match no run.
  */
 std::vector<PlannedRun> expandSweepRuns(const SweepRequest &req);
 

@@ -5,9 +5,6 @@
 
 #include "trace/trace_cache.hh"
 
-#include <tuple>
-#include <utility>
-
 #include "trace/trace_source.hh"
 #include "util/parse.hh"
 
@@ -33,42 +30,12 @@ TraceCache::global()
     return cache;
 }
 
-std::shared_ptr<const Trace>
-TraceCache::getOrBuild(const std::string &key, const Builder &build,
-                       bool *was_hit)
-{
-    std::shared_ptr<const void> v = getOrBuildErased(
-        key,
-        [&]() -> std::pair<std::shared_ptr<const void>, uint64_t> {
-            auto trace = std::make_shared<const Trace>(build());
-            uint64_t bytes = trace->size() * sizeof(TraceRecord);
-            return {std::move(trace), bytes};
-        },
-        was_hit);
-    return std::static_pointer_cast<const Trace>(v);
-}
-
 std::shared_ptr<const TraceChunk>
 TraceCache::getOrBuildChunk(const std::string &key,
                             const ChunkBuilder &build, bool *was_hit)
 {
-    std::shared_ptr<const void> v = getOrBuildErased(
-        key,
-        [&]() -> std::pair<std::shared_ptr<const void>, uint64_t> {
-            std::shared_ptr<const TraceChunk> chunk = build();
-            uint64_t bytes = chunk->bytes();
-            return {std::move(chunk), bytes};
-        },
-        was_hit);
-    return std::static_pointer_cast<const TraceChunk>(v);
-}
-
-std::shared_ptr<const void>
-TraceCache::getOrBuildErased(const std::string &key,
-                             const ErasedBuilder &build, bool *was_hit)
-{
-    std::shared_future<std::shared_ptr<const void>> fut;
-    std::promise<std::shared_ptr<const void>> promise;
+    std::shared_future<std::shared_ptr<const TraceChunk>> fut;
+    std::promise<std::shared_ptr<const TraceChunk>> promise;
     bool builder = false;
 
     {
@@ -96,10 +63,9 @@ TraceCache::getOrBuildErased(const std::string &key,
         return fut.get(); // blocks while the first builder works
 
     // Build outside the lock so other keys proceed concurrently.
-    std::shared_ptr<const void> value;
-    uint64_t payload_bytes = 0;
+    std::shared_ptr<const TraceChunk> chunk;
     try {
-        std::tie(value, payload_bytes) = build();
+        chunk = build();
     } catch (...) {
         promise.set_exception(std::current_exception());
         std::lock_guard<std::mutex> lk(_mu);
@@ -110,16 +76,16 @@ TraceCache::getOrBuildErased(const std::string &key,
         }
         throw;
     }
-    promise.set_value(value);
+    promise.set_value(chunk);
 
     std::lock_guard<std::mutex> lk(_mu);
     auto it = _entries.find(key);
     if (it != _entries.end()) {
-        it->second.bytes = payload_bytes + key.size();
+        it->second.bytes = chunk->bytes() + key.size();
         _stats.bytes += it->second.bytes;
         evictLocked();
     }
-    return value;
+    return chunk;
 }
 
 void

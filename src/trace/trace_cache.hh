@@ -1,18 +1,14 @@
 /**
  * @file
- * Keyed, thread-safe cache of immutable trace data. A paper figure
+ * Keyed, thread-safe cache of decoded trace chunks. A paper figure
  * runs 6-8 configurations against the *same* workload trace (same
  * profile, seed, length, and memory-model rewrite); regenerating it
- * per run is the dominant redundant work in a sweep. The cache builds
- * each distinct entry exactly once — concurrent requesters for the
- * same key block on the first builder — and hands out shared immutable
+ * per run is the dominant redundant work in a sweep. Every sweep run
+ * streams through a CachedSource, keyed per chunk as fingerprint +
+ * "|chunk=" + chunk size + "#c" + chunk index. The cache builds each
+ * distinct chunk exactly once — concurrent requesters for the same key
+ * block on the first builder — and hands out shared immutable
  * references, so worker threads never copy or mutate trace data.
- *
- * Two entry kinds share one keyed store and one byte budget: whole
- * traces (`getOrBuild`, the materialized path) and decoded streaming
- * chunks (`getOrBuildChunk`, keyed fingerprint + "#c" + chunk index by
- * CachedSource) so parallel sweep workers share chunk decodes the way
- * they share whole traces.
  */
 
 #ifndef STOREMLP_TRACE_TRACE_CACHE_HH
@@ -27,10 +23,10 @@
 #include <string>
 #include <unordered_map>
 
-#include "trace/trace.hh"
-
 namespace storemlp
 {
+
+class TraceChunk;
 
 /** Aggregate cache statistics (monotonic; see resetStats()). */
 struct TraceCacheStats
@@ -38,41 +34,29 @@ struct TraceCacheStats
     uint64_t hits = 0;       ///< lookups served from an existing entry
     uint64_t misses = 0;     ///< lookups that triggered a build
     uint64_t evictions = 0;  ///< entries dropped by the byte budget
-    uint64_t bytes = 0;      ///< resident trace bytes (approximate)
+    uint64_t bytes = 0;      ///< resident chunk bytes (approximate)
 };
 
 /**
- * Shared trace store. Keys are opaque strings; callers compose them
- * from everything that determines the trace bytes (workload profile
- * fingerprint, seed, length, PC->WC rewrite, chip id) — see
- * `Runner::traceCacheKey`. Entries are evicted LRU once the byte
- * budget (`STOREMLP_TRACE_CACHE_MB`, default 2048) is exceeded;
- * outstanding shared_ptrs keep evicted traces alive until released.
+ * Shared chunk store under opaque string keys. Entries are evicted LRU
+ * once the byte budget
+ * (`STOREMLP_TRACE_CACHE_MB`, default 2048) is exceeded; outstanding
+ * shared_ptrs keep evicted chunks alive until released.
  */
-class TraceChunk;
-
 class TraceCache
 {
   public:
-    using Builder = std::function<Trace()>;
     using ChunkBuilder = std::function<std::shared_ptr<const TraceChunk>()>;
 
     explicit TraceCache(uint64_t max_bytes = defaultMaxBytes());
 
     /**
-     * Return the trace for `key`, building it via `build` on the
+     * Return the chunk for `key`, building it via `build` on the
      * first request. Concurrent callers with the same key wait for
-     * the in-flight build instead of duplicating it. If `was_hit` is
-     * non-null it reports whether this call found an existing entry.
-     */
-    std::shared_ptr<const Trace> getOrBuild(const std::string &key,
-                                            const Builder &build,
-                                            bool *was_hit = nullptr);
-
-    /**
-     * Same contract for one decoded chunk of a streaming source. The
-     * builder must not return nullptr — CachedSource encodes
-     * end-of-stream as an empty chunk so the length itself is cached.
+     * the in-flight build instead of duplicating it; a throwing build
+     * leaves the key unbuilt. `was_hit`, if non-null, reports whether
+     * an entry existed. The builder must not return nullptr —
+     * CachedSource caches end-of-stream as an empty chunk.
      */
     std::shared_ptr<const TraceChunk>
     getOrBuildChunk(const std::string &key, const ChunkBuilder &build,
@@ -91,22 +75,12 @@ class TraceCache
     static TraceCache &global();
 
   private:
-    // Entries are type-erased so traces and chunks share one LRU and
-    // one byte budget; the typed getOrBuild* fronts restore the type.
     struct Entry
     {
-        std::shared_future<std::shared_ptr<const void>> future;
+        std::shared_future<std::shared_ptr<const TraceChunk>> future;
         uint64_t bytes = 0;                ///< 0 until the build lands
         std::list<std::string>::iterator lruIt;
     };
-
-    /** Builder returns (value, payload bytes); key bytes are added. */
-    using ErasedBuilder =
-        std::function<std::pair<std::shared_ptr<const void>, uint64_t>()>;
-
-    std::shared_ptr<const void>
-    getOrBuildErased(const std::string &key, const ErasedBuilder &build,
-                     bool *was_hit);
 
     void touchLocked(Entry &entry, const std::string &key);
     void evictLocked();

@@ -123,7 +123,7 @@ MaterializedSource::fetch(uint64_t chunk_idx)
     // Chunks borrow slices of the whole-trace lane cache, so lane
     // derivation happens once per trace rather than once per run.
     return std::make_shared<const TraceChunk>(
-        first, _trace->records().data() + first, n, _owned,
+        first, _trace->records().data() + first, n, nullptr,
         _trace->lanes(), first);
 }
 

@@ -69,8 +69,8 @@ inline constexpr uint64_t kDefaultChunkInsts = uint64_t{1} << 16;
 /**
  * One immutable run of consecutive trace records. Either owns its
  * records (`storage`) or borrows a view into memory kept alive by
- * `backing` (or, for MaterializedSource over a caller-owned Trace, by
- * the caller's guarantee that the Trace outlives the chunk).
+ * `backing` (or, for MaterializedSource, by the caller's guarantee
+ * that the Trace outlives the chunk).
  */
 class TraceChunk
 {
@@ -286,9 +286,8 @@ class TraceCursor
 
 /**
  * Chunk views over an in-memory Trace: zero-copy, random access, and
- * behaviorally identical to indexing the vector. When constructed
- * from a shared_ptr the chunks keep the trace alive; when constructed
- * from a reference the caller guarantees the Trace outlives them.
+ * behaviorally identical to indexing the vector. The caller
+ * guarantees the Trace outlives the chunks.
  */
 class MaterializedSource : public TraceSource
 {
@@ -301,14 +300,6 @@ class MaterializedSource : public TraceSource
     {
     }
 
-    explicit MaterializedSource(std::shared_ptr<const Trace> trace,
-                                uint64_t chunk_insts = kDefaultChunkInsts,
-                                std::string fingerprint = {})
-        : TraceSource(chunk_insts), _trace(trace.get()),
-          _owned(std::move(trace)), _fingerprint(std::move(fingerprint))
-    {
-    }
-
     std::shared_ptr<const TraceChunk> fetch(uint64_t chunk_idx) override;
     std::optional<uint64_t> knownSize() const override
     {
@@ -318,7 +309,6 @@ class MaterializedSource : public TraceSource
 
   private:
     const Trace *_trace;
-    std::shared_ptr<const Trace> _owned;
     std::string _fingerprint;
 };
 

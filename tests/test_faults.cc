@@ -60,8 +60,7 @@ faultingOptions(unsigned jobs, uint64_t failing_marker)
     opts.jobs = jobs;
     opts.useTraceCache = false;
     opts.progress = false;
-    opts.runOverride = [failing_marker](const RunSpec &spec,
-                                        const Trace *) {
+    opts.runOverride = [failing_marker](const RunSpec &spec) {
         if (spec.measureInsts == failing_marker)
             throw std::runtime_error("injected fault");
         RunOutput out;
@@ -150,7 +149,7 @@ TEST(SweepFaults, BoundedRetryRecoversTransientFailure)
     opts.useTraceCache = false;
     opts.progress = false;
     opts.maxAttempts = 3;
-    opts.runOverride = [remaining](const RunSpec &spec, const Trace *) {
+    opts.runOverride = [remaining](const RunSpec &spec) {
         if (remaining->fetch_sub(1) > 0)
             throw std::runtime_error("transient");
         RunOutput out;
@@ -174,7 +173,7 @@ TEST(SweepFaults, RetryBudgetExhaustedReportsFailure)
     opts.useTraceCache = false;
     opts.progress = false;
     opts.maxAttempts = 2;
-    opts.runOverride = [](const RunSpec &, const Trace *) -> RunOutput {
+    opts.runOverride = [](const RunSpec &) -> RunOutput {
         throw std::runtime_error("deterministic fault");
     };
     SweepEngine engine(opts, nullptr);
@@ -186,17 +185,6 @@ TEST(SweepFaults, RetryBudgetExhaustedReportsFailure)
     EXPECT_NE(results[0].errorMessage.find("deterministic fault"),
               std::string::npos);
     EXPECT_EQ(engine.runRetries(), 1u);
-}
-
-// Pins the deprecated runOutputs -> run -> execute shim chain
-// (removal next PR): throwing on the first failed run is the old
-// contract callers may still lean on.
-TEST(SweepFaults, RunOutputsThrowsRatherThanReturningPartialSilently)
-{
-    std::vector<RunSpec> specs = markedSpecs(3);
-    SweepEngine engine(faultingOptions(1, specs[1].measureInsts),
-                       nullptr);
-    EXPECT_THROW(engine.runOutputs(specs), SimError);
 }
 
 TEST(SweepFaults, RunTasksCapturesPerTaskErrorsAndRunsEveryTask)
@@ -237,12 +225,20 @@ tinyTrace(uint64_t seed, uint64_t records)
     return gen.generate(records);
 }
 
+/** An owning chunk of `records` default records at index `first`. */
+std::shared_ptr<const TraceChunk>
+tinyChunk(uint64_t first, uint64_t records)
+{
+    return std::make_shared<const TraceChunk>(
+        first, std::vector<TraceRecord>(records));
+}
+
 TEST(TraceCacheFaults, ThrowingBuilderDoesNotPoisonTheKey)
 {
     TraceCache cache(1 << 20);
-    EXPECT_THROW(cache.getOrBuild(
+    EXPECT_THROW(cache.getOrBuildChunk(
                      "k",
-                     []() -> Trace {
+                     []() -> std::shared_ptr<const TraceChunk> {
                          throw std::runtime_error("builder fault");
                      }),
                  std::runtime_error);
@@ -250,32 +246,32 @@ TEST(TraceCacheFaults, ThrowingBuilderDoesNotPoisonTheKey)
     // The failed entry is gone: the next request rebuilds (a miss,
     // not a hit blocking forever on a dead future).
     bool hit = true;
-    auto trace = cache.getOrBuild(
-        "k", [] { return tinyTrace(1, 500); }, &hit);
+    auto chunk = cache.getOrBuildChunk(
+        "k", [] { return tinyChunk(0, 500); }, &hit);
     EXPECT_FALSE(hit);
-    EXPECT_GT(trace->size(), 0u);
+    EXPECT_EQ(chunk->count, 500u);
     EXPECT_EQ(cache.stats().misses, 2u);
 }
 
 TEST(TraceCacheFaults, InFlightBuildDoesNotPinCacheAboveBudget)
 {
-    // Budget fits ~one 4000-record trace. "inflight" (LRU tail) never
+    // Budget fits ~one 4000-record chunk. "inflight" (LRU tail) never
     // completes while "a" and "b" land; eviction must skip past the
     // pending entry and reclaim "a" instead of giving up at the tail.
     TraceCache cache(5000 * sizeof(TraceRecord));
     std::promise<void> release;
     std::shared_future<void> gate = release.get_future().share();
     std::thread builder([&] {
-        cache.getOrBuild("inflight", [&] {
+        cache.getOrBuildChunk("inflight", [&] {
             gate.wait();
-            return tinyTrace(1, 100);
+            return tinyChunk(0, 100);
         });
     });
     while (cache.stats().misses < 1)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
 
-    cache.getOrBuild("a", [] { return tinyTrace(2, 4000); });
-    cache.getOrBuild("b", [] { return tinyTrace(3, 4000); });
+    cache.getOrBuildChunk("a", [] { return tinyChunk(0, 4000); });
+    cache.getOrBuildChunk("b", [] { return tinyChunk(4000, 4000); });
 
     TraceCacheStats stats = cache.stats();
     EXPECT_GE(stats.evictions, 1u);
@@ -286,8 +282,8 @@ TEST(TraceCacheFaults, InFlightBuildDoesNotPinCacheAboveBudget)
 
     // The pending build completed normally after the eviction pass.
     bool hit = false;
-    cache.getOrBuild(
-        "inflight", [] { return tinyTrace(1, 100); }, &hit);
+    cache.getOrBuildChunk(
+        "inflight", [] { return tinyChunk(0, 100); }, &hit);
     EXPECT_TRUE(hit);
 }
 
@@ -512,7 +508,7 @@ TEST(SweepFaults, NullCacheEngineRunsAndExportsZeroedCacheStats)
     opts.jobs = 1;
     opts.useTraceCache = false;
     opts.progress = false;
-    opts.runOverride = [](const RunSpec &spec, const Trace *) {
+    opts.runOverride = [](const RunSpec &spec) {
         RunOutput out;
         out.sim.instructions = spec.measureInsts;
         return out;

@@ -351,43 +351,35 @@ TEST(HotloopEquivalence, BitIdenticalAgainstGolden)
 
 /**
  * Parallel sweep determinism through the restructured hot loop: the
- * same batch at jobs=1 and jobs=4, streamed and materialized, must be
- * bit-identical (and hit the same goldens as each other).
+ * same batch at jobs=1 and jobs=4 (every sweep run streams) must be
+ * bit-identical to the materialized whole-trace run of each spec.
  */
 TEST(HotloopEquivalence, SweepJobsAndStreamingAgree)
 {
-    std::vector<RunSpec> specs;
+    std::vector<PlannedRun> runs;
     for (const SimConfig &cfg :
          {SimConfig::defaults(), SimConfig::wc1(),
           SimConfig::defaults().withScout(ScoutMode::Hws2)}) {
-        RunSpec spec = baseSpec(cfg);
-        spec.warmupInsts = 10000;
-        spec.measureInsts = 20000;
-        specs.push_back(spec);
+        PlannedRun run;
+        run.spec = baseSpec(cfg);
+        run.spec.warmupInsts = 10000;
+        run.spec.measureInsts = 20000;
+        runs.push_back(run);
     }
 
-    auto runWith = [&](unsigned jobs, bool streaming) {
+    for (unsigned jobs : {1u, 4u}) {
         TraceCache cache;
         SweepOptions opts;
         opts.jobs = jobs;
         opts.progress = false;
-        opts.streaming = streaming;
-        SweepEngine engine(opts, &cache);
-        return engine.run(specs);
-    };
-
-    auto ref = runWith(1, false);
-    for (unsigned jobs : {1u, 4u}) {
-        for (bool streaming : {false, true}) {
-            auto got = runWith(jobs, streaming);
-            ASSERT_EQ(got.size(), ref.size());
-            for (size_t i = 0; i < ref.size(); ++i) {
-                ASSERT_TRUE(got[i].ok);
-                EXPECT_EQ(hashRunOutput(got[i].output),
-                          hashRunOutput(ref[i].output))
-                    << "spec " << i << " jobs=" << jobs
-                    << " streaming=" << streaming;
-            }
+        std::vector<RunOutcome> got =
+            SweepEngine(opts, &cache).execute(runs);
+        ASSERT_EQ(got.size(), runs.size());
+        for (size_t i = 0; i < runs.size(); ++i) {
+            ASSERT_TRUE(got[i].ok) << got[i].errorMessage;
+            EXPECT_EQ(hashRunOutput(got[i].output),
+                      hashRunOutput(test::runMaterialized(runs[i].spec)))
+                << "spec " << i << " jobs=" << jobs;
         }
     }
 }

@@ -33,6 +33,7 @@
 #include "net/sweep_client.hh"
 #include "net/sweep_server.hh"
 #include "stats/stats_json.hh"
+#include "trace/trace_format.hh"
 
 using namespace storemlp;
 using namespace storemlp::net;
@@ -274,6 +275,89 @@ TEST(SweepRequestIo, ExpansionValidatesNamesAndFilters)
                  ConfigError);
     EXPECT_THROW(sweepRequestFromText("[config x]\nnot closed"),
                  ConfigError);
+}
+
+/** Canonical stats JSON of every outcome, in submission order. */
+std::vector<std::string>
+outcomeStats(const std::vector<RunOutcome> &outcomes)
+{
+    std::vector<std::string> out;
+    for (const RunOutcome &o : outcomes) {
+        EXPECT_TRUE(o.ok) << o.name << ": " << o.errorMessage;
+        StatsRegistry reg;
+        o.output.exportStats(reg);
+        out.push_back(o.name + " " + statsToJson(reg, StatsMeta{}, false));
+    }
+    return out;
+}
+
+// Every sweep streams, so `streaming` is accepted and ignored: old
+// clients' request texts still parse, both values run the same
+// computation, and keeping the key keeps every request fingerprint.
+TEST(SweepRequestIo, StreamingKeyIsAcceptedAndIgnored)
+{
+    SweepRequest req = tinyRequest(2, {"pc", "wc"});
+    std::vector<std::vector<std::string>> stats;
+    for (bool streaming : {false, true}) {
+        req.streaming = streaming;
+        SweepRequest back =
+            sweepRequestFromText(sweepRequestToText(req));
+        EXPECT_EQ(back.streaming, streaming);
+        TraceCache cache;
+        SweepOptions opts;
+        opts.jobs = 2;
+        opts.progress = false;
+        stats.push_back(outcomeStats(SweepEngine(opts, &cache).execute(back)));
+    }
+    ASSERT_EQ(stats[0].size(), 4u);
+    EXPECT_EQ(stats[0], stats[1]);
+
+    // Fingerprints of one fixed canonical request, recorded before the
+    // materialized sweep path was removed.
+    SweepRequest canonical;
+    canonical.configs = {{"base", SimConfig::defaults()},
+                         {"wc1", SimConfig::wc1()}};
+    canonical.workloads = {"tiny"};
+    canonical.models = {"pc", "wc"};
+    canonical.warmupInsts = 2000;
+    canonical.measureInsts = 4000;
+    canonical.seed = 7;
+    canonical.retries = 1;
+    canonical.chunkInsts = 1021;
+    canonical.streaming = false;
+    EXPECT_EQ(sweepRequestFingerprint(canonical), "3fdf58fc5ec1309c");
+    canonical.streaming = true;
+    EXPECT_EQ(sweepRequestFingerprint(canonical), "4653b4f1384389ad");
+}
+
+// A chunk size above the v4 cap is refused before any run starts, in
+// the text form and in the expansion alike; 0 stays "default".
+TEST(SweepRequestIo, OversizedChunkInstsIsConfigErrorBeforeAnyRun)
+{
+    SweepRequest req = tinyRequest(2);
+    req.chunkInsts = trace_format::kMaxChunkInstsV4 + 1;
+    EXPECT_THROW(expandSweepRuns(req), ConfigError);
+    EXPECT_THROW(sweepRequestFromText(sweepRequestToText(req)),
+                 ConfigError);
+
+    std::atomic<int> runs{0};
+    SweepOptions opts;
+    opts.progress = false;
+    opts.runOverride = [&runs](const RunSpec &) {
+        ++runs;
+        return RunOutput{};
+    };
+    SweepEngine engine(opts, nullptr);
+    EXPECT_THROW(engine.execute(req), ConfigError);
+    EXPECT_EQ(runs.load(), 0);
+    EXPECT_EQ(engine.runsSucceeded() + engine.runsFailed(), 0u);
+
+    for (uint64_t ok : {uint64_t{0}, trace_format::kMaxChunkInstsV4}) {
+        req.chunkInsts = ok;
+        EXPECT_EQ(expandSweepRuns(req).size(), 2u);
+        EXPECT_EQ(sweepRequestFromText(sweepRequestToText(req)).chunkInsts,
+                  ok);
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the parallel sweep engine and the shared trace cache:
- * bit-identical results across worker counts, trace-cache hit
- * behaviour for repeated (profile, seed, length, rewrite) keys, and
+ * bit-identical results across worker counts and chunk sizes (against
+ * the materialized whole-trace run), chunk-cache hit behaviour for
+ * repeated (profile, seed, length, rewrite) streams, and
  * submission-order result collection. Run lengths honour
  * STOREMLP_WARMUP / STOREMLP_MEASURE so CI can scale further down
  * (small defaults keep the suite fast without them).
@@ -15,7 +16,6 @@
 #include <sstream>
 
 #include "core/sweep.hh"
-#include "trace/generator.hh"
 #include "util/parallel.hh"
 #include "sim_test_util.hh"
 
@@ -167,15 +167,14 @@ TEST(SweepEngine, Jobs1AndJobs4AreBitIdentical)
 
 TEST(SweepEngine, StreamingMatchesMaterializedAtAnyJobCount)
 {
-    // The streaming path (chunked sources, shared chunk cache) must
-    // reproduce the materialized sweep bit for bit, serial and
-    // parallel alike — including an adversarial chunk size that never
-    // divides the run length.
+    // Every sweep run streams (chunked sources, shared chunk cache);
+    // it must reproduce the materialized whole-trace run bit for bit,
+    // serial and parallel alike — including an adversarial chunk size
+    // that never divides the run length.
     std::vector<RunSpec> specs = mixedSpecs();
-
-    TraceCache mat_cache;
-    std::vector<RunOutcome> materialized =
-        executeSpecs(makeEngine(mat_cache, 2), specs);
+    std::vector<RunOutput> materialized;
+    for (const RunSpec &spec : specs)
+        materialized.push_back(test::runMaterialized(spec));
 
     for (unsigned jobs : {1u, 4u}) {
         for (uint64_t chunk : {uint64_t{0}, uint64_t{1021}}) {
@@ -183,7 +182,6 @@ TEST(SweepEngine, StreamingMatchesMaterializedAtAnyJobCount)
             SweepOptions opts;
             opts.jobs = jobs;
             opts.progress = false;
-            opts.streaming = true;
             opts.chunkInsts = chunk;
             std::vector<RunOutcome> streamed =
                 executeSpecs(SweepEngine(opts, &cache), specs);
@@ -194,11 +192,10 @@ TEST(SweepEngine, StreamingMatchesMaterializedAtAnyJobCount)
                              " spec " + std::to_string(i));
                 ASSERT_TRUE(streamed[i].ok)
                     << streamed[i].errorMessage;
-                expectIdentical(materialized[i].output,
-                                streamed[i].output);
+                expectIdentical(materialized[i], streamed[i].output);
             }
             // Workers shared chunk production through the cache.
-            EXPECT_GT(cache.stats().hits + cache.stats().misses, 0u);
+            EXPECT_GT(cache.stats().hits, 0u);
         }
     }
 }
@@ -220,25 +217,37 @@ TEST(SweepEngine, CachedAndUncachedTracesAgree)
 TEST(SweepEngine, TraceCacheHitsForRepeatedKeys)
 {
     // 8 specs over testTiny: 6 PC-or-WC base configs + 2 prefetch
-    // variants -> exactly 2 distinct traces (PC and WC rewrite).
+    // variants -> exactly 2 distinct traces (PC and WC rewrite), so
+    // the batch builds each chunk of those two streams once and
+    // serves every other chunk lookup from the cache.
     std::vector<RunSpec> specs = mixedSpecs();
+    TraceCacheStats pc, wc;
+    uint64_t lookups = 0;
+    for (const RunSpec &spec : specs) {
+        TraceCache alone;
+        executeSpecs(makeEngine(alone, 1), {spec});
+        TraceCacheStats one = alone.stats();
+        lookups += one.hits + one.misses;
+        TraceCacheStats &trace =
+            spec.config.memoryModel.wcTraceRewrite() ? wc : pc;
+        if (trace.misses == 0)
+            trace = one;
+        EXPECT_EQ(one.misses, trace.misses); // same chunks per trace
+    }
+    ASSERT_GT(pc.misses, 0u);
+    ASSERT_GT(wc.misses, 0u);
+
     TraceCache cache;
-    std::vector<RunOutcome> results =
-        executeSpecs(makeEngine(cache, 4), specs);
-
+    executeSpecs(makeEngine(cache, 4), specs);
     TraceCacheStats stats = cache.stats();
-    EXPECT_EQ(stats.misses, 2u);
-    EXPECT_EQ(stats.hits, specs.size() - 2);
-    uint64_t flagged_hits = 0;
-    for (const RunOutcome &r : results)
-        flagged_hits += r.traceCacheHit ? 1 : 0;
-    EXPECT_EQ(flagged_hits, stats.hits);
+    EXPECT_EQ(stats.misses, pc.misses + wc.misses);
+    EXPECT_EQ(stats.hits + stats.misses, lookups);
 
-    // A different seed is a different key.
+    // A different seed is a different stream: its chunks all miss.
     RunSpec reseeded = specs[0];
     reseeded.seed = 1234;
     executeSpecs(makeEngine(cache, 1), {reseeded});
-    EXPECT_EQ(cache.stats().misses, 3u);
+    EXPECT_EQ(cache.stats().misses, stats.misses + pc.misses);
 }
 
 TEST(SweepEngine, ResultsComeBackInSubmissionOrder)
@@ -271,20 +280,6 @@ TEST(SweepEngine, ResultsComeBackInSubmissionOrder)
     }
 }
 
-// Pins the deprecated runTasks shim (removal next PR): it must keep
-// forwarding to parallelForEach until the last caller is gone.
-TEST(SweepEngine, RunTasksExecutesEveryTask)
-{
-    std::vector<int> done(17, 0);
-    std::vector<std::function<void()>> tasks;
-    for (size_t i = 0; i < done.size(); ++i)
-        tasks.push_back([&done, i] { done[i] = 1; });
-    TraceCache cache;
-    makeEngine(cache, 4).runTasks(tasks);
-    for (size_t i = 0; i < done.size(); ++i)
-        EXPECT_EQ(done[i], 1) << "task " << i;
-}
-
 // Runs on the threads of a multi-worker pool must see that sibling
 // workers fill the CPUs (openRunSource skips their read-ahead);
 // a one-job pool runs its tasks on the caller and marks nothing.
@@ -306,7 +301,7 @@ TEST(ParallelForEach, MarksWorkerThreadsOnlyWithSeveralJobs)
         SweepOptions opts;
         opts.jobs = jobs;
         opts.progress = false;
-        opts.runOverride = [&](const RunSpec &, const Trace *) {
+        opts.runOverride = [&](const RunSpec &) {
             ++runs;
             if (onParallelWorker())
                 ++runs_marked;
@@ -356,27 +351,26 @@ TEST(TraceCache, ProfileFingerprintsAreDistinct)
 
 TEST(TraceCache, EvictsLruWhenOverBudget)
 {
-    // Budget fits roughly one trace of 4000 records.
-    TraceCache cache(4000 * sizeof(TraceRecord));
-    auto build = [](uint64_t seed) {
-        return [seed] {
-            SyntheticTraceGenerator gen(WorkloadProfile::testTiny(),
-                                        seed, 0);
-            return gen.generate(4000);
+    // Budget fits roughly one chunk of 4000 records.
+    TraceCache cache(4000 * sizeof(TraceRecord) + 64);
+    auto build = [](uint64_t first) {
+        return [first] {
+            return std::make_shared<const TraceChunk>(
+                first, std::vector<TraceRecord>(4000));
         };
     };
-    cache.getOrBuild("a", build(1));
-    auto kept = cache.getOrBuild("b", build(2));
+    cache.getOrBuildChunk("a", build(1));
+    auto kept = cache.getOrBuildChunk("b", build(2));
     TraceCacheStats stats = cache.stats();
     EXPECT_GE(stats.evictions, 1u);
 
     // "b" (most recent) survives; "a" rebuilds on next access.
     bool hit = true;
-    cache.getOrBuild("b", build(2), &hit);
+    EXPECT_EQ(cache.getOrBuildChunk("b", build(2), &hit), kept);
     EXPECT_TRUE(hit);
-    cache.getOrBuild("a", build(1), &hit);
+    cache.getOrBuildChunk("a", build(1), &hit);
     EXPECT_FALSE(hit);
-    EXPECT_GT(kept->size(), 0u);
+    EXPECT_EQ(kept->count, 4000u);
 }
 
 TEST(Runner, TraceOverloadMatchesSelfBuiltTrace)
@@ -395,25 +389,28 @@ TEST(Runner, TraceOverloadMatchesSelfBuiltTrace)
 
 TEST(Runner, TraceCacheKeySeparatesRewriteAndLength)
 {
+    // A run's stream fingerprint (the base of its chunk-cache keys)
+    // names everything that determines the records and nothing else.
+    auto fp = [](const RunSpec &spec) {
+        return test::openRun(spec)->fingerprint();
+    };
     RunSpec pc;
     pc.profile = WorkloadProfile::testTiny();
     pc.config = SimConfig::defaults();
     RunSpec wc = pc;
     wc.config = SimConfig::wc1();
-    EXPECT_NE(Runner::traceCacheKey(pc), Runner::traceCacheKey(wc));
+    EXPECT_NE(fp(pc), fp(wc));
 
     RunSpec longer = pc;
     longer.measureInsts += 1;
-    EXPECT_NE(Runner::traceCacheKey(pc),
-              Runner::traceCacheKey(longer));
+    EXPECT_NE(fp(pc), fp(longer));
 
     // Machine-only differences share a trace.
     RunSpec resized = pc;
     resized.config.storeQueueSize = 256;
     resized.numChips = 2;
     resized.smac = SmacConfig{};
-    EXPECT_EQ(Runner::traceCacheKey(pc),
-              Runner::traceCacheKey(resized));
+    EXPECT_EQ(fp(pc), fp(resized));
 }
 
 } // namespace

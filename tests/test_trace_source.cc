@@ -985,9 +985,11 @@ TEST_F(OpenRunSource, StagesPerInput)
         EXPECT_EQ(src->chunkInsts(), kChunk) << c.what;
     }
 
-    // Cached chunks keep the key sweeps have always used.
+    // Cached chunks keep the key sweeps have always used: everything
+    // that determines the records, then the chunk size.
     EXPECT_EQ(openRunSource(cached(wc))->fingerprint(),
-              Runner::traceCacheKey(wc) + "|chunk=1000");
+              wc.profile.cacheKey() +
+                  "|seed=42|n=4000|wc=1|chip=0|chunk=1000");
 }
 
 /** The shipped configs reachable from the test cwd, by file name. */

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "trace/trace_format.hh"
 #include "trace/workload.hh"
 #include "util/error.hh"
 #include "util/parse.hh"
@@ -61,8 +62,13 @@ inline const FlagSpec kMeasureFlag{
     "measure", "N", "measured instructions (default 1000000)"};
 inline const FlagSpec kChunkInstsFlag{
     "chunk-insts", "N",
-    "streaming chunk size in instructions (default 65536);\n"
-    "results are identical for every chunk size"};
+    "records per chunk, 1.." +
+        std::to_string(trace_format::kMaxChunkInstsV4) +
+        " (default 65536);\nresults are identical for every chunk size"};
+
+class Cli;
+/** --chunk-insts, `def` when absent; exits 2 on 0 or above 2^26. */
+inline uint64_t chunkInstsArg(const Cli &cli, uint64_t def = 0);
 inline const FlagSpec kModelFlag{
     "model", "NAME|key=val,...",
     "memory model: preset (pc|wc|rmo|wmm|sc) or descriptor\n"
@@ -203,6 +209,19 @@ class Cli
     std::vector<FlagSpec> _flags;
     std::map<std::string, std::string> _args;
 };
+
+inline uint64_t
+chunkInstsArg(const Cli &cli, uint64_t def)
+{
+    if (!cli.has("chunk-insts"))
+        return def;
+    uint64_t n = cli.num("chunk-insts", 0);
+    if (n == 0 || n > trace_format::kMaxChunkInstsV4) {
+        cli.fail("--chunk-insts " + std::to_string(n) + " outside [1, " +
+                 std::to_string(trace_format::kMaxChunkInstsV4) + "]");
+    }
+    return n;
+}
 
 /**
  * Run a tool's main body under the simulator error contract: a

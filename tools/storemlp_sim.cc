@@ -227,7 +227,7 @@ toolMain(int argc, char **argv)
         mspec.smac = spec.smac;
         mspec.protocol = spec.protocol;
         mspec.hierarchy = spec.hierarchy;
-        mspec.chunkInsts = cli.num("chunk-insts", 0);
+        mspec.chunkInsts = chunkInstsArg(cli);
         if (cli.has("shared-frac"))
             mspec.sharedStoreFrac = cli.fnum("shared-frac", 0.0);
         if (cli.has("lock-prob"))
@@ -295,7 +295,7 @@ toolMain(int argc, char **argv)
     // Streamed in O(chunk) memory; openRunSource decodes or generates
     // one chunk ahead on a helper thread while the engine simulates.
     SourceSpec src_spec =
-        SourceSpec::forRun(spec, cli.num("chunk-insts", 0));
+        SourceSpec::forRun(spec, chunkInstsArg(cli));
     src_spec.tracePath = cli.str("trace", "");
     if (cli.has("trace") && src_spec.tracePath.empty())
         cli.fail("--trace needs a file path");

@@ -43,7 +43,7 @@ namespace
 int
 runCoresSweep(const Cli &cli, const SweepRequest &req)
 {
-    for (const char *bad : {"epoch-log", "retries", "stream"}) {
+    for (const char *bad : {"epoch-log", "retries"}) {
         if (cli.has(bad)) {
             cli.fail(std::string("--") + bad +
                      " cannot be combined with --cores");
@@ -369,8 +369,7 @@ toolMain(int argc, char **argv)
 
     if (fmt == OutFormat::Csv) {
         os << "workload,config,epochs_per_1000,mlp,store_mlp,"
-              "offchip_cpi,overlapped_frac,wall_ms,"
-              "trace_cache_hit,ok\n";
+              "offchip_cpi,overlapped_frac,wall_ms,ok\n";
         for (size_t i = 0; i < results.size(); ++i) {
             const RunOutcome &r = results[i];
             uint32_t miss_latency = planned[i].spec.config.missLatency;
@@ -380,8 +379,7 @@ toolMain(int argc, char **argv)
                << r.output.sim.mlp() << "," << r.output.sim.storeMlp()
                << "," << r.output.sim.offChipCpi(miss_latency) << ","
                << r.output.sim.overlappedStoreFraction() << ","
-               << r.wallMs << "," << (r.traceCacheHit ? 1 : 0) << ","
-               << (r.ok ? 1 : 0) << "\n";
+               << r.wallMs << "," << (r.ok ? 1 : 0) << "\n";
         }
         for (const RunOutcome &r : results) {
             if (!r.ok)

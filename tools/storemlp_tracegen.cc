@@ -65,11 +65,7 @@ toolMain(int argc, char **argv)
         cli.fail("--chunk-insts sets the v4 chunk size (needs "
                  "--compress)");
     }
-    uint64_t chunk_insts = cli.num("chunk-insts", 65536);
-    if (chunk_insts == 0 || chunk_insts > trace_format::kMaxChunkInstsV4)
-        cli.fail("--chunk-insts " + std::to_string(chunk_insts) +
-                 " outside [1, " +
-                 std::to_string(trace_format::kMaxChunkInstsV4) + "]");
+    uint64_t chunk_insts = chunkInstsArg(cli, 65536);
 
     SourceSpec spec;
     spec.profile = workloadByName(cli, cli.str("workload", "database"));

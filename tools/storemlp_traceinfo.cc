@@ -81,7 +81,7 @@ toolMain(int argc, char **argv)
     std::optional<StreamingFileSource> src;
     if (full || dump) {
         try {
-            src.emplace(path, cli.num("chunk-insts", 0));
+            src.emplace(path, chunkInstsArg(cli));
         } catch (const TraceFormatError &e) {
             std::cerr << "error: " << e.what() << "\n";
             return 1;

@@ -39,9 +39,9 @@ sweepRequestFlags()
         {"retries", "N",
          "retry a failing run up to N extra times (default 0)"},
         {"stream", "",
-         "synthesize traces chunk-by-chunk per worker instead of\n"
-         "materializing them (O(chunk) trace memory per run;\n"
-         "workers share decoded chunks via the trace cache)"},
+         "accepted for compatibility; every run streams its\n"
+         "trace in chunks (O(chunk) trace memory per run;\n"
+         "workers share chunks via the trace cache)"},
         kChunkInstsFlag,
     };
 }
@@ -119,8 +119,11 @@ sweepRequestFromFlags(const Cli &cli)
     applyRunLengths(cli, req.warmupInsts, req.measureInsts, req.seed);
     if (cli.has("retries"))
         req.retries = static_cast<unsigned>(cli.num("retries", 0));
+    // The request's streaming field is ignored (every run streams);
+    // it is still set as before so a command line keeps its request
+    // fingerprint.
     req.streaming = cli.flag("stream") || cli.has("chunk-insts");
-    req.chunkInsts = cli.num("chunk-insts", 0);
+    req.chunkInsts = chunkInstsArg(cli);
     return req;
 }
 
