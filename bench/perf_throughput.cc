@@ -3,7 +3,7 @@
  * Simulator performance harness (google-benchmark): trace generation
  * throughput, cache-only replay throughput, full epoch-engine
  * throughput on each commercial workload, and on-disk trace decode
- * throughput for each container (raw v1 vs delta v3 vs chunked v4).
+ * throughput for each container (raw v1 vs chunked v4).
  *
  * The decode benchmarks default to a generated database-profile trace
  * written to a temp file in every container; pass `--trace PATH` to
@@ -170,24 +170,19 @@ main(int argc, char **argv)
 
     std::vector<std::string> temp_files;
     if (trace_path.empty()) {
-        // Same records in every container, so the three decode rates
-        // are directly comparable.
+        // Same records in both containers, so the decode rates are
+        // directly comparable.
         SyntheticTraceGenerator gen(WorkloadProfile::database(), 1);
         Trace trace = gen.generate(200000);
         std::string base = "/tmp/storemlp_perf_decode_";
         std::string v1 = base + "v1.trc";
-        std::string v3 = base + "v3.trc";
         std::string v4 = base + "v4.trc";
         writeTraceFile(v1, trace);
-        writeTraceFileV3(v3, trace, "bench", /*compressed=*/true);
         writeTraceFileV4(v4, trace, "bench");
-        temp_files = {v1, v3, v4};
+        temp_files = {v1, v4};
         benchmark::RegisterBenchmark(
             "BM_TraceDecode_V1Raw",
             [v1](benchmark::State &s) { traceDecodeBench(s, v1); });
-        benchmark::RegisterBenchmark(
-            "BM_TraceDecode_V3Delta",
-            [v3](benchmark::State &s) { traceDecodeBench(s, v3); });
         benchmark::RegisterBenchmark(
             "BM_TraceDecode_V4Chunked",
             [v4](benchmark::State &s) { traceDecodeBench(s, v4); });

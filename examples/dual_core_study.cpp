@@ -2,13 +2,14 @@
  * @file
  * Domain example: the paper's actual chip has TWO cores sharing the
  * L2 (Section 4.3). This study runs both cores with full epoch
- * engines and shows (a) how L2 sharing inflates each core's EPI over
- * running alone and (b) that store prefetching helps both cores.
+ * engines (MultiCoreRunner with two cores on one chip) and shows
+ * (a) how L2 sharing inflates each core's EPI over running alone and
+ * (b) that store prefetching helps both cores.
  */
 
 #include <iostream>
 
-#include "core/dual_core.hh"
+#include "core/multi_core.hh"
 #include "core/runner.hh"
 #include "stats/table.hh"
 
@@ -28,18 +29,20 @@ main(int argc, char **argv)
     for (StorePrefetch sp : {StorePrefetch::None,
                              StorePrefetch::AtRetire,
                              StorePrefetch::AtExecute}) {
-        DualRunSpec spec;
+        MultiRunSpec spec;
         spec.profile = profile;
         spec.config = SimConfig::defaults();
         spec.config.storePrefetch = sp;
         spec.warmupInsts = insts / 2;
         spec.measureInsts = insts;
-        DualRunOutput out = DualCoreRunner::run(spec);
+        spec.cores = 2;
+        spec.chips = 1;
+        MultiRunOutput out = MultiCoreRunner::run(spec);
 
         table.beginRow();
         table.cell(std::string("dual-core ") + storePrefetchName(sp));
-        table.cell(out.core0.epochsPer1000(), 3);
-        table.cell(out.core1.epochsPer1000(), 3);
+        table.cell(out.cores[0].epochsPer1000(), 3);
+        table.cell(out.cores[1].epochsPer1000(), 3);
         table.cell(out.combinedEpochsPer1000(), 3);
     }
 

@@ -5,7 +5,6 @@
 
 #include "core/multi_core.hh"
 
-#include <algorithm>
 #include <memory>
 #include <string>
 
@@ -90,6 +89,8 @@ MultiCoreRunner::run(const MultiRunSpec &spec)
             "MultiCoreRunner: chips (" + std::to_string(spec.chips) +
             ") exceeds cores (" + std::to_string(spec.cores) + ")");
     }
+    if (spec.quantum == 0)
+        throw ConfigError("MultiCoreRunner: quantum must be >= 1");
 
     uint32_t n = spec.cores;
     uint32_t m = spec.chips;
@@ -104,9 +105,9 @@ MultiCoreRunner::run(const MultiRunSpec &spec)
 
     // ---- per-core streams ----
     // Generator ids 0, 101, 102, ... place each core's private regions
-    // at disjoint addresses (DualCoreRunner uses 0/101), while every
-    // core shares the one global shared-store region: the source of
-    // cross-core invalidation traffic.
+    // at disjoint addresses, while every core shares the one global
+    // shared-store region: the source of cross-core invalidation
+    // traffic.
     std::vector<std::unique_ptr<TraceSource>> sources;
     sources.reserve(n);
     SourceSpec src;
@@ -171,7 +172,7 @@ MultiCoreRunner::run(const MultiRunSpec &spec)
     // exact boundary so collection starts at record warmupInsts. A
     // core whose stream ends (generator slot-boundary overshoot makes
     // per-core stream lengths differ slightly) simply drops out.
-    uint64_t q = std::max<uint64_t>(1, spec.quantum);
+    uint64_t q = spec.quantum;
     uint64_t warm = spec.warmupInsts;
     auto turn = [&](MlpSimulator &sim, TraceCursor &cur, bool &done,
                     uint64_t begin, uint64_t end) {

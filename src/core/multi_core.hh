@@ -1,11 +1,13 @@
 /**
  * @file
  * Multi-core contention runner: N full epoch engines spread across M
- * chips of the real SnoopBus. Where the standard Runner models remote
- * traffic with statistical peer agents and DualCoreRunner fixes the
- * machine at two cores on one chip, this runner *simulates* every
- * core: each has its own streaming TraceCursor (no whole-trace
- * materialization), its own pipeline state, and shares only the
+ * chips of the real SnoopBus. It is the one runner for every machine
+ * with more than one simulated core, the paper's own chip (two cores
+ * sharing an L2, Section 4.3: cores = 2, chips = 1) included. Where
+ * the standard Runner models remote traffic with statistical peer
+ * agents, this runner *simulates* every core: each has its own
+ * streaming TraceCursor (no whole-trace materialization), its own
+ * pipeline state, and shares only the
  * chip-level memory system — so cross-core invalidations, contended
  * locks, and shared SMAC capacity emerge from the simulated accesses
  * instead of being modeled.
@@ -54,7 +56,7 @@ struct MultiRunSpec
     uint64_t seed = 42;
     uint64_t warmupInsts = 400 * 1000;
     uint64_t measureInsts = 800 * 1000;
-    /** Instructions each core advances per interleaving turn. */
+    /** Instructions each core advances per interleaving turn (>= 1). */
     uint64_t quantum = 256;
 
     /** Simulated cores (each a full epoch engine). */
@@ -128,7 +130,7 @@ class MultiCoreRunner
 {
   public:
     /** Throws ConfigError on a degenerate topology (0 cores, 0 chips,
-     *  or more chips than cores). */
+     *  or more chips than cores) or a quantum of 0. */
     static MultiRunOutput run(const MultiRunSpec &spec);
 };
 

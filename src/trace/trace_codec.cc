@@ -193,7 +193,7 @@ scanCtrl(const uint8_t *c, uint64_t n)
 
 // ---- batch varint decode ----------------------------------------------
 
-/** One bounds-checked varint; same acceptance rules as the v2 reader. */
+/** One bounds-checked LEB128 varint of at most 10 bytes. */
 inline uint64_t
 getVarintChecked(const uint8_t *p, uint64_t len, uint64_t &off)
 {

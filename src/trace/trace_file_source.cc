@@ -31,21 +31,6 @@ namespace
 
 using namespace trace_format;
 
-uint64_t
-getVarintBuf(const uint8_t *base, uint64_t size, uint64_t &off)
-{
-    uint64_t v = 0;
-    for (unsigned shift = 0; shift < 70; shift += 7) {
-        if (off >= size)
-            throw TraceFormatError("truncated varint");
-        uint8_t c = base[off++];
-        v |= static_cast<uint64_t>(c & 0x7f) << shift;
-        if (!(c & 0x80))
-            return v;
-    }
-    throw TraceFormatError("overlong varint");
-}
-
 /** v4 index entry `idx`, read straight from the mapped index bytes. */
 trace_codec::V4IndexEntry
 v4Entry(const uint8_t *data, uint64_t index_off, uint64_t idx)
@@ -102,24 +87,18 @@ StreamingFileSource::StreamingFileSource(const std::string &path,
     uint64_t off = 0;
     if (_fileBytes < kMagicBytes)
         throw TraceFormatError("bad trace magic");
+    rejectRetiredContainer(reinterpret_cast<const char *>(_data));
     if (std::memcmp(_data, kMagicV1, kMagicBytes) == 0) {
-        _bodyFormat = 1;
+        _bodyFormat = kBodyFixed;
         off = kMagicBytes;
-    } else if (std::memcmp(_data, kMagicV2, kMagicBytes) == 0) {
-        _bodyFormat = 2;
-        off = kMagicBytes;
-    } else if (std::memcmp(_data, kMagicV3, kMagicBytes) == 0 ||
-               std::memcmp(_data, kMagicV4, kMagicBytes) == 0) {
-        bool v4 = std::memcmp(_data, kMagicV4, kMagicBytes) == 0;
+    } else if (std::memcmp(_data, kMagicV4, kMagicBytes) == 0) {
         off = kMagicBytes;
         if (off + 5 > _fileBytes)
             throw TraceFormatError("truncated trace header");
         uint8_t fmt = _data[off++];
-        bool known = v4 ? fmt == kBodyChunked
-                        : (fmt == kBodyFixed || fmt == kBodyDelta);
-        if (!known) {
-            throw TraceFormatError("unknown v" + std::string(v4 ? "4" : "3") +
-                                   " body format " + std::to_string(fmt));
+        if (fmt != kBodyChunked) {
+            throw TraceFormatError("unknown v4 body format " +
+                                   std::to_string(fmt));
         }
         _bodyFormat = fmt;
         uint32_t len = getU32(_data + off);
@@ -186,8 +165,6 @@ StreamingFileSource::StreamingFileSource(const std::string &path,
         _fingerprint =
             "file:" + _path + "|n=" + std::to_string(_count);
     }
-    if (_bodyFormat == 2)
-        _bounds.push_back({_bodyOff, 0});
 }
 
 StreamingFileSource::~StreamingFileSource()
@@ -205,14 +182,9 @@ StreamingFileSource::chunkByteBegin(uint64_t chunk_idx) const
 {
     if (_bodyFormat == kBodyFixed)
         return _bodyOff + chunk_idx * _chunkInsts * kRecordBytesV1;
-    if (_bodyFormat == kBodyChunked) {
-        if (chunk_idx >= _chunkCount)
-            return std::nullopt;
-        return _bodyOff + v4Entry(_data, _indexOff, chunk_idx).byteOff;
-    }
-    if (chunk_idx >= _bounds.size())
+    if (chunk_idx >= _chunkCount)
         return std::nullopt;
-    return _bounds[chunk_idx].byteOff;
+    return _bodyOff + v4Entry(_data, _indexOff, chunk_idx).byteOff;
 }
 
 void
@@ -268,61 +240,6 @@ StreamingFileSource::decodeV1(uint64_t first, uint64_t n) const
 }
 
 std::vector<TraceRecord>
-StreamingFileSource::decodeV2Chunk(uint64_t chunk_idx)
-{
-    V2Boundary b = _bounds[chunk_idx];
-    uint64_t first = chunk_idx * _chunkInsts;
-    uint64_t n = std::min<uint64_t>(_chunkInsts, _count - first);
-
-    std::vector<TraceRecord> records;
-    records.reserve(n);
-    uint64_t off = b.byteOff;
-    uint64_t prev_pc = b.prevPc;
-    for (uint64_t i = 0; i < n; ++i) {
-        if (off >= _fileBytes)
-            throw TraceFormatError("truncated trace body");
-        uint8_t ctrl = _data[off++];
-        uint8_t cls_bits = ctrl & 0x0f;
-        if (cls_bits >= static_cast<uint8_t>(InstClass::NumClasses))
-            throw TraceFormatError("invalid instruction class");
-
-        TraceRecord r;
-        r.cls = static_cast<InstClass>(cls_bits);
-        if (ctrl & kCtrlSeqPc) {
-            r.pc = prev_pc + 4;
-        } else {
-            int64_t delta =
-                unzigzag(getVarintBuf(_data, _fileBytes, off));
-            r.pc = static_cast<uint64_t>(
-                static_cast<int64_t>(prev_pc) + delta);
-        }
-        prev_pc = r.pc;
-
-        if (isMemClass(r.cls))
-            r.addr = getVarintBuf(_data, _fileBytes, off);
-        if (ctrl & kCtrlRegs) {
-            if (off + 4 > _fileBytes)
-                throw TraceFormatError("truncated register block");
-            r.size = _data[off];
-            r.dst = _data[off + 1];
-            r.src1 = _data[off + 2];
-            r.src2 = _data[off + 3];
-            off += 4;
-        }
-        if (ctrl & kCtrlFlags) {
-            if (off >= _fileBytes)
-                throw TraceFormatError("truncated flags byte");
-            r.flags = _data[off++];
-        }
-        records.push_back(r);
-    }
-
-    if (chunk_idx + 1 == _bounds.size() && first + n < _count)
-        _bounds.push_back({off, prev_pc});
-    return records;
-}
-
-std::vector<TraceRecord>
 StreamingFileSource::decodeV4ChunkAt(uint64_t chunk_idx) const
 {
     trace_codec::V4IndexEntry e = v4Entry(_data, _indexOff, chunk_idx);
@@ -347,18 +264,8 @@ StreamingFileSource::fetch(uint64_t chunk_idx)
 
     std::vector<TraceRecord> records;
     try {
-        if (_bodyFormat == kBodyFixed) {
-            records = decodeV1(first, n);
-        } else if (_bodyFormat == kBodyChunked) {
-            records = decodeV4ChunkAt(chunk_idx);
-        } else {
-            // Walk forward from the last memoized boundary if this
-            // chunk hasn't been reached yet; each crossing memoizes its
-            // state, so the walk happens at most once per chunk.
-            while (_bounds.size() <= chunk_idx)
-                decodeV2Chunk(_bounds.size() - 1);
-            records = decodeV2Chunk(chunk_idx);
-        }
+        records = _bodyFormat == kBodyFixed ? decodeV1(first, n)
+                                            : decodeV4ChunkAt(chunk_idx);
     } catch (const TraceFormatError &e) {
         // Same type, so the tools still exit 1, but naming the file
         // and where in it the body went bad.

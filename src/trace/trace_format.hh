@@ -4,28 +4,24 @@
  * (trace_io.cc), the streaming chunk reader (trace_file_source.cc)
  * and the v4 chunk codec (trace_codec.cc).
  *
- * The normative wire-format specification for all four containers —
- * byte layouts, encodings, and corruption-rejection rules — lives in
- * docs/TRACE_FORMAT.md. Summary:
+ * The normative wire-format specification — byte layouts, encodings,
+ * and corruption-rejection rules — lives in docs/TRACE_FORMAT.md.
+ * Two containers are read and written:
  *
- *  v1 ("SMLPTRC1"): u64 count, then fixed 22-byte LE records.
- *  v2 ("SMLPTRC2"): u64 count, then delta-compressed records — a
- *      control byte (class + presence bits), zigzag-varint pc deltas
- *      (sequential pcs are free), varint addresses, register/flag
- *      bytes only when non-zero. Decoding is stateful: each record's
- *      pc is relative to the previous record's.
- *  v3 ("SMLPTRC3"): a metadata envelope — body-format byte (1 or 2),
- *      u32 fingerprint length + fingerprint string, u64 count, then a
- *      v1 or v2 body. The fingerprint identifies the trace bytes
- *      (profile/seed/length/rewrite) so tools can report provenance
- *      from the header alone.
- *  v4 ("SMLPTRC4"): the v3 envelope (body-format byte 3) plus chunk
- *      geometry (u64 chunk size, u64 chunk count), a chunk index
+ *  v1 ("SMLPTRC1"): u64 count, then fixed 22-byte LE records. The
+ *      bare debug format and the decode baseline.
+ *  v4 ("SMLPTRC4"): a metadata envelope — body-format byte 3, u32
+ *      fingerprint length + fingerprint string (the provenance of the
+ *      trace bytes: profile/seed/length/rewrite), u64 count — then
+ *      chunk geometry (u64 chunk size, u64 chunk count), a chunk index
  *      table (per-chunk record count, byte offset/length, pc/address
- *      seeds), then independently decodable compressed chunks:
+ *      seeds), and independently decodable compressed chunks:
  *      zigzag-varint pc deltas, XOR-varint addresses, packed 3-byte
  *      register blocks. The index gives random access and parallel
- *      decode without the v2 sequential-walk restriction.
+ *      decode.
+ *
+ * The retired v2 ("SMLPTRC2") and v3 ("SMLPTRC3") magics are kept
+ * only so such files are rejected by name.
  */
 
 #ifndef STOREMLP_TRACE_TRACE_FORMAT_HH
@@ -39,25 +35,26 @@ namespace storemlp::trace_format
 
 inline constexpr char kMagicV1[8] = {'S', 'M', 'L', 'P', 'T', 'R', 'C',
                                      '1'};
+inline constexpr char kMagicV4[8] = {'S', 'M', 'L', 'P', 'T', 'R', 'C',
+                                     '4'};
+/** Retired containers, recognized only to reject them by name. */
 inline constexpr char kMagicV2[8] = {'S', 'M', 'L', 'P', 'T', 'R', 'C',
                                      '2'};
 inline constexpr char kMagicV3[8] = {'S', 'M', 'L', 'P', 'T', 'R', 'C',
                                      '3'};
-inline constexpr char kMagicV4[8] = {'S', 'M', 'L', 'P', 'T', 'R', 'C',
-                                     '4'};
 inline constexpr uint64_t kMagicBytes = 8;
 inline constexpr uint64_t kRecordBytesV1 = 22;
 /** Fingerprint strings longer than this are rejected as corrupt. */
 inline constexpr uint64_t kMaxMetaBytes = 4096;
 
-// Body-format byte of the v3/v4 envelopes.
+// Record body formats: v1's fixed-width records, and the only
+// body-format byte a v4 envelope may carry.
 inline constexpr uint8_t kBodyFixed = 1;   ///< v1 fixed-width records
-inline constexpr uint8_t kBodyDelta = 2;   ///< v2 delta-compressed
 inline constexpr uint8_t kBodyChunked = 3; ///< v4 chunk-indexed
 
-// v2/v4 control byte layout: bits 0-3 class, bit 4 pc==prev+4,
-// bit 5 register/size block present, bit 6 flags byte present.
-// v4 additionally requires the reserved bit 7 to be zero.
+// v4 control byte layout: bits 0-3 class, bit 4 pc==prev+4, bit 5
+// register/size block present, bit 6 flags byte present, bit 7
+// reserved (must be zero).
 inline constexpr uint8_t kCtrlSeqPc = 1 << 4;
 inline constexpr uint8_t kCtrlRegs = 1 << 5;
 inline constexpr uint8_t kCtrlFlags = 1 << 6;

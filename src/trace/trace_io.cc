@@ -1,17 +1,13 @@
 /**
  * @file
- * Binary trace serialization. Four on-disk containers (normative spec
+ * Binary trace serialization. Two on-disk containers (normative spec
  * in docs/TRACE_FORMAT.md, constants in trace_format.hh):
  *  v1 ("SMLPTRC1"): fixed 22-byte little-endian records.
- *  v2 ("SMLPTRC2"): delta-compressed — a control byte per record
- *      (class + presence bits), zigzag-varint pc deltas (sequential
- *      pcs are free), varint addresses, and register/flag bytes only
- *      when non-zero.
- *  v3 ("SMLPTRC3"): metadata envelope (body format + provenance
- *      fingerprint + count) around a v1 or v2 body.
- *  v4 ("SMLPTRC4"): the envelope plus chunk geometry, a chunk index,
- *      and independently decodable compressed chunks (trace_codec.cc).
- * readTrace() auto-detects the container by magic.
+ *  v4 ("SMLPTRC4"): a metadata envelope (body format + provenance
+ *      fingerprint + count) plus chunk geometry, a chunk index, and
+ *      independently decodable compressed chunks (trace_codec.cc).
+ * readTrace() auto-detects the container by magic and names the
+ * retired v2/v3 containers when it meets one.
  */
 
 #include "trace/trace_io.hh"
@@ -41,21 +37,6 @@ namespace
 {
 
 using namespace trace_format;
-
-uint64_t
-getVarint(std::istream &is)
-{
-    uint64_t v = 0;
-    for (unsigned shift = 0; shift < 70; shift += 7) {
-        int c = is.get();
-        if (c == EOF)
-            throw TraceFormatError("truncated varint");
-        v |= static_cast<uint64_t>(c & 0x7f) << shift;
-        if (!(c & 0x80))
-            return v;
-    }
-    throw TraceFormatError("overlong varint");
-}
 
 void
 writeBytes(std::ostream &os, const std::vector<uint8_t> &bytes)
@@ -93,72 +74,29 @@ encodeV1Records(std::vector<uint8_t> &out, const TraceRecord *records,
     }
 }
 
-/**
- * Append the v2 delta encoding of records[0..n) to `out`. `prev_pc`
- * carries the pc delta base across calls.
- */
-void
-encodeV2Records(std::vector<uint8_t> &out, const TraceRecord *records,
-                uint64_t n, uint64_t &prev_pc)
-{
-    for (const TraceRecord *p = records; p != records + n; ++p) {
-        const TraceRecord &r = *p;
-        bool seq = r.pc == prev_pc + 4;
-        bool regs = r.dst || r.src1 || r.src2 || r.size;
-        uint8_t ctrl = static_cast<uint8_t>(r.cls);
-        if (seq)
-            ctrl |= kCtrlSeqPc;
-        if (regs)
-            ctrl |= kCtrlRegs;
-        if (r.flags)
-            ctrl |= kCtrlFlags;
-        out.push_back(ctrl);
-
-        if (!seq) {
-            appendVarint(out, zigzag(static_cast<int64_t>(r.pc) -
-                                     static_cast<int64_t>(prev_pc)));
-        }
-        prev_pc = r.pc;
-
-        if (isMemClass(r.cls))
-            appendVarint(out, r.addr);
-        if (regs)
-            out.insert(out.end(), {r.size, r.dst, r.src1, r.src2});
-        if (r.flags)
-            out.push_back(r.flags);
-    }
-}
-
-/** Records per block the v1/v2 body writer encodes before writing. */
+/** Records per block the v1 body writer encodes before writing. */
 constexpr uint64_t kBodyBlockRecords = uint64_t{1} << 14;
 
 /**
- * The v1/v2 record body encoder behind every v1-v3 writer: encodes
- * appended records block by block into one reused buffer.
+ * The v1 record body encoder behind both v1 writers: encodes appended
+ * records block by block into one reused buffer.
  */
 class RecordBodyWriter
 {
   public:
-    explicit RecordBodyWriter(bool delta) : _delta(delta) {}
-
     void
     append(std::ostream &os, const TraceRecord *records, uint64_t n)
     {
         for (uint64_t done = 0; done < n;) {
             uint64_t k = std::min(n - done, kBodyBlockRecords);
             _buf.clear();
-            if (_delta)
-                encodeV2Records(_buf, records + done, k, _prevPc);
-            else
-                encodeV1Records(_buf, records + done, k);
+            encodeV1Records(_buf, records + done, k);
             writeBytes(os, _buf);
             done += k;
         }
     }
 
   private:
-    bool _delta;
-    uint64_t _prevPc = 0; ///< v2 delta base
     std::vector<uint8_t> _buf;
 };
 
@@ -173,14 +111,13 @@ checkFingerprint(const std::string &fingerprint)
     }
 }
 
-/** Shared v3/v4 envelope prefix: magic, body format, fingerprint. */
+/** v4 envelope prefix: magic, body format, fingerprint. */
 void
-writeEnvelopePrefix(std::ostream &os, const char *magic,
-                    uint8_t body_format, const std::string &fingerprint)
+writeEnvelopePrefix(std::ostream &os, const std::string &fingerprint)
 {
     checkFingerprint(fingerprint);
-    os.write(magic, kMagicBytes);
-    os.put(static_cast<char>(body_format));
+    os.write(kMagicV4, kMagicBytes);
+    os.put(static_cast<char>(kBodyChunked));
     uint8_t len[4];
     putU32(len, static_cast<uint32_t>(fingerprint.size()));
     os.write(reinterpret_cast<const char *>(len), sizeof(len));
@@ -188,25 +125,11 @@ writeEnvelopePrefix(std::ostream &os, const char *magic,
              static_cast<std::streamsize>(fingerprint.size()));
 }
 
-bool
-isDelta(TraceContainer c)
-{
-    return c == TraceContainer::V2 || c == TraceContainer::V3Delta;
-}
-
-/** v1-v3 header: magic (v1/v2) or envelope (v3), then the count. */
+/** v1 header: magic, then the record count. */
 void
-writeRecordHeader(std::ostream &os, TraceContainer c,
-                  const std::string &fingerprint, uint64_t count)
+writeV1Header(std::ostream &os, uint64_t count)
 {
-    if (c == TraceContainer::V1)
-        os.write(kMagicV1, kMagicBytes);
-    else if (c == TraceContainer::V2)
-        os.write(kMagicV2, kMagicBytes);
-    else
-        writeEnvelopePrefix(os, kMagicV3, isDelta(c) ? kBodyDelta
-                                                     : kBodyFixed,
-                            fingerprint);
+    os.write(kMagicV1, kMagicBytes);
     writeCountHeader(os, count);
 }
 
@@ -262,7 +185,7 @@ class V4BodyWriter
     void
     writeHeader(std::ostream &os, const std::string &fingerprint) const
     {
-        writeEnvelopePrefix(os, kMagicV4, kBodyChunked, fingerprint);
+        writeEnvelopePrefix(os, fingerprint);
         writeCountHeader(os, _records);
         uint8_t geom[16];
         putU64(geom, _chunkInsts);
@@ -318,13 +241,13 @@ struct TraceFileWriter::Impl
 {
     std::string path;
     std::string tmp;     ///< file under construction (path if in place)
-    std::string bodyTmp; ///< v4 chunk spill; empty for v1-v3
+    std::string bodyTmp; ///< v4 chunk spill; empty for v1
     std::string fingerprint;
     std::ofstream out;
     std::fstream body; ///< v4: written, then read back at commit
-    std::optional<RecordBodyWriter> records; ///< v1-v3
+    std::optional<RecordBodyWriter> records; ///< v1
     std::optional<V4BodyWriter> v4;
-    std::streamoff countPos = 0; ///< v1-v3 count header to patch
+    std::streamoff countPos = 0; ///< v1 count header to patch
     uint64_t count = 0;
     bool committed = false;
 
@@ -355,13 +278,12 @@ TraceFileWriter::TraceFileWriter(const std::string &path,
     Impl &w = *_impl;
     w.path = path;
     w.fingerprint = fingerprint;
-    if (container != TraceContainer::V1 &&
-        container != TraceContainer::V2)
+    if (container == TraceContainer::V4) {
         checkFingerprint(fingerprint);
-    if (container == TraceContainer::V4)
         w.v4.emplace(chunk_insts);
-    else
-        w.records.emplace(isDelta(container));
+    } else {
+        w.records.emplace();
+    }
 
     // Build beside the target and rename over it at commit; a device
     // such as /dev/null cannot be replaced, so it is written in place.
@@ -392,8 +314,8 @@ TraceFileWriter::TraceFileWriter(const std::string &path,
         return;
     }
 
-    // v1-v3: header with a placeholder count, patched at commit.
-    writeRecordHeader(w.out, container, fingerprint, 0);
+    // v1: header with a placeholder count, patched at commit.
+    writeV1Header(w.out, 0);
     w.countPos = w.out.tellp() - std::streamoff{8};
     if (!w.out)
         w.writeFailed();
@@ -447,40 +369,11 @@ TraceFileWriter::commit()
 
 // ---- whole-trace writers ----------------------------------------------
 
-namespace
-{
-
-void
-writeRecordTrace(std::ostream &os, TraceContainer c, const Trace &trace,
-                 const std::string &fingerprint = {})
-{
-    writeRecordHeader(os, c, fingerprint, trace.size());
-    RecordBodyWriter(isDelta(c)).append(os, trace.records().data(),
-                                        trace.size());
-}
-
-} // namespace
-
 void
 writeTrace(std::ostream &os, const Trace &trace)
 {
-    writeRecordTrace(os, TraceContainer::V1, trace);
-}
-
-void
-writeTraceCompressed(std::ostream &os, const Trace &trace)
-{
-    writeRecordTrace(os, TraceContainer::V2, trace);
-}
-
-void
-writeTraceV3(std::ostream &os, const Trace &trace,
-             const std::string &fingerprint, bool compressed)
-{
-    writeRecordTrace(os,
-                     compressed ? TraceContainer::V3Delta
-                                : TraceContainer::V3Fixed,
-                     trace, fingerprint);
+    writeV1Header(os, trace.size());
+    RecordBodyWriter().append(os, trace.records().data(), trace.size());
 }
 
 void
@@ -515,22 +408,6 @@ void
 writeTraceFile(const std::string &path, const Trace &trace)
 {
     writeWholeTrace(path, trace, TraceContainer::V1);
-}
-
-void
-writeTraceCompressedFile(const std::string &path, const Trace &trace)
-{
-    writeWholeTrace(path, trace, TraceContainer::V2);
-}
-
-void
-writeTraceFileV3(const std::string &path, const Trace &trace,
-                 const std::string &fingerprint, bool compressed)
-{
-    writeWholeTrace(path, trace,
-                    compressed ? TraceContainer::V3Delta
-                               : TraceContainer::V3Fixed,
-                    fingerprint);
 }
 
 void
@@ -637,82 +514,21 @@ readV1Body(std::istream &is, uint64_t count)
     return Trace(std::move(records));
 }
 
-Trace
-readV2Body(std::istream &is, uint64_t count)
-{
-    std::vector<TraceRecord> records;
-    // v2 records are at least the control byte.
-    records.reserve(checkedReserve(is, count, 1));
-    uint64_t prev_pc = 0;
-    for (uint64_t i = 0; i < count; ++i) {
-        int ctrl_c = is.get();
-        if (ctrl_c == EOF)
-            throw TraceFormatError("truncated trace body");
-        uint8_t ctrl = static_cast<uint8_t>(ctrl_c);
-        uint8_t cls_bits = ctrl & 0x0f;
-        if (cls_bits >= static_cast<uint8_t>(InstClass::NumClasses))
-            throw TraceFormatError("invalid instruction class");
-
-        TraceRecord r;
-        r.cls = static_cast<InstClass>(cls_bits);
-        if (ctrl & kCtrlSeqPc) {
-            r.pc = prev_pc + 4;
-        } else {
-            int64_t delta = unzigzag(getVarint(is));
-            r.pc = static_cast<uint64_t>(
-                static_cast<int64_t>(prev_pc) + delta);
-        }
-        prev_pc = r.pc;
-
-        if (isMemClass(r.cls))
-            r.addr = getVarint(is);
-        if (ctrl & kCtrlRegs) {
-            int a = is.get(), b = is.get(), c = is.get(), d = is.get();
-            if (d == EOF)
-                throw TraceFormatError("truncated register block");
-            r.size = static_cast<uint8_t>(a);
-            r.dst = static_cast<uint8_t>(b);
-            r.src1 = static_cast<uint8_t>(c);
-            r.src2 = static_cast<uint8_t>(d);
-        }
-        if (ctrl & kCtrlFlags) {
-            int f = is.get();
-            if (f == EOF)
-                throw TraceFormatError("truncated flags byte");
-            r.flags = static_cast<uint8_t>(f);
-        }
-        records.push_back(r);
-    }
-    return Trace(std::move(records));
-}
-
-/** v3/v4 envelope after the magic: body format + fingerprint. */
-struct V3Header
-{
-    uint32_t bodyFormat = 0;
-    std::string fingerprint;
-};
-
 /**
- * Read the envelope prefix shared by v3 and v4, rejecting body-format
- * bytes the container version does not define (v3: fixed or delta;
- * v4: chunked) with a clear TraceFormatError rather than a misparse.
+ * Read the v4 envelope after the magic and return its fingerprint,
+ * rejecting a body-format byte other than chunked with a clear
+ * TraceFormatError rather than a misparse.
  */
-V3Header
-readEnvelopeHeader(std::istream &is, uint32_t version)
+std::string
+readEnvelopeFingerprint(std::istream &is)
 {
-    V3Header h;
     int fmt = is.get();
     if (fmt == EOF)
         throw TraceFormatError("truncated trace header");
-    bool known = version == 3
-        ? (fmt == kBodyFixed || fmt == kBodyDelta)
-        : (fmt == kBodyChunked);
-    if (!known) {
-        throw TraceFormatError("unknown v" + std::to_string(version) +
-                               " body format " + std::to_string(fmt));
+    if (fmt != kBodyChunked) {
+        throw TraceFormatError("unknown v4 body format " +
+                               std::to_string(fmt));
     }
-    h.bodyFormat = static_cast<uint32_t>(fmt);
 
     uint8_t len_buf[4];
     is.read(reinterpret_cast<char *>(len_buf), sizeof(len_buf));
@@ -724,13 +540,13 @@ readEnvelopeHeader(std::istream &is, uint32_t version)
                                std::to_string(len) + " exceeds limit " +
                                std::to_string(kMaxMetaBytes));
     }
-    h.fingerprint.resize(len);
+    std::string fingerprint(len, '\0');
     if (len) {
-        is.read(h.fingerprint.data(), len);
+        is.read(fingerprint.data(), len);
         if (!is)
             throw TraceFormatError("truncated trace header");
     }
-    return h;
+    return fingerprint;
 }
 
 /** v4 chunk geometry words following the record count. */
@@ -827,6 +643,19 @@ readV4Body(std::istream &is, uint64_t count)
 
 } // namespace
 
+void
+rejectRetiredContainer(const char *magic)
+{
+    for (const char *retired : {kMagicV2, kMagicV3}) {
+        if (std::memcmp(magic, retired, kMagicBytes) == 0) {
+            throw TraceFormatError(
+                "retired container " + std::string(retired, kMagicBytes) +
+                ": v2/v3 trace containers are no longer read; "
+                "regenerate with storemlp_tracegen (writes v4)");
+        }
+    }
+}
+
 Trace
 readTrace(std::istream &is)
 {
@@ -834,18 +663,11 @@ readTrace(std::istream &is)
     is.read(magic, sizeof(magic));
     if (!is)
         throw TraceFormatError("bad trace magic");
+    rejectRetiredContainer(magic);
     if (std::memcmp(magic, kMagicV1, kMagicBytes) == 0)
         return readV1Body(is, readCountHeader(is));
-    if (std::memcmp(magic, kMagicV2, kMagicBytes) == 0)
-        return readV2Body(is, readCountHeader(is));
-    if (std::memcmp(magic, kMagicV3, kMagicBytes) == 0) {
-        V3Header h = readEnvelopeHeader(is, 3);
-        uint64_t count = readCountHeader(is);
-        return h.bodyFormat == kBodyDelta ? readV2Body(is, count)
-                                          : readV1Body(is, count);
-    }
     if (std::memcmp(magic, kMagicV4, kMagicBytes) == 0) {
-        readEnvelopeHeader(is, 4);
+        readEnvelopeFingerprint(is);
         return readV4Body(is, readCountHeader(is));
     }
     throw TraceFormatError("bad trace magic");
@@ -872,22 +694,14 @@ probeTraceFile(const std::string &path)
     ifs.read(magic, sizeof(magic));
     if (!ifs)
         throw TraceFormatError("bad trace magic");
+    rejectRetiredContainer(magic);
     if (std::memcmp(magic, kMagicV1, kMagicBytes) == 0) {
         info.version = 1;
-        info.bodyFormat = 1;
-    } else if (std::memcmp(magic, kMagicV2, kMagicBytes) == 0) {
-        info.version = 2;
-        info.bodyFormat = 2;
-    } else if (std::memcmp(magic, kMagicV3, kMagicBytes) == 0) {
-        info.version = 3;
-        V3Header h = readEnvelopeHeader(ifs, 3);
-        info.bodyFormat = h.bodyFormat;
-        info.fingerprint = std::move(h.fingerprint);
+        info.bodyFormat = kBodyFixed;
     } else if (std::memcmp(magic, kMagicV4, kMagicBytes) == 0) {
         info.version = 4;
-        V3Header h = readEnvelopeHeader(ifs, 4);
-        info.bodyFormat = h.bodyFormat;
-        info.fingerprint = std::move(h.fingerprint);
+        info.bodyFormat = kBodyChunked;
+        info.fingerprint = readEnvelopeFingerprint(ifs);
     } else {
         throw TraceFormatError("bad trace magic");
     }

@@ -1,9 +1,11 @@
 /**
  * @file
- * Binary trace serialization. Four on-disk containers (fixed-width
- * v1, delta-compressed v2, enveloped v3, chunk-indexed compressed v4;
- * specified in docs/TRACE_FORMAT.md) with magic/version headers so
- * generated traces can be cached between runs and shared across tools.
+ * Binary trace serialization. Two on-disk containers (bare fixed-width
+ * v1 and the enveloped, chunk-indexed compressed v4; specified in
+ * docs/TRACE_FORMAT.md) with magic/version headers so generated traces
+ * can be cached between runs and shared across tools. Files in the
+ * retired v2/v3 containers are rejected with a TraceFormatError that
+ * says to regenerate them.
  */
 
 #ifndef STOREMLP_TRACE_TRACE_IO_HH
@@ -31,20 +33,17 @@ class TraceFormatError : public SimError
 /** On-disk container (and record body) a TraceFileWriter emits. */
 enum class TraceContainer
 {
-    V1,      ///< bare fixed-width records
-    V2,      ///< bare delta-compressed records
-    V3Fixed, ///< enveloped, fixed-width body
-    V3Delta, ///< enveloped, delta-compressed body
-    V4,      ///< enveloped, chunk-indexed compressed body
+    V1, ///< bare fixed-width records
+    V4, ///< enveloped, chunk-indexed compressed body
 };
 
 /**
- * Streaming writer for every container: records arrive in appends of
+ * Streaming writer for both containers: records arrive in appends of
  * any size and the file appears atomically. The output goes to
  * `<path>.tmp.<pid>` and is renamed over `path` by commit(); a writer
  * destroyed before commit() removes its temporaries and leaves `path`
  * as it was. An existing non-regular `path` (/dev/null, a device) is
- * written in place instead. Resident memory is O(chunk): v1-v3 patch
+ * written in place instead. Resident memory is O(chunk): v1 patches
  * the 8-byte record count in place at commit; v4 keeps only the
  * 40-byte index entries, spills encoded chunks to a sibling body
  * temp, and assembles header + index + body at commit. Throws
@@ -55,8 +54,7 @@ enum class TraceContainer
 class TraceFileWriter
 {
   public:
-    /** `fingerprint` is ignored by the bare v1/v2 containers and
-     *  `chunk_insts` by every container but v4. */
+    /** `fingerprint` and `chunk_insts` are ignored by bare v1. */
     TraceFileWriter(const std::string &path, TraceContainer container,
                     const std::string &fingerprint = {},
                     uint64_t chunk_insts = uint64_t{1} << 16);
@@ -86,31 +84,12 @@ void writeTrace(std::ostream &os, const Trace &trace);
 void writeTraceFile(const std::string &path, const Trace &trace);
 
 /**
- * Serialize in the delta-compressed v2 format: sequential pcs cost a
- * single control byte, other fields use zigzag/LEB128 varints.
- * Typically 3-4x smaller than v1 on generated traces.
- */
-void writeTraceCompressed(std::ostream &os, const Trace &trace);
-void writeTraceCompressedFile(const std::string &path,
-                              const Trace &trace);
-
-/**
- * Serialize in the v3 container: a metadata envelope (body format +
- * provenance fingerprint) followed by a v1 or v2 record body. Tools
- * read the count and fingerprint from the header without decoding a
- * single record.
- */
-void writeTraceV3(std::ostream &os, const Trace &trace,
-                  const std::string &fingerprint, bool compressed);
-void writeTraceFileV3(const std::string &path, const Trace &trace,
-                      const std::string &fingerprint, bool compressed);
-
-/**
- * Serialize in the chunk-indexed compressed v4 container: the v3
- * envelope plus chunk geometry, a per-chunk index (record count, byte
- * extent, pc/address seeds) and independently decodable compressed
- * chunks of `chunk_insts` records each. Smaller than v2 (packed
- * register blocks, XOR-delta addresses) and randomly accessible; see
+ * Serialize in the chunk-indexed compressed v4 container: a metadata
+ * envelope (body format + provenance fingerprint + count) plus chunk
+ * geometry, a per-chunk index (record count, byte extent, pc/address
+ * seeds) and independently decodable compressed chunks of
+ * `chunk_insts` records each. Tools read the count and fingerprint
+ * from the header without decoding a record; see
  * docs/TRACE_FORMAT.md. Throws TraceFormatError if `chunk_insts` is 0
  * or exceeds trace_format::kMaxChunkInstsV4.
  */
@@ -121,8 +100,15 @@ void writeTraceFileV4(const std::string &path, const Trace &trace,
                       const std::string &fingerprint,
                       uint64_t chunk_insts = uint64_t{1} << 16);
 
-/** Deserialize a trace (auto-detects v1/v2/v3/v4 by magic).
- *  Throws TraceFormatError. */
+/**
+ * Throw a TraceFormatError that says to regenerate the file if the
+ * trace_format::kMagicBytes bytes at `magic` name a retired v2/v3
+ * container; return otherwise. Every reader calls it first.
+ */
+void rejectRetiredContainer(const char *magic);
+
+/** Deserialize a trace (auto-detects v1/v4 by magic).
+ *  Throws TraceFormatError, naming a retired v2/v3 container. */
 Trace readTrace(std::istream &is);
 /** Deserialize a trace from a file (auto-detects format). */
 Trace readTraceFile(const std::string &path);
@@ -130,13 +116,13 @@ Trace readTraceFile(const std::string &path);
 /** Header-level description of an on-disk trace (no record decode). */
 struct TraceFileInfo
 {
-    uint32_t version = 0;    ///< container: 1, 2, 3, or 4
-    uint32_t bodyFormat = 0; ///< 1 fixed, 2 delta, 3 chunked
+    uint32_t version = 0;    ///< container: 1 or 4
+    uint32_t bodyFormat = 0; ///< 1 fixed, 3 chunked
     uint64_t records = 0;
     uint64_t fileBytes = 0;
     uint64_t chunks = 0;     ///< v4 only: chunk count from the index
     uint64_t chunkInsts = 0; ///< v4 only: records per chunk
-    std::string fingerprint; ///< provenance (v3/v4 only; else empty)
+    std::string fingerprint; ///< provenance (v4 only; else empty)
 };
 
 /**

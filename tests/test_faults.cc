@@ -298,15 +298,6 @@ v1Header(uint64_t count)
     return s;
 }
 
-std::string
-v2Header(uint64_t count)
-{
-    std::string s = "SMLPTRC2";
-    for (int i = 0; i < 8; ++i)
-        s.push_back(static_cast<char>((count >> (8 * i)) & 0xff));
-    return s;
-}
-
 void
 expectTraceError(const std::string &bytes, const std::string &needle)
 {
@@ -336,11 +327,6 @@ TEST(TraceFormat, V1CountLargerThanBodyRejected)
     expectTraceError(bytes, "exceeds stream capacity");
 }
 
-TEST(TraceFormat, CorruptV2CountRejectedWithoutAllocation)
-{
-    expectTraceError(v2Header(UINT64_MAX), "exceeds stream capacity");
-}
-
 TEST(TraceFormat, BadMagicRejected)
 {
     expectTraceError("NOTATRACE_______", "bad trace magic");
@@ -362,54 +348,12 @@ TEST(TraceFormat, V1InvalidInstructionClassRejected)
     expectTraceError(bytes, "invalid instruction class");
 }
 
-TEST(TraceFormat, V2TruncatedVarintRejected)
-{
-    // One record, control byte expects a pc delta varint that never
-    // arrives (class Alu, no seq-pc bit).
-    std::string bytes = v2Header(1);
-    bytes.push_back(0x00);
-    expectTraceError(bytes, "truncated varint");
-}
-
-TEST(TraceFormat, V2OverlongVarintRejected)
-{
-    std::string bytes = v2Header(1);
-    bytes.push_back(0x00);
-    bytes.append(11, static_cast<char>(0x80)); // never terminates
-    expectTraceError(bytes, "overlong varint");
-}
-
-TEST(TraceFormat, V2InvalidInstructionClassRejected)
-{
-    std::string bytes = v2Header(1);
-    bytes.push_back(0x0f); // cls bits 15 >= NumClasses
-    expectTraceError(bytes, "invalid instruction class");
-}
-
-TEST(TraceFormat, V2TruncatedRegisterBlockRejected)
-{
-    std::string bytes = v2Header(1);
-    // Alu, sequential pc, register block present — but only two of
-    // the four register bytes follow.
-    bytes.push_back(0x30);
-    bytes.push_back(0x01);
-    bytes.push_back(0x02);
-    expectTraceError(bytes, "truncated register block");
-}
-
-TEST(TraceFormat, V2TruncatedFlagsByteRejected)
-{
-    std::string bytes = v2Header(1);
-    bytes.push_back(0x50); // Alu, sequential pc, flags byte present
-    expectTraceError(bytes, "truncated flags byte");
-}
-
 TEST(TraceFormat, RoundTripStillWorksAfterValidation)
 {
     Trace trace = tinyTrace(7, 2000);
     std::ostringstream os1, os2;
     writeTrace(os1, trace);
-    writeTraceCompressed(os2, trace);
+    writeTraceV4(os2, trace, "");
 
     std::istringstream is1(os1.str()), is2(os2.str());
     EXPECT_EQ(readTrace(is1).size(), trace.size());

@@ -196,19 +196,16 @@ class FileSourceTest : public ::testing::Test
     std::vector<std::string> _paths;
 };
 
-TEST_F(FileSourceTest, StreamsV1V2V3Identically)
+TEST_F(FileSourceTest, StreamsV1V4Identically)
 {
     Trace ref = makeTrace(6000, 17);
     std::string v1 = writeTemp(
         "v1", [&](std::ostream &os) { writeTrace(os, ref); });
-    std::string v2 = writeTemp("v2", [&](std::ostream &os) {
-        writeTraceCompressed(os, ref);
-    });
-    std::string v3 = writeTemp("v3", [&](std::ostream &os) {
-        writeTraceV3(os, ref, "fp-test", /*compressed=*/true);
+    std::string v4 = writeTemp("v4", [&](std::ostream &os) {
+        writeTraceV4(os, ref, "fp-test", 509);
     });
 
-    for (const std::string &path : {v1, v2, v3}) {
+    for (const std::string &path : {v1, v4}) {
         for (uint64_t chunk : {uint64_t{1}, uint64_t{251},
                                uint64_t{1} << 16}) {
             StreamingFileSource src(path, chunk);
@@ -221,12 +218,12 @@ TEST_F(FileSourceTest, StreamsV1V2V3Identically)
 
 TEST_F(FileSourceTest, RandomAccessAcrossChunks)
 {
-    // The v2 body is a stateful delta encoding; random chunk access
-    // goes through memoized boundaries and must still decode exact
+    // The v4 body is delta-encoded within each chunk; random chunk
+    // access goes through the index seeds and must still decode exact
     // records in any visit order.
     Trace ref = makeTrace(4000, 19);
     std::string path = writeTemp("rand", [&](std::ostream &os) {
-        writeTraceCompressed(os, ref);
+        writeTraceV4(os, ref, "", 256);
     });
     StreamingFileSource src(path, 256);
     TraceCursor cur(src);
@@ -242,11 +239,11 @@ TEST_F(FileSourceTest, ProbeReadsHeaderOnly)
 {
     Trace ref = makeTrace(1234, 23);
     std::string path = writeTemp("probe", [&](std::ostream &os) {
-        writeTraceV3(os, ref, "probe-fingerprint", /*compressed=*/false);
+        writeTraceV4(os, ref, "probe-fingerprint");
     });
     TraceFileInfo info = probeTraceFile(path);
-    EXPECT_EQ(info.version, 3u);
-    EXPECT_EQ(info.bodyFormat, 1u);
+    EXPECT_EQ(info.version, 4u);
+    EXPECT_EQ(info.bodyFormat, 3u);
     EXPECT_EQ(info.records, ref.size());
     EXPECT_EQ(info.fingerprint, "probe-fingerprint");
     EXPECT_GT(info.fileBytes, 0u);
@@ -333,7 +330,7 @@ TEST(RunnerStreaming, FileSourceMatchesInMemoryRun)
     RunOutput mem = test::runMaterialized(spec, trace);
 
     std::string path = ::testing::TempDir() + "runner_file_src.trc";
-    writeTraceFileV3(path, trace, "runner-file", /*compressed=*/true);
+    writeTraceFileV4(path, trace, "runner-file", 777);
     {
         StreamingFileSource src(path, 777);
         RunOutput filed = Runner::run(spec, src);

@@ -3,13 +3,15 @@
  * Tests for the chunk-indexed compressed v4 trace container: round
  * trips across chunk geometries, corruption rejection for every new
  * TraceFormatError branch (index and chunk level), a whole-file
- * byte-flip fuzz pass, streaming/random access through
- * StreamingFileSource, chunk caching, and bit-identical SimResults
- * against raw v1/v3 traces on every shipped config.
+ * byte-flip fuzz pass, rejection of the retired v2/v3 containers by
+ * every reader, streaming/random access through StreamingFileSource,
+ * chunk caching, and bit-identical SimResults against raw v1 traces on
+ * every shipped config.
  */
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -141,17 +143,27 @@ TEST(TraceV4, SingleRecordTraceSingleRecordChunks)
     expectTracesEqual(t, decode(encodeV4(t, 1)));
 }
 
-TEST(TraceV4, SmallerThanV2AndQuarterOfV1)
+TEST(TraceV4, AtMostQuarterOfV1)
 {
     Trace t = makeTrace(50000);
-    std::ostringstream v1, v2;
+    std::ostringstream v1;
     writeTrace(v1, t);
-    writeTraceCompressed(v2, t);
     std::string v4 = encodeV4(t, 1 << 16);
-    EXPECT_LT(v4.size(), v2.str().size())
-        << "v4 should beat the v2 delta encoding";
     EXPECT_LE(v4.size() * 4, v1.str().size())
         << "v4 must be <= 0.25x of v1 on the database profile";
+}
+
+TEST(TraceV4, ZeroRegisterRecordsStayCompact)
+{
+    // Barrier records carry no registers and follow each other: one
+    // control byte each after the first record's pc delta.
+    TraceBuilder b;
+    for (int i = 0; i < 1000; ++i)
+        b.membar();
+    std::string s = encodeV4(b.build(), 1 << 16);
+    // 77-byte header + index, 20-byte section header, 1000 control
+    // bytes and a few pc-delta bytes.
+    EXPECT_LT(s.size(), 77u + 20u + 1000u + 8u);
 }
 
 TEST(TraceV4, FileRoundTripAutoDetected)
@@ -250,14 +262,38 @@ TEST(TraceV4Corrupt, UnknownBodyFormat)
     expectV4Error(s, "unknown v4 body format 9");
 }
 
-TEST(TraceV4Corrupt, UnknownBodyFormatInV3Container)
+TEST(TraceV4Corrupt, RetiredContainerRejectedByName)
 {
-    Trace t = TraceBuilder().alu().build();
-    std::ostringstream os;
-    writeTraceV3(os, t, "", /*compressed=*/false);
-    std::string s = os.str();
-    s[V4Layout::kFormat] = 3; // v4's chunked format inside a v3 magic
-    expectV4Error(s, "unknown v3 body format 3");
+    // A v2/v3 file fails in every reader with a message that says to
+    // regenerate it, whatever follows the magic.
+    const std::string needle = "v2/v3 trace containers are no longer "
+                               "read; regenerate with storemlp_tracegen";
+    auto expectRetired = [&](const std::function<void()> &read) {
+        try {
+            read();
+            FAIL() << "expected TraceFormatError";
+        } catch (const TraceFormatError &e) {
+            EXPECT_NE(std::string(e.what()).find(needle),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    std::string path = ::testing::TempDir() + "v4_retired.trc";
+    for (const char *magic : {"SMLPTRC2", "SMLPTRC3"}) {
+        SCOPED_TRACE(magic);
+        // The v4 envelope after the old magic: a retired file is never
+        // misparsed as a current one.
+        std::string s = V4Layout::bytes();
+        s.replace(0, trace_format::kMagicBytes, magic);
+        expectV4Error(s, needle);
+        {
+            std::ofstream os(path, std::ios::binary);
+            os << s;
+        }
+        expectRetired([&] { probeTraceFile(path); });
+        expectRetired([&] { StreamingFileSource src(path); });
+    }
+    std::remove(path.c_str());
 }
 
 TEST(TraceV4Corrupt, TruncatedHeaderAndIndex)
@@ -422,6 +458,19 @@ TEST(TraceV4Corrupt, TruncatedVarintInsideChunk)
     expectV4Error(s, "truncated varint");
 }
 
+TEST(TraceV4Corrupt, OverlongVarint)
+{
+    // Re-encode the alu's 3-byte pc delta as an 11-byte varint and
+    // widen every length that frames it, so only the varint is bad.
+    std::string s = V4Layout::bytes();
+    std::string pc(10, char(0x80));
+    pc.push_back(0x02);
+    s.replace(V4Layout::kPcStream, 3, pc);
+    s[V4Layout::kBody] += 8;       // section pcLen 3 -> 11
+    s[V4Layout::kIndex + 16] += 8; // index byteLen
+    expectV4Error(s, "overlong varint");
+}
+
 TEST(TraceV4Corrupt, TrailingPcStreamBytes)
 {
     std::string s = V4Layout::bytes();
@@ -572,8 +621,8 @@ TEST(TraceV4Streaming, CachedSourceSharesDecodedChunks)
 TEST(TraceV4Runner, BitIdenticalToRawOnShippedConfigs)
 {
     // The acceptance bar: for every shipped config, SimResult must be
-    // bit-identical between the in-memory trace, a raw v1 file, a v3
-    // delta file, and a v4 compressed file — both streamed through
+    // bit-identical between the in-memory trace, a raw v1 file and a
+    // v4 compressed file — both streamed through
     // StreamingFileSource and fully materialized via readTraceFile.
     const char *files[] = {"pc1.cfg", "pc2.cfg", "pc3.cfg",
                            "wc1.cfg", "wc2.cfg", "wc3.cfg",
@@ -604,13 +653,11 @@ TEST(TraceV4Runner, BitIdenticalToRawOnShippedConfigs)
 
         std::string base = ::testing::TempDir() + "v4_equiv_";
         std::string v1_path = base + "v1.trc";
-        std::string v3_path = base + "v3.trc";
         std::string v4_path = base + "v4.trc";
         writeTraceFile(v1_path, trace);
-        writeTraceFileV3(v3_path, trace, "equiv", /*compressed=*/true);
         writeTraceFileV4(v4_path, trace, "equiv", 4096);
 
-        for (const std::string &p : {v1_path, v3_path, v4_path}) {
+        for (const std::string &p : {v1_path, v4_path}) {
             StreamingFileSource src(p);
             RunOutput streamed = Runner::run(spec, src);
             EXPECT_EQ(streamed.sim, mat.sim) << f << " " << p;
@@ -622,7 +669,6 @@ TEST(TraceV4Runner, BitIdenticalToRawOnShippedConfigs)
             EXPECT_EQ(materialized.sim, mat.sim) << f << " " << p;
         }
         std::remove(v1_path.c_str());
-        std::remove(v3_path.c_str());
         std::remove(v4_path.c_str());
         ++compared;
     }

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for TraceFileWriter: every container round-trips records
+ * Tests for TraceFileWriter: both containers round-trip records
  * appended in sizes that do not line up with the chunk size, the file
  * matches the whole-trace ostream encoder byte for byte, and a writer
  * abandoned before commit() leaves the target as it was.
@@ -42,9 +42,6 @@ streamBytes(const Trace &t, TraceContainer c, const std::string &fp)
     std::ostringstream os;
     switch (c) {
       case TraceContainer::V1: writeTrace(os, t); break;
-      case TraceContainer::V2: writeTraceCompressed(os, t); break;
-      case TraceContainer::V3Fixed: writeTraceV3(os, t, fp, false); break;
-      case TraceContainer::V3Delta: writeTraceV3(os, t, fp, true); break;
       case TraceContainer::V4: writeTraceV4(os, t, fp, kChunk); break;
     }
     return os.str();
@@ -100,10 +97,7 @@ TEST(TraceFileWriter, RoundTripsUnalignedAppendsInEveryContainer)
     for (uint64_t n : {3 * kChunk, 3 * kChunk + 1000, uint64_t{0}}) {
         Trace t = makeTrace(WorkloadProfile::tpcw(), n);
         const TraceRecord *data = t.records().data();
-        for (TraceContainer c :
-             {TraceContainer::V1, TraceContainer::V2,
-              TraceContainer::V3Fixed, TraceContainer::V3Delta,
-              TraceContainer::V4}) {
+        for (TraceContainer c : {TraceContainer::V1, TraceContainer::V4}) {
             SCOPED_TRACE("records " + std::to_string(n) +
                          ", container " +
                          std::to_string(static_cast<int>(c)));
@@ -132,10 +126,10 @@ TEST(TraceFileWriter, AbandonedWriterLeavesTargetUntouched)
 {
     const std::string path = ::testing::TempDir() + "writer_keep.trc";
     Trace t = makeTrace(WorkloadProfile::database(), 20000);
-    writeTraceFileV3(path, t, "original", /*compressed=*/true);
+    writeTraceFileV4(path, t, "original");
     const std::string before = fileBytes(path);
 
-    for (TraceContainer c : {TraceContainer::V3Fixed, TraceContainer::V4}) {
+    for (TraceContainer c : {TraceContainer::V1, TraceContainer::V4}) {
         TraceFileWriter w(path, c, "replacement", kChunk);
         w.append(t.records().data(), t.size());
         // destroyed without commit()

@@ -223,6 +223,16 @@ chunkInstsArg(const Cli &cli, uint64_t def)
     return n;
 }
 
+/** --quantum of a multi-core run, 256 when absent; exits 2 on 0. */
+inline uint64_t
+quantumArg(const Cli &cli)
+{
+    uint64_t q = cli.num("quantum", 256);
+    if (q == 0)
+        cli.fail("--quantum must be >= 1");
+    return q;
+}
+
 /**
  * Run a tool's main body under the simulator error contract: a
  * SimError (bad trace file, bad config, failed run, bad environment

@@ -222,8 +222,7 @@ toolMain(int argc, char **argv)
         mspec.cores = static_cast<uint32_t>(cli.num("cores", 2));
         if (mspec.cores == 0) cli.fail("--cores must be >= 1");
         mspec.chips = spec.numChips;
-        mspec.quantum = cli.num("quantum", 256);
-        if (mspec.quantum == 0) cli.fail("--quantum must be >= 1");
+        mspec.quantum = quantumArg(cli);
         mspec.smac = spec.smac;
         mspec.protocol = spec.protocol;
         mspec.hierarchy = spec.hierarchy;

@@ -135,7 +135,7 @@ runCoresSweep(const Cli &cli, const SweepRequest &req)
     std::optional<double> lock_prob;
     if (cli.has("lock-prob"))
         lock_prob = cli.fnum("lock-prob", 0.0);
-    uint64_t quantum = cli.num("quantum", 256);
+    uint64_t quantum = quantumArg(cli);
 
     std::vector<std::function<void()>> tasks;
     for (McRun &r : runs) {

@@ -1,7 +1,8 @@
 /**
  * @file
  * storemlp_tracegen: generate a synthetic workload trace and write it
- * in the storemlp binary trace format. The trace streams chunk by
+ * in the storemlp binary trace format: the chunk-indexed compressed v4
+ * container, or bare v1 with --legacy. The trace streams chunk by
  * chunk from the generator (and WC rewrite) into the file, so memory
  * stays O(chunk) at any --count. The generation report goes to
  * stdout (text, JSON document, or CSV).
@@ -35,36 +36,33 @@ toolMain(int argc, char **argv)
         kSeedFlag,
         {"chip", "N", "chip id for region placement (default 0)"},
         {"wc", "", "emit the weak-consistency rendition"},
-        {"v2", "", "delta-compressed record encoding"},
         {"compress", "[=v4]",
-         "chunk-indexed compressed v4 container (smallest,\n"
-         "random access)"},
+         "chunk-indexed compressed v4 container (the default;\n"
+         "kept for old command lines)"},
         {"chunk-insts", "N",
          "v4 records per chunk, 1.." +
              std::to_string(trace_format::kMaxChunkInstsV4) +
-             "\n(default 65536; needs --compress)"},
+             "\n(default 65536; not with --legacy)"},
         {"legacy", "",
-         "bare v1/v2 container (no fingerprint header);\n"
-         "default is the self-describing v3 container"},
+         "bare fixed-width v1 container (no fingerprint\n"
+         "header, 22 bytes per record)"},
         {"out", "PATH", "output trace file (required)"},
         kFormatFlag,
     });
     if (!cli.has("out"))
         cli.fail("--out is required");
-    bool compress = cli.has("compress");
-    if (compress) {
+    bool legacy = cli.flag("legacy");
+    if (cli.has("compress")) {
         std::string v = cli.str("compress", "");
         if (!v.empty() && v != "v4")
             cli.fail("bad --compress value '" + v + "' (only v4)");
-        if (cli.flag("legacy"))
+        if (legacy)
             cli.fail("--compress requires the self-describing "
                      "container (drop --legacy)");
-        if (cli.flag("v2"))
-            cli.fail("--compress and --v2 are mutually exclusive");
-    } else if (cli.has("chunk-insts")) {
-        cli.fail("--chunk-insts sets the v4 chunk size (needs "
-                 "--compress)");
     }
+    if (legacy && cli.has("chunk-insts"))
+        cli.fail("--chunk-insts sets the v4 chunk size (not with "
+                 "--legacy)");
     uint64_t chunk_insts = chunkInstsArg(cli, 65536);
 
     SourceSpec spec;
@@ -75,11 +73,8 @@ toolMain(int argc, char **argv)
     spec.wcRewrite = cli.flag("wc");
     std::string out = cli.str("out", "");
 
-    TraceContainer container = compress ? TraceContainer::V4
-        : cli.flag("legacy")
-        ? (cli.flag("v2") ? TraceContainer::V2 : TraceContainer::V1)
-        : (cli.flag("v2") ? TraceContainer::V3Delta
-                          : TraceContainer::V3Fixed);
+    TraceContainer container =
+        legacy ? TraceContainer::V1 : TraceContainer::V4;
     Trace::Mix mix;
     try {
         // Generator -> WC rewrite -> read-ahead, as storemlp_sim
