@@ -6,12 +6,8 @@
 #include "core/config_io.hh"
 
 #include <fstream>
-#include <functional>
 #include <istream>
-#include <map>
-#include <optional>
 #include <ostream>
-#include <sstream>
 
 #include "util/parse.hh"
 
@@ -21,157 +17,106 @@ namespace storemlp
 namespace
 {
 
-/** Trim leading/trailing whitespace. */
-std::string
-trim(const std::string &s)
-{
-    size_t b = s.find_first_not_of(" \t\r");
-    if (b == std::string::npos)
-        return "";
-    size_t e = s.find_last_not_of(" \t\r");
-    return s.substr(b, e - b + 1);
-}
+using B = FieldBound;
 
-bool
-parseBool(const std::string &v, const std::string &key)
-{
-    if (v == "true" || v == "1" || v == "on" || v == "yes")
-        return true;
-    if (v == "false" || v == "0" || v == "off" || v == "no")
-        return false;
-    throw ConfigParseError("bad boolean for '" + key + "': " + v);
-}
+constexpr SimConfigField kSimConfigFields[] = {
+    {"name", &SimConfig::name},
+    {"fetchBufferSize", &SimConfig::fetchBufferSize},
+    {"issueWindowSize", &SimConfig::issueWindowSize, B::AtLeastOne},
+    {"robSize", &SimConfig::robSize, B::AtLeastOne},
+    {"storeBufferSize", &SimConfig::storeBufferSize, B::AtLeastOne},
+    {"storeQueueSize", &SimConfig::storeQueueSize, B::AtLeastOne},
+    {"loadBufferSize", &SimConfig::loadBufferSize, B::AtLeastOne},
+    {"storePrefetch", &SimConfig::storePrefetch},
+    {"coalesceBytes", &SimConfig::coalesceBytes, B::ZeroOrPow2},
+    {"infiniteStoreQueue", &SimConfig::infiniteStoreQueue},
+    {"perfectStores", &SimConfig::perfectStores},
+    // Preset name or full key=val descriptor; `memoryModel` is the
+    // legacy spelling of the key.
+    {"model", &SimConfig::memoryModel, B::None, "memoryModel"},
+    {"sle", &SimConfig::sle},
+    {"tmEnabled", &TmConfig::enabled},
+    {"tmAbortProb", &TmConfig::abortProb},
+    {"tmAbortPenaltyCycles", &TmConfig::abortPenaltyCycles},
+    {"prefetchPastSerializing", &SimConfig::prefetchPastSerializing},
+    {"scout", &SimConfig::scout},
+    {"missLatency", &SimConfig::missLatency},
+    {"cpiOnChip", &SimConfig::cpiOnChip},
+    {"mispredictPenalty", &SimConfig::mispredictPenalty},
+};
 
-uint64_t
-parseU64(const std::string &v, const std::string &key)
-{
-    // parseU64Strict rejects signs, whitespace and trailing junk —
-    // std::stoull would accept "-5" by wrapping it to 2^64-5.
-    std::optional<uint64_t> r = parseU64Strict(v);
-    if (!r)
-        throw ConfigParseError("bad integer for '" + key + "': " + v);
-    return *r;
-}
-
-double
-parseDouble(const std::string &v, const std::string &key)
-{
-    try {
-        size_t pos = 0;
-        double r = std::stod(v, &pos);
-        if (pos != v.size())
-            throw std::invalid_argument(v);
-        return r;
-    } catch (const std::exception &) {
-        throw ConfigParseError("bad number for '" + key + "': " + v);
-    }
-}
-
-/** Iterate key=value lines, invoking the setter per pair. */
+/** Iterate key=value lines, invoking `set` per pair. */
+template <typename Set>
 void
-parseLines(std::istream &is,
-           const std::function<void(const std::string &,
-                                    const std::string &)> &set)
+parseLines(std::istream &is, Set set)
 {
     std::string line;
     unsigned lineno = 0;
     while (std::getline(is, line)) {
         ++lineno;
-        std::string t = trim(line);
+        std::string t = trimmed(line);
         if (t.empty() || t[0] == '#')
             continue;
         size_t eq = t.find('=');
         if (eq == std::string::npos) {
-            throw ConfigParseError("line " + std::to_string(lineno) +
-                                   ": expected key = value");
+            throw ConfigError("line " + std::to_string(lineno) +
+                              ": expected key = value");
         }
-        std::string key = trim(t.substr(0, eq));
-        std::string value = trim(t.substr(eq + 1));
+        std::string key = trimmed(t.substr(0, eq));
+        std::string value = trimmed(t.substr(eq + 1));
         if (key.empty())
-            throw ConfigParseError("line " + std::to_string(lineno) +
-                                   ": empty key");
+            throw ConfigError("line " + std::to_string(lineno) +
+                              ": empty key");
         set(key, value);
     }
 }
 
+/** Load `path` with `load`, prefixing any error with the path. */
+template <typename T>
+T
+loadFile(const std::string &path, T (*load)(std::istream &))
+{
+    std::ifstream ifs(path);
+    if (!ifs)
+        throw ConfigError("cannot open: " + path);
+    try {
+        return load(ifs);
+    } catch (const ConfigError &e) {
+        throw ConfigError(path + ": " + e.what());
+    }
+}
+
+/** One `key = value` line per table field, in table order. */
+template <typename S, typename Member>
+void
+saveFields(std::ostream &os, const S &s,
+           std::span<const Field<Member>> fields)
+{
+    for (const Field<Member> &f : fields)
+        os << f.key << " = " << fieldText(s, f) << "\n";
+}
+
 } // namespace
+
+std::span<const SimConfigField>
+simConfigFields()
+{
+    return kSimConfigFields;
+}
+
+void
+setSimConfigField(SimConfig &c, const std::string &key,
+                  const std::string &value)
+{
+    setField(c, simConfigFields(), "SimConfig", key, value);
+}
 
 SimConfig
 loadSimConfig(std::istream &is)
 {
     SimConfig c;
     parseLines(is, [&](const std::string &key, const std::string &v) {
-        if (key == "name") {
-            c.name = v;
-        } else if (key == "fetchBufferSize") {
-            c.fetchBufferSize = static_cast<uint32_t>(parseU64(v, key));
-        } else if (key == "issueWindowSize") {
-            c.issueWindowSize = static_cast<uint32_t>(parseU64(v, key));
-        } else if (key == "robSize") {
-            c.robSize = static_cast<uint32_t>(parseU64(v, key));
-        } else if (key == "storeBufferSize") {
-            c.storeBufferSize = static_cast<uint32_t>(parseU64(v, key));
-        } else if (key == "storeQueueSize") {
-            c.storeQueueSize = static_cast<uint32_t>(parseU64(v, key));
-        } else if (key == "loadBufferSize") {
-            c.loadBufferSize = static_cast<uint32_t>(parseU64(v, key));
-        } else if (key == "storePrefetch") {
-            if (v == "sp0" || v == "none")
-                c.storePrefetch = StorePrefetch::None;
-            else if (v == "sp1" || v == "retire")
-                c.storePrefetch = StorePrefetch::AtRetire;
-            else if (v == "sp2" || v == "execute")
-                c.storePrefetch = StorePrefetch::AtExecute;
-            else
-                throw ConfigParseError("bad storePrefetch: " + v);
-        } else if (key == "coalesceBytes") {
-            c.coalesceBytes = static_cast<uint32_t>(parseU64(v, key));
-        } else if (key == "infiniteStoreQueue") {
-            c.infiniteStoreQueue = parseBool(v, key);
-        } else if (key == "perfectStores") {
-            c.perfectStores = parseBool(v, key);
-        } else if (key == "model") {
-            // Preset name or full key=val descriptor; parse throws
-            // ConfigError (= ConfigParseError) on anything malformed.
-            c.memoryModel = ModelDescriptor::parse(v);
-        } else if (key == "memoryModel") {
-            // Legacy two-model key, kept as an alias of the presets.
-            const ModelDescriptor *p = nullptr;
-            if (v == "pc" || v == "tso" || v == "wc")
-                p = ModelDescriptor::findPreset(v);
-            if (!p)
-                throw ConfigParseError("bad memoryModel: " + v);
-            c.memoryModel = *p;
-        } else if (key == "sle") {
-            c.sle = parseBool(v, key);
-        } else if (key == "tmEnabled") {
-            c.tm.enabled = parseBool(v, key);
-        } else if (key == "tmAbortProb") {
-            c.tm.abortProb = parseDouble(v, key);
-        } else if (key == "tmAbortPenaltyCycles") {
-            c.tm.abortPenaltyCycles = parseDouble(v, key);
-        } else if (key == "prefetchPastSerializing") {
-            c.prefetchPastSerializing = parseBool(v, key);
-        } else if (key == "scout") {
-            if (v == "off")
-                c.scout = ScoutMode::Off;
-            else if (v == "hws0")
-                c.scout = ScoutMode::Hws0;
-            else if (v == "hws1")
-                c.scout = ScoutMode::Hws1;
-            else if (v == "hws2")
-                c.scout = ScoutMode::Hws2;
-            else
-                throw ConfigParseError("bad scout: " + v);
-        } else if (key == "missLatency") {
-            c.missLatency = static_cast<uint32_t>(parseU64(v, key));
-        } else if (key == "cpiOnChip") {
-            c.cpiOnChip = parseDouble(v, key);
-        } else if (key == "mispredictPenalty") {
-            c.mispredictPenalty = parseDouble(v, key);
-        } else {
-            throw ConfigParseError("unknown SimConfig key: " + key);
-        }
+        setSimConfigField(c, key, v);
     });
     return c;
 }
@@ -179,44 +124,13 @@ loadSimConfig(std::istream &is)
 SimConfig
 loadSimConfigFile(const std::string &path)
 {
-    std::ifstream ifs(path);
-    if (!ifs)
-        throw ConfigParseError("cannot open: " + path);
-    return loadSimConfig(ifs);
+    return loadFile(path, &loadSimConfig);
 }
 
 void
 saveSimConfig(std::ostream &os, const SimConfig &c)
 {
-    const char *sp = c.storePrefetch == StorePrefetch::None ? "sp0"
-        : c.storePrefetch == StorePrefetch::AtRetire ? "sp1" : "sp2";
-    const char *scout = c.scout == ScoutMode::Off ? "off"
-        : c.scout == ScoutMode::Hws0 ? "hws0"
-        : c.scout == ScoutMode::Hws1 ? "hws1" : "hws2";
-    os << "name = " << c.name << "\n"
-       << "fetchBufferSize = " << c.fetchBufferSize << "\n"
-       << "issueWindowSize = " << c.issueWindowSize << "\n"
-       << "robSize = " << c.robSize << "\n"
-       << "storeBufferSize = " << c.storeBufferSize << "\n"
-       << "storeQueueSize = " << c.storeQueueSize << "\n"
-       << "loadBufferSize = " << c.loadBufferSize << "\n"
-       << "storePrefetch = " << sp << "\n"
-       << "coalesceBytes = " << c.coalesceBytes << "\n"
-       << "infiniteStoreQueue = "
-       << (c.infiniteStoreQueue ? "true" : "false") << "\n"
-       << "perfectStores = " << (c.perfectStores ? "true" : "false")
-       << "\n"
-       << "model = " << c.memoryModel.spec() << "\n"
-       << "sle = " << (c.sle ? "true" : "false") << "\n"
-       << "tmEnabled = " << (c.tm.enabled ? "true" : "false") << "\n"
-       << "tmAbortProb = " << c.tm.abortProb << "\n"
-       << "tmAbortPenaltyCycles = " << c.tm.abortPenaltyCycles << "\n"
-       << "prefetchPastSerializing = "
-       << (c.prefetchPastSerializing ? "true" : "false") << "\n"
-       << "scout = " << scout << "\n"
-       << "missLatency = " << c.missLatency << "\n"
-       << "cpiOnChip = " << c.cpiOnChip << "\n"
-       << "mispredictPenalty = " << c.mispredictPenalty << "\n";
+    saveFields(os, c, simConfigFields());
 }
 
 WorkloadProfile
@@ -225,114 +139,13 @@ loadWorkloadProfile(std::istream &is)
     WorkloadProfile p;
     bool first = true;
     parseLines(is, [&](const std::string &key, const std::string &v) {
-        if (key == "base") {
-            if (!first) {
-                throw ConfigParseError(
-                    "'base' must be the first profile key");
-            }
-            if (v == "database")
-                p = WorkloadProfile::database();
-            else if (v == "tpcw")
-                p = WorkloadProfile::tpcw();
-            else if (v == "specjbb")
-                p = WorkloadProfile::specjbb();
-            else if (v == "specweb")
-                p = WorkloadProfile::specweb();
-            else if (v == "tiny")
-                p = WorkloadProfile::testTiny();
-            else
-                throw ConfigParseError("bad base profile: " + v);
-            first = false;
-            return;
-        }
-        first = false;
-        if (key == "name")
-            p.name = v;
-        else if (key == "loadFrac")
-            p.loadFrac = parseDouble(v, key);
-        else if (key == "storeFrac")
-            p.storeFrac = parseDouble(v, key);
-        else if (key == "branchFrac")
-            p.branchFrac = parseDouble(v, key);
-        else if (key == "loadColdProb")
-            p.loadColdProb = parseDouble(v, key);
-        else if (key == "loadBurstCont")
-            p.loadBurstCont = parseDouble(v, key);
-        else if (key == "storeColdProb")
-            p.storeColdProb = parseDouble(v, key);
-        else if (key == "storeBurstCont")
-            p.storeBurstCont = parseDouble(v, key);
-        else if (key == "coldStoresPerLine")
-            p.coldStoresPerLine =
-                static_cast<uint32_t>(parseU64(v, key));
-        else if (key == "storeSpatialRun")
-            p.storeSpatialRun = static_cast<uint32_t>(parseU64(v, key));
-        else if (key == "storeRevisitFrac")
-            p.storeRevisitFrac = parseDouble(v, key);
-        else if (key == "flushPhaseProb")
-            p.flushPhaseProb = parseDouble(v, key);
-        else if (key == "flushLenMean")
-            p.flushLenMean = static_cast<uint32_t>(parseU64(v, key));
-        else if (key == "flushStoreFrac")
-            p.flushStoreFrac = parseDouble(v, key);
-        else if (key == "flushColdProb")
-            p.flushColdProb = parseDouble(v, key);
-        else if (key == "burstPhaseProb")
-            p.burstPhaseProb = parseDouble(v, key);
-        else if (key == "burstLenMean")
-            p.burstLenMean = static_cast<uint32_t>(parseU64(v, key));
-        else if (key == "burstStoreFrac")
-            p.burstStoreFrac = parseDouble(v, key);
-        else if (key == "burstColdProb")
-            p.burstColdProb = parseDouble(v, key);
-        else if (key == "instColdProb")
-            p.instColdProb = parseDouble(v, key);
-        else if (key == "instBurstCont")
-            p.instBurstCont = parseDouble(v, key);
-        else if (key == "hotDataBytes")
-            p.hotDataBytes = parseU64(v, key);
-        else if (key == "hotL1Frac")
-            p.hotL1Frac = parseDouble(v, key);
-        else if (key == "hotL1Bytes")
-            p.hotL1Bytes = parseU64(v, key);
-        else if (key == "hotCodeBytes")
-            p.hotCodeBytes = parseU64(v, key);
-        else if (key == "hotCodeWindowBytes")
-            p.hotCodeWindowBytes = parseU64(v, key);
-        else if (key == "hotCodeJumpProb")
-            p.hotCodeJumpProb = parseDouble(v, key);
-        else if (key == "storeMissRegionBytes")
-            p.storeMissRegionBytes = parseU64(v, key);
-        else if (key == "sharedStoreFrac")
-            p.sharedStoreFrac = parseDouble(v, key);
-        else if (key == "sharedStoreRegionBytes")
-            p.sharedStoreRegionBytes = parseU64(v, key);
-        else if (key == "sharedHotFrac")
-            p.sharedHotFrac = parseDouble(v, key);
-        else if (key == "sharedHotBytes")
-            p.sharedHotBytes = parseU64(v, key);
-        else if (key == "lockProb")
-            p.lockProb = parseDouble(v, key);
-        else if (key == "lockCount")
-            p.lockCount = static_cast<uint32_t>(parseU64(v, key));
-        else if (key == "csBodyLen")
-            p.csBodyLen = static_cast<uint32_t>(parseU64(v, key));
-        else if (key == "membarProb")
-            p.membarProb = parseDouble(v, key);
-        else if (key == "easyBranchFrac")
-            p.easyBranchFrac = parseDouble(v, key);
-        else if (key == "branchBias")
-            p.branchBias = parseDouble(v, key);
-        else if (key == "staticBranches")
-            p.staticBranches = static_cast<uint32_t>(parseU64(v, key));
-        else if (key == "branchDependsOnLoadProb")
-            p.branchDependsOnLoadProb = parseDouble(v, key);
-        else if (key == "depNearProb")
-            p.depNearProb = parseDouble(v, key);
-        else if (key == "cpiOnChip")
-            p.cpiOnChip = parseDouble(v, key);
+        if (key == "base" && !first)
+            throw ConfigError("'base' must be the first profile key");
+        if (key == "base")
+            p = workloadProfileForName(v);
         else
-            throw ConfigParseError("unknown profile key: " + key);
+            setField(p, workloadProfileFields(), "profile", key, v);
+        first = false;
     });
     return p;
 }
@@ -340,59 +153,13 @@ loadWorkloadProfile(std::istream &is)
 WorkloadProfile
 loadWorkloadProfileFile(const std::string &path)
 {
-    std::ifstream ifs(path);
-    if (!ifs)
-        throw ConfigParseError("cannot open: " + path);
-    return loadWorkloadProfile(ifs);
+    return loadFile(path, &loadWorkloadProfile);
 }
 
 void
 saveWorkloadProfile(std::ostream &os, const WorkloadProfile &p)
 {
-    os << "name = " << p.name << "\n"
-       << "loadFrac = " << p.loadFrac << "\n"
-       << "storeFrac = " << p.storeFrac << "\n"
-       << "branchFrac = " << p.branchFrac << "\n"
-       << "loadColdProb = " << p.loadColdProb << "\n"
-       << "loadBurstCont = " << p.loadBurstCont << "\n"
-       << "storeColdProb = " << p.storeColdProb << "\n"
-       << "storeBurstCont = " << p.storeBurstCont << "\n"
-       << "coldStoresPerLine = " << p.coldStoresPerLine << "\n"
-       << "storeSpatialRun = " << p.storeSpatialRun << "\n"
-       << "storeRevisitFrac = " << p.storeRevisitFrac << "\n"
-       << "flushPhaseProb = " << p.flushPhaseProb << "\n"
-       << "flushLenMean = " << p.flushLenMean << "\n"
-       << "flushStoreFrac = " << p.flushStoreFrac << "\n"
-       << "flushColdProb = " << p.flushColdProb << "\n"
-       << "burstPhaseProb = " << p.burstPhaseProb << "\n"
-       << "burstLenMean = " << p.burstLenMean << "\n"
-       << "burstStoreFrac = " << p.burstStoreFrac << "\n"
-       << "burstColdProb = " << p.burstColdProb << "\n"
-       << "instColdProb = " << p.instColdProb << "\n"
-       << "instBurstCont = " << p.instBurstCont << "\n"
-       << "hotDataBytes = " << p.hotDataBytes << "\n"
-       << "hotL1Frac = " << p.hotL1Frac << "\n"
-       << "hotL1Bytes = " << p.hotL1Bytes << "\n"
-       << "hotCodeBytes = " << p.hotCodeBytes << "\n"
-       << "hotCodeWindowBytes = " << p.hotCodeWindowBytes << "\n"
-       << "hotCodeJumpProb = " << p.hotCodeJumpProb << "\n"
-       << "storeMissRegionBytes = " << p.storeMissRegionBytes << "\n"
-       << "sharedStoreFrac = " << p.sharedStoreFrac << "\n"
-       << "sharedStoreRegionBytes = " << p.sharedStoreRegionBytes
-       << "\n"
-       << "sharedHotFrac = " << p.sharedHotFrac << "\n"
-       << "sharedHotBytes = " << p.sharedHotBytes << "\n"
-       << "lockProb = " << p.lockProb << "\n"
-       << "lockCount = " << p.lockCount << "\n"
-       << "csBodyLen = " << p.csBodyLen << "\n"
-       << "membarProb = " << p.membarProb << "\n"
-       << "easyBranchFrac = " << p.easyBranchFrac << "\n"
-       << "branchBias = " << p.branchBias << "\n"
-       << "staticBranches = " << p.staticBranches << "\n"
-       << "branchDependsOnLoadProb = " << p.branchDependsOnLoadProb
-       << "\n"
-       << "depNearProb = " << p.depNearProb << "\n"
-       << "cpiOnChip = " << p.cpiOnChip << "\n";
+    saveFields(os, p, workloadProfileFields());
 }
 
 } // namespace storemlp

@@ -96,24 +96,13 @@ SimConfig::withScout(ScoutMode sm) const
 const char *
 storePrefetchName(StorePrefetch sp)
 {
-    switch (sp) {
-      case StorePrefetch::None: return "Sp0";
-      case StorePrefetch::AtRetire: return "Sp1";
-      case StorePrefetch::AtExecute: return "Sp2";
-      default: return "?";
-    }
+    return enumEntry(sp).display;
 }
 
 const char *
 scoutModeName(ScoutMode sm)
 {
-    switch (sm) {
-      case ScoutMode::Off: return "NoHWS";
-      case ScoutMode::Hws0: return "HWS0";
-      case ScoutMode::Hws1: return "HWS1";
-      case ScoutMode::Hws2: return "HWS2";
-      default: return "?";
-    }
+    return enumEntry(sm).display;
 }
 
 } // namespace storemlp

@@ -9,10 +9,12 @@
 #define STOREMLP_CORE_SIM_CONFIG_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "consistency/memory_model.hh"
 #include "consistency/transactional.hh"
+#include "util/field_table.hh"
 
 namespace storemlp
 {
@@ -33,6 +35,31 @@ enum class ScoutMode : uint8_t
     Hws1,       ///< enter on missing load; also prefetch stores
     Hws2,       ///< also enter on store-queue-full stalls (proposed)
 };
+
+/** Every spelling of each StorePrefetch value (see EnumName). */
+inline std::span<const EnumName<StorePrefetch>>
+enumNames(StorePrefetch)
+{
+    static constexpr EnumName<StorePrefetch> names[] = {
+        {StorePrefetch::None, "sp0", "Sp0", "none"},
+        {StorePrefetch::AtRetire, "sp1", "Sp1", "retire"},
+        {StorePrefetch::AtExecute, "sp2", "Sp2", "execute"},
+    };
+    return names;
+}
+
+/** Every spelling of each ScoutMode value (see EnumName). */
+inline std::span<const EnumName<ScoutMode>>
+enumNames(ScoutMode)
+{
+    static constexpr EnumName<ScoutMode> names[] = {
+        {ScoutMode::Off, "off", "NoHWS"},
+        {ScoutMode::Hws0, "hws0", "HWS0"},
+        {ScoutMode::Hws1, "hws1", "HWS1"},
+        {ScoutMode::Hws2, "hws2", "HWS2"},
+    };
+    return names;
+}
 
 /** Full simulator configuration. */
 struct SimConfig

@@ -29,35 +29,6 @@ namespace
 {
 
 std::string
-trimmed(const std::string &s)
-{
-    size_t b = s.find_first_not_of(" \t\r");
-    if (b == std::string::npos)
-        return "";
-    size_t e = s.find_last_not_of(" \t\r");
-    return s.substr(b, e - b + 1);
-}
-
-std::vector<std::string>
-splitList(const std::string &list, char sep)
-{
-    std::vector<std::string> out;
-    size_t pos = 0;
-    while (pos <= list.size()) {
-        size_t end = list.find(sep, pos);
-        std::string tok = trimmed(list.substr(
-            pos,
-            end == std::string::npos ? std::string::npos : end - pos));
-        if (!tok.empty())
-            out.push_back(tok);
-        if (end == std::string::npos)
-            break;
-        pos = end + 1;
-    }
-    return out;
-}
-
-std::string
 joinList(const std::vector<std::string> &items, char sep)
 {
     std::string out;
@@ -104,23 +75,6 @@ validateConfigName(const std::string &name)
 }
 
 } // namespace
-
-WorkloadProfile
-workloadProfileForName(const std::string &name)
-{
-    if (name == "database")
-        return WorkloadProfile::database();
-    if (name == "tpcw")
-        return WorkloadProfile::tpcw();
-    if (name == "specjbb")
-        return WorkloadProfile::specjbb();
-    if (name == "specweb")
-        return WorkloadProfile::specweb();
-    if (name == "tiny")
-        return WorkloadProfile::testTiny();
-    throw ConfigError("unknown workload '" + name +
-                      "' (database|tpcw|specjbb|specweb|tiny)");
-}
 
 std::vector<PlannedRun>
 expandSweepRuns(const SweepRequest &req)

@@ -54,7 +54,7 @@ struct SweepConfigEntry
 struct SweepRequest
 {
     std::vector<SweepConfigEntry> configs;
-    /** Workload names (database|tpcw|specjbb|specweb|tiny). */
+    /** Workload names (kNamedWorkloads, see workloadProfileForName). */
     std::vector<std::string> workloads;
     /**
      * Optional memory-model axis: every config is crossed with every
@@ -97,13 +97,6 @@ struct PlannedRun
     std::string model;      ///< model axis value; "" when not crossed
     RunSpec spec;
 };
-
-/**
- * Resolve a workload name used in requests. Accepts the four
- * commercial profiles plus "tiny" (the test profile). Throws
- * ConfigError on anything else.
- */
-WorkloadProfile workloadProfileForName(const std::string &name);
 
 /**
  * Expand a request into its planned runs: the full

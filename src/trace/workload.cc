@@ -17,33 +17,101 @@
 namespace storemlp
 {
 
+namespace
+{
+
+using P = WorkloadProfile;
+
+constexpr ProfileField kProfileFields[] = {
+    {"name", &P::name},
+    {"loadFrac", &P::loadFrac},
+    {"storeFrac", &P::storeFrac},
+    {"branchFrac", &P::branchFrac},
+    {"loadColdProb", &P::loadColdProb},
+    {"loadBurstCont", &P::loadBurstCont},
+    {"storeColdProb", &P::storeColdProb},
+    {"storeBurstCont", &P::storeBurstCont},
+    {"coldStoresPerLine", &P::coldStoresPerLine},
+    {"storeSpatialRun", &P::storeSpatialRun},
+    {"storeRevisitFrac", &P::storeRevisitFrac},
+    {"flushPhaseProb", &P::flushPhaseProb},
+    {"flushLenMean", &P::flushLenMean},
+    {"flushStoreFrac", &P::flushStoreFrac},
+    {"flushColdProb", &P::flushColdProb},
+    {"burstPhaseProb", &P::burstPhaseProb},
+    {"burstLenMean", &P::burstLenMean},
+    {"burstStoreFrac", &P::burstStoreFrac},
+    {"burstColdProb", &P::burstColdProb},
+    {"instColdProb", &P::instColdProb},
+    {"instBurstCont", &P::instBurstCont},
+    {"hotDataBytes", &P::hotDataBytes},
+    {"hotL1Frac", &P::hotL1Frac},
+    {"hotL1Bytes", &P::hotL1Bytes},
+    {"hotCodeBytes", &P::hotCodeBytes},
+    {"hotCodeWindowBytes", &P::hotCodeWindowBytes},
+    {"hotCodeJumpProb", &P::hotCodeJumpProb},
+    {"storeMissRegionBytes", &P::storeMissRegionBytes},
+    {"sharedStoreFrac", &P::sharedStoreFrac},
+    {"sharedStoreRegionBytes", &P::sharedStoreRegionBytes},
+    {"sharedHotFrac", &P::sharedHotFrac},
+    {"sharedHotBytes", &P::sharedHotBytes},
+    {"sharedLoadFrac", &P::sharedLoadFrac},
+    {"lockProb", &P::lockProb},
+    {"lockCount", &P::lockCount, FieldBound::AtLeastOne},
+    {"csBodyLen", &P::csBodyLen},
+    {"membarProb", &P::membarProb},
+    {"easyBranchFrac", &P::easyBranchFrac},
+    {"branchBias", &P::branchBias},
+    {"staticBranches", &P::staticBranches},
+    {"branchDependsOnLoadProb", &P::branchDependsOnLoadProb},
+    {"depNearProb", &P::depNearProb},
+    // A timing input of the epoch engine: no trace byte depends on it.
+    {.key = "cpiOnChip", .member = &P::cpiOnChip, .fingerprint = false},
+};
+
+} // namespace
+
+std::span<const ProfileField>
+workloadProfileFields()
+{
+    return kProfileFields;
+}
+
 std::string
 WorkloadProfile::cacheKey() const
 {
-    // Hexfloat round-trips doubles exactly; every generator-visible
-    // knob must appear here (calibration targets and cpiOnChip do not
-    // affect the trace bytes but are cheap to include and harmless).
+    // Hexfloat round-trips doubles exactly; integers print in decimal.
     std::ostringstream os;
     os << std::hexfloat;
-    os << name << '|' << loadFrac << '|' << storeFrac << '|'
-       << branchFrac << '|' << loadColdProb << '|' << loadBurstCont
-       << '|' << storeColdProb << '|' << storeBurstCont << '|'
-       << coldStoresPerLine << '|' << storeSpatialRun << '|'
-       << storeRevisitFrac << '|' << flushPhaseProb << '|'
-       << flushLenMean << '|' << flushStoreFrac << '|' << flushColdProb
-       << '|' << burstPhaseProb << '|' << burstLenMean << '|'
-       << burstStoreFrac << '|' << burstColdProb << '|' << instColdProb
-       << '|' << instBurstCont << '|' << hotDataBytes << '|'
-       << hotL1Frac << '|' << hotL1Bytes << '|' << hotCodeBytes << '|'
-       << hotCodeWindowBytes << '|' << hotCodeJumpProb << '|'
-       << storeMissRegionBytes << '|' << sharedStoreFrac << '|'
-       << sharedStoreRegionBytes << '|' << sharedHotFrac << '|'
-       << sharedHotBytes << '|' << sharedLoadFrac << '|' << lockProb
-       << '|' << lockCount << '|' << csBodyLen << '|' << membarProb
-       << '|' << easyBranchFrac << '|' << branchBias << '|'
-       << staticBranches << '|' << branchDependsOnLoadProb << '|'
-       << depNearProb;
+    const char *sep = "";
+    for (const ProfileField &f : kProfileFields) {
+        if (!f.fingerprint)
+            continue;
+        os << sep;
+        std::visit([&](auto m) { os << this->*m; }, f.member);
+        sep = "|";
+    }
     return os.str();
+}
+
+std::string
+workloadNameList()
+{
+    std::string out;
+    for (const NamedWorkload &w : kNamedWorkloads)
+        out += (out.empty() ? "" : "|") + std::string(w.name);
+    return out;
+}
+
+WorkloadProfile
+workloadProfileForName(const std::string &name)
+{
+    for (const NamedWorkload &w : kNamedWorkloads) {
+        if (name == w.name)
+            return w.make();
+    }
+    throw ConfigError("unknown workload '" + name + "' (" +
+                      workloadNameList() + ")");
 }
 
 WorkloadProfile

@@ -14,8 +14,12 @@
 #define STOREMLP_TRACE_WORKLOAD_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <variant>
 #include <vector>
+
+#include "util/field_table.hh"
 
 namespace storemlp
 {
@@ -147,10 +151,11 @@ struct WorkloadProfile
 
     /**
      * Stable fingerprint of every generator knob, used to key the
-     * trace cache. Two profiles with equal fingerprints generate
-     * byte-identical traces for the same seed/length/chip. Must be
-     * kept in sync with the field list above (a missed field risks a
-     * stale cache hit, not a crash — test_sweep checks distinctness).
+     * trace cache: every workloadProfileFields() entry marked
+     * `fingerprint`, in table order. Two profiles with equal
+     * fingerprints generate byte-identical traces for the same
+     * seed/length/chip. cpiOnChip and the calibration targets do not
+     * shape the trace and are left out.
      */
     std::string cacheKey() const;
 
@@ -164,6 +169,39 @@ struct WorkloadProfile
     /** A tiny fast profile for unit tests. */
     static WorkloadProfile testTiny();
 };
+
+using ProfileMember =
+    std::variant<std::string WorkloadProfile::*,
+                 uint32_t WorkloadProfile::*, uint64_t WorkloadProfile::*,
+                 double WorkloadProfile::*>;
+using ProfileField = Field<ProfileMember>;
+
+/** Every profile file key, in save order (the calibration targets are
+ *  paper reference values, not knobs, and have no key). */
+std::span<const ProfileField> workloadProfileFields();
+
+/** One name the tools, the sweep wire and `base =` accept. */
+struct NamedWorkload
+{
+    const char *name;
+    WorkloadProfile (*make)();
+    bool paper = true; ///< one of the paper's four (`--workload all`)
+};
+
+inline constexpr NamedWorkload kNamedWorkloads[] = {
+    {"database", &WorkloadProfile::database},
+    {"tpcw", &WorkloadProfile::tpcw},
+    {"specjbb", &WorkloadProfile::specjbb},
+    {"specweb", &WorkloadProfile::specweb},
+    {"tiny", &WorkloadProfile::testTiny, false},
+};
+
+/** "database|tpcw|...": every kNamedWorkloads name. */
+std::string workloadNameList();
+
+/** The profile `name` selects; ConfigError listing the names on
+ *  anything else. */
+WorkloadProfile workloadProfileForName(const std::string &name);
 
 } // namespace storemlp
 

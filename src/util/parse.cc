@@ -54,6 +54,35 @@ parseDoubleStrict(const std::string &s)
     return v;
 }
 
+std::string
+trimmed(const std::string &s)
+{
+    size_t b = s.find_first_not_of(" \t\r");
+    if (b == std::string::npos)
+        return "";
+    size_t e = s.find_last_not_of(" \t\r");
+    return s.substr(b, e - b + 1);
+}
+
+std::vector<std::string>
+splitList(const std::string &list, char sep)
+{
+    std::vector<std::string> out;
+    size_t pos = 0;
+    while (pos <= list.size()) {
+        size_t end = list.find(sep, pos);
+        std::string tok = trimmed(list.substr(
+            pos,
+            end == std::string::npos ? std::string::npos : end - pos));
+        if (!tok.empty())
+            out.push_back(tok);
+        if (end == std::string::npos)
+            break;
+        pos = end + 1;
+    }
+    return out;
+}
+
 uint64_t
 envU64Strict(const char *name, uint64_t def, uint64_t min_value,
              uint64_t max_value)

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 namespace storemlp
 {
@@ -34,6 +35,12 @@ std::optional<uint64_t> parseU64Strict(const std::string &s);
  * accepted; range checking is the caller's business.
  */
 std::optional<double> parseDoubleStrict(const std::string &s);
+
+/** `s` without leading and trailing spaces, tabs and CRs. */
+std::string trimmed(const std::string &s);
+
+/** The `sep`-separated tokens of `list`, trimmed; empty ones dropped. */
+std::vector<std::string> splitList(const std::string &list, char sep);
 
 /**
  * Read an environment variable as a uint64_t in [min_value,

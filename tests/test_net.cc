@@ -577,7 +577,7 @@ TEST(SweepClient, ExhaustedReconnectBudgetRaisesNetError)
  * client to recover shards by resubmission.
  */
 void
-expectRemoteMatchesLocal(unsigned drop_after)
+expectRemoteMatchesLocal(unsigned drop_after, bool bad_request_first = false)
 {
     SweepRequest req;
     req.configs = shippedConfigs(); // all nine
@@ -596,6 +596,25 @@ expectRemoteMatchesLocal(unsigned drop_after)
     sopts.dropAfterResults = drop_after;
     SweepServer server(sopts);
     server.start();
+    if (bad_request_first) {
+        // A hand-written Submit whose [config] body holds a zero-entry
+        // store queue is refused before any run starts.
+        std::string text = sweepRequestToText(tinyRequest(1));
+        const std::string sq = "storeQueueSize = 32\n";
+        ASSERT_NE(text.find(sq), std::string::npos);
+        text.replace(text.find(sq), sq.size(), "storeQueueSize = 0\n");
+        auto conn = handshake(server.port());
+        Frame f;
+        ASSERT_TRUE(conn->recv(f));
+        ASSERT_EQ(f.type, MsgType::HelloAck);
+        conn->send(MsgType::Submit, text);
+        ASSERT_TRUE(conn->recv(f));
+        EXPECT_EQ(f.type, MsgType::Error);
+        EXPECT_NE(f.payload.find("bad sweep request"), std::string::npos)
+            << f.payload;
+        EXPECT_NE(f.payload.find("storeQueueSize"), std::string::npos)
+            << f.payload;
+    }
     SweepClientOptions copts;
     copts.port = server.port();
     RemoteSweepReport report = runSweepRemote(req, copts);
@@ -657,6 +676,11 @@ TEST(SweepLoopback, AllConfigsAllModelsBitIdenticalToLocal)
 TEST(SweepLoopback, BitIdenticalEvenAcrossInjectedShardLoss)
 {
     expectRemoteMatchesLocal(/*drop_after=*/5);
+}
+
+TEST(SweepLoopback, OutOfRangeConfigIsRefusedThenNextBatchMatchesLocal)
+{
+    expectRemoteMatchesLocal(/*drop_after=*/0, /*bad_request_first=*/true);
 }
 
 } // namespace

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "core/config_io.hh"
 #include "trace/trace_format.hh"
 #include "trace/workload.hh"
 #include "util/error.hh"
@@ -65,6 +66,10 @@ inline const FlagSpec kChunkInstsFlag{
     "records per chunk, 1.." +
         std::to_string(trace_format::kMaxChunkInstsV4) +
         " (default 65536);\nresults are identical for every chunk size"};
+
+inline const FlagSpec kWorkloadFlag{
+    "workload", "NAME",
+    "workload profile (default database):\n" + workloadNameList()};
 
 class Cli;
 /** --chunk-insts, `def` when absent; exits 2 on 0 or above 2^26. */
@@ -319,20 +324,33 @@ applyRunLengths(const Cli &cli, uint64_t &warmup, uint64_t &measure,
     seed = cli.num("seed", 42);
 }
 
-/** Resolve a workload name to a profile. */
+/** Resolve a workload name to a profile; exits 2 on an unknown name. */
 inline WorkloadProfile
 workloadByName(const Cli &cli, const std::string &name)
 {
-    if (name == "database")
-        return WorkloadProfile::database();
-    if (name == "tpcw")
-        return WorkloadProfile::tpcw();
-    if (name == "specjbb")
-        return WorkloadProfile::specjbb();
-    if (name == "specweb")
-        return WorkloadProfile::specweb();
-    cli.fail("unknown workload '" + name +
-             "' (database|tpcw|specjbb|specweb)");
+    try {
+        return workloadProfileForName(name);
+    } catch (const ConfigError &e) {
+        cli.fail(e.what());
+    }
+}
+
+/**
+ * `--flag VALUE`, when given, sets the SimConfig key `key` through the
+ * config table, exactly as a config file line would; a bad value or a
+ * violated bound exits 2.
+ */
+inline void
+configFlag(const Cli &cli, SimConfig &cfg, const std::string &flag,
+           const char *key)
+{
+    if (!cli.has(flag))
+        return;
+    try {
+        setSimConfigField(cfg, key, cli.str(flag, ""));
+    } catch (const ConfigError &e) {
+        cli.fail("--" + flag + ": " + e.what());
+    }
 }
 
 } // namespace storemlp::tools

@@ -59,8 +59,7 @@ int
 toolMain(int argc, char **argv)
 {
     Cli cli(argc, argv, {
-        {"workload", "database|tpcw|specjbb|specweb",
-         "workload profile (default database)"},
+        kWorkloadFlag,
         {"profile", "PATH", "start from a custom profile file"},
         {"knob", "NAME",
          "storeColdProb|loadColdProb|instColdProb|lockProb|"
@@ -79,7 +78,7 @@ toolMain(int argc, char **argv)
     if (cli.has("profile")) {
         try {
             profile = loadWorkloadProfileFile(cli.str("profile", ""));
-        } catch (const ConfigParseError &e) {
+        } catch (const ConfigError &e) {
             cli.fail(e.what());
         }
     } else {

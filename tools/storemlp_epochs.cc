@@ -30,10 +30,9 @@ int
 toolMain(int argc, char **argv)
 {
     Cli cli(argc, argv, {
-        {"workload", "database|tpcw|specjbb|specweb",
-         "workload profile (default database)"},
+        kWorkloadFlag,
         {"count", "N", "epochs to print (default 30)"},
-        {"prefetch", "sp0|sp1|sp2",
+        {"prefetch", enumNameList<StorePrefetch>(),
          "store prefetch policy (default sp1)"},
         kWarmupFlag, kSeedFlag,
         kFormatFlag, kOutFlag,
@@ -44,11 +43,7 @@ toolMain(int argc, char **argv)
     uint64_t warmup = cli.num("warmup", 600 * 1000);
 
     SimConfig cfg;
-    std::string sp = cli.str("prefetch", "sp1");
-    if (sp == "sp0")
-        cfg.storePrefetch = StorePrefetch::None;
-    else if (sp == "sp2")
-        cfg.storePrefetch = StorePrefetch::AtExecute;
+    configFlag(cli, cfg, "prefetch", "storePrefetch");
     cfg.cpiOnChip = profile.cpiOnChip;
 
     SyntheticTraceGenerator gen(profile, cli.num("seed", 42));

@@ -29,14 +29,13 @@ int
 toolMain(int argc, char **argv)
 {
     Cli cli(argc, argv, {
-        {"workload", "database|tpcw|specjbb|specweb",
-         "workload profile (default database)"},
-        {"prefetch", "sp0|sp1|sp2",
+        kWorkloadFlag,
+        {"prefetch", enumNameList<StorePrefetch>(),
          "store prefetch policy (default sp1)"},
         kModelFlag,
         {"sle", "", "enable speculative lock elision"},
         {"pps", "", "prefetch past serializing instructions"},
-        {"scout", "off|hws0|hws1|hws2",
+        {"scout", enumNameList<ScoutMode>(),
          "hardware scout mode (default off)"},
         {"sq", "N", "store queue entries"},
         {"sb", "N", "store buffer entries"},
@@ -91,7 +90,7 @@ toolMain(int argc, char **argv)
         try {
             spec.profile =
                 loadWorkloadProfileFile(cli.str("profile", ""));
-        } catch (const ConfigParseError &e) {
+        } catch (const ConfigError &e) {
             cli.fail(e.what());
         }
     } else {
@@ -103,75 +102,26 @@ toolMain(int argc, char **argv)
     if (cli.has("config")) {
         try {
             cfg = loadSimConfigFile(cli.str("config", ""));
-        } catch (const ConfigParseError &e) {
-            cli.fail(e.what());
-        }
-    }
-    // Flags override the config file only when explicitly given.
-    std::string sp = cli.str("prefetch", "");
-    if (cli.has("prefetch")) {
-        if (sp == "sp0")
-            cfg.storePrefetch = StorePrefetch::None;
-        else if (sp == "sp1")
-            cfg.storePrefetch = StorePrefetch::AtRetire;
-        else if (sp == "sp2")
-            cfg.storePrefetch = StorePrefetch::AtExecute;
-        else
-            cli.fail("bad --prefetch");
-    } else {
-        sp = storePrefetchName(cfg.storePrefetch);
-    }
-
-    if (cli.has("model")) {
-        // Unknown presets / malformed descriptors are usage errors
-        // (exit 2), matching every other flag.
-        try {
-            cfg.memoryModel =
-                ModelDescriptor::parse(cli.str("model", ""));
         } catch (const ConfigError &e) {
             cli.fail(e.what());
         }
     }
-    std::string model = cfg.memoryModel.name;
-
+    // Flags override the config file only when explicitly given.
+    constexpr std::pair<const char *, const char *> kConfigFlags[] = {
+        {"prefetch", "storePrefetch"}, {"model", "model"},
+        {"scout", "scout"}, {"sq", "storeQueueSize"},
+        {"sb", "storeBufferSize"}, {"rob", "robSize"},
+        {"iw", "issueWindowSize"}, {"coalesce", "coalesceBytes"},
+        {"latency", "missLatency"},
+    };
+    for (auto [flag, key] : kConfigFlags)
+        configFlag(cli, cfg, flag, key);
     if (cli.flag("sle"))
         cfg.sle = true;
     if (cli.flag("pps"))
         cfg.prefetchPastSerializing = true;
-
-    std::string scout = cli.str("scout", "");
-    if (cli.has("scout")) {
-        if (scout == "hws0")
-            cfg.scout = ScoutMode::Hws0;
-        else if (scout == "hws1")
-            cfg.scout = ScoutMode::Hws1;
-        else if (scout == "hws2")
-            cfg.scout = ScoutMode::Hws2;
-        else if (scout == "off")
-            cfg.scout = ScoutMode::Off;
-        else
-            cli.fail("bad --scout");
-    } else {
-        scout = scoutModeName(cfg.scout);
-    }
-
-    if (cli.has("sq"))
-        cfg.storeQueueSize = static_cast<uint32_t>(cli.num("sq", 32));
-    if (cli.has("sb"))
-        cfg.storeBufferSize = static_cast<uint32_t>(cli.num("sb", 16));
-    if (cli.has("rob"))
-        cfg.robSize = static_cast<uint32_t>(cli.num("rob", 64));
-    if (cli.has("iw"))
-        cfg.issueWindowSize =
-            static_cast<uint32_t>(cli.num("iw", 32));
-    if (cli.has("coalesce"))
-        cfg.coalesceBytes =
-            static_cast<uint32_t>(cli.num("coalesce", 8));
     if (cli.flag("perfect-stores"))
         cfg.perfectStores = true;
-    if (cli.has("latency"))
-        cfg.missLatency =
-            static_cast<uint32_t>(cli.num("latency", 500));
 
     if (cli.has("l1-kb") || cli.has("l2-kb") || cli.has("l2-assoc")) {
         HierarchyConfig hier;
@@ -242,7 +192,7 @@ toolMain(int argc, char **argv)
                 {"tool", "storemlp_sim"},
                 {"mode", "multicore"},
                 {"workload", spec.profile.name},
-                {"model", model},
+                {"model", cfg.memoryModel.name},
                 {"cores", std::to_string(mspec.cores)},
                 {"chips", std::to_string(mspec.chips)},
                 {"seed", std::to_string(spec.seed)},
@@ -309,9 +259,9 @@ toolMain(int argc, char **argv)
         StatsMeta meta = {
             {"tool", "storemlp_sim"},
             {"workload", spec.profile.name},
-            {"model", model},
-            {"prefetch", sp},
-            {"scout", scout},
+            {"model", cfg.memoryModel.name},
+            {"prefetch", storePrefetchName(cfg.storePrefetch)},
+            {"scout", scoutModeName(cfg.scout)},
             {"seed", std::to_string(spec.seed)},
             {"warmup", std::to_string(spec.warmupInsts)},
             {"measure", std::to_string(spec.measureInsts)},

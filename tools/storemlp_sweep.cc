@@ -72,29 +72,16 @@ runCoresSweep(const Cli &cli, const SweepRequest &req)
     }
 
     std::vector<uint32_t> core_counts;
-    {
-        std::string list = cli.str("cores", "");
-        size_t pos = 0;
-        while (pos <= list.size()) {
-            size_t end = list.find(',', pos);
-            std::string tok = list.substr(
-                pos, end == std::string::npos ? std::string::npos
-                                              : end - pos);
-            if (!tok.empty()) {
-                std::optional<uint64_t> v = parseU64Strict(tok);
-                if (!v || !*v) {
-                    cli.fail("bad --cores entry '" + tok +
-                             "': expected a positive integer");
-                }
-                core_counts.push_back(static_cast<uint32_t>(*v));
-            }
-            if (end == std::string::npos)
-                break;
-            pos = end + 1;
+    for (const std::string &tok : splitList(cli.str("cores", ""), ',')) {
+        std::optional<uint64_t> v = parseU64Strict(tok);
+        if (!v || !*v || *v > UINT32_MAX) {
+            cli.fail("bad --cores entry '" + tok +
+                     "': expected a positive 32-bit integer");
         }
-        if (core_counts.empty())
-            cli.fail("--cores requires at least one core count");
+        core_counts.push_back(static_cast<uint32_t>(*v));
     }
+    if (core_counts.empty())
+        cli.fail("--cores requires at least one core count");
     uint64_t chips_flag = cli.num("chips", 0);
 
     struct McRun

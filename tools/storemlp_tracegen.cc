@@ -30,8 +30,7 @@ int
 toolMain(int argc, char **argv)
 {
     Cli cli(argc, argv, {
-        {"workload", "database|tpcw|specjbb|specweb",
-         "workload profile (default database)"},
+        kWorkloadFlag,
         {"count", "N", "instructions to generate (default 1M)"},
         kSeedFlag,
         {"chip", "N", "chip id for region placement (default 0)"},

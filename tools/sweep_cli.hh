@@ -29,8 +29,9 @@ sweepRequestFlags()
     return {
         {"dir", "PATH",
          "directory of *.cfg SimConfig files (default: configs)"},
-        {"workload", "all|database|tpcw|specjbb|specweb",
-         "workload(s) to sweep (default all)"},
+        {"workload", "all|NAME",
+         "workload(s) to sweep (default all, the paper's four):\n" +
+             workloadNameList()},
         {"models", "LIST",
          "also sweep the memory-model axis: run every config under\n"
          "each model in LIST (';'-separated presets or key=val\n"
@@ -76,7 +77,7 @@ sweepRequestFromFlags(const Cli &cli)
         entry.name = f.stem().string();
         try {
             entry.config = loadSimConfigFile(f.string());
-        } catch (const ConfigParseError &e) {
+        } catch (const ConfigError &e) {
             cli.fail(e.what());
         }
         req.configs.push_back(std::move(entry));
@@ -84,7 +85,10 @@ sweepRequestFromFlags(const Cli &cli)
 
     std::string wl = cli.str("workload", "all");
     if (wl == "all") {
-        req.workloads = {"database", "tpcw", "specjbb", "specweb"};
+        for (const NamedWorkload &w : kNamedWorkloads) {
+            if (w.paper)
+                req.workloads.push_back(w.name);
+        }
     } else {
         (void)workloadByName(cli, wl); // validate (exit 2 on typo)
         req.workloads = {wl};
@@ -92,19 +96,8 @@ sweepRequestFromFlags(const Cli &cli)
 
     if (cli.has("models")) {
         std::string list = cli.str("models", "");
-        char sep = list.find(';') != std::string::npos ? ';' : ',';
-        size_t pos = 0;
-        while (pos <= list.size()) {
-            size_t end = list.find(sep, pos);
-            std::string tok = list.substr(
-                pos, end == std::string::npos ? std::string::npos
-                                              : end - pos);
-            if (!tok.empty())
-                req.models.push_back(tok);
-            if (end == std::string::npos)
-                break;
-            pos = end + 1;
-        }
+        req.models =
+            splitList(list, list.find(';') != std::string::npos ? ';' : ',');
         if (req.models.empty())
             cli.fail("--models requires at least one model");
         for (const std::string &m : req.models) {
