@@ -122,7 +122,7 @@ BM_EpochLog(benchmark::State &state)
     bool enabled = state.range(0) != 0;
     if (enabled)
         spec.epochLog = &null_os;
-    Trace trace = Runner::buildTrace(spec);
+    Trace trace = materializeSource(*openRunSource(SourceSpec::forRun(spec)));
     for (auto _ : state) {
         MaterializedSource src(trace);
         RunOutput out = Runner::run(spec, src);

@@ -68,18 +68,25 @@ BM_CacheReplay(benchmark::State &state)
 }
 BENCHMARK(BM_CacheReplay);
 
+/**
+ * The epoch engine over 100k in-memory records. Each run streams a
+ * fresh MaterializedSource, so its chunks derive their lanes inside
+ * the timed loop, as every source's chunks do in a real run.
+ */
 void
-epochEngineBench(benchmark::State &state, WorkloadProfile profile)
+epochEngineBench(benchmark::State &state, WorkloadProfile profile,
+                 SimConfig cfg)
 {
     SyntheticTraceGenerator gen(profile, 1);
     Trace trace = gen.generate(100000);
-    LockAnalysis locks = LockDetector().analyze(trace);
-    SimConfig cfg = SimConfig::defaults();
+    MaterializedSource whole(trace);
+    LockAnalysis locks = LockDetector().analyze(whole);
     cfg.cpiOnChip = profile.cpiOnChip;
     for (auto _ : state) {
         ChipNode chip(HierarchyConfig{}, 0);
         MlpSimulator sim(cfg, chip, &locks);
-        SimResult res = sim.run(trace);
+        MaterializedSource src(trace);
+        SimResult res = sim.run(src);
         benchmark::DoNotOptimize(res.epochs);
     }
     state.SetItemsProcessed(state.iterations() *
@@ -89,34 +96,24 @@ epochEngineBench(benchmark::State &state, WorkloadProfile profile)
 void
 BM_EpochEngine_Database(benchmark::State &state)
 {
-    epochEngineBench(state, WorkloadProfile::database());
+    epochEngineBench(state, WorkloadProfile::database(),
+                     SimConfig::defaults());
 }
 BENCHMARK(BM_EpochEngine_Database);
 
 void
 BM_EpochEngine_SpecJbb(benchmark::State &state)
 {
-    epochEngineBench(state, WorkloadProfile::specjbb());
+    epochEngineBench(state, WorkloadProfile::specjbb(),
+                     SimConfig::defaults());
 }
 BENCHMARK(BM_EpochEngine_SpecJbb);
 
 void
 BM_EpochEngineScout_Database(benchmark::State &state)
 {
-    WorkloadProfile profile = WorkloadProfile::database();
-    SyntheticTraceGenerator gen(profile, 1);
-    Trace trace = gen.generate(100000);
-    LockAnalysis locks = LockDetector().analyze(trace);
-    SimConfig cfg = SimConfig::defaults().withScout(ScoutMode::Hws2);
-    cfg.cpiOnChip = profile.cpiOnChip;
-    for (auto _ : state) {
-        ChipNode chip(HierarchyConfig{}, 0);
-        MlpSimulator sim(cfg, chip, &locks);
-        SimResult res = sim.run(trace);
-        benchmark::DoNotOptimize(res.epochs);
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(trace.size()));
+    epochEngineBench(state, WorkloadProfile::database(),
+                     SimConfig::defaults().withScout(ScoutMode::Hws2));
 }
 BENCHMARK(BM_EpochEngineScout_Database);
 

@@ -24,18 +24,17 @@ main(int argc, char **argv)
                   "SPECweb"});
 
     // One CPI-model evaluation per workload, parallel on the sweep
-    // pool. Each trace feeds one evaluation, so nothing is cached.
+    // pool. Each stream feeds one evaluation, so nothing is cached.
     auto profiles = workloads();
     std::vector<CpiModel::Breakdown> bds(profiles.size());
     std::vector<std::function<void()>> tasks;
     for (size_t i = 0; i < profiles.size(); ++i) {
         tasks.push_back([&, i] {
-            RunSpec spec;
+            SourceSpec spec;
             spec.profile = profiles[i];
             spec.seed = 42;
-            spec.warmupInsts = scale.warmup;
-            spec.measureInsts = scale.measure;
-            bds[i] = CpiModel().evaluate(Runner::buildTrace(spec),
+            spec.count = scale.warmup + scale.measure;
+            bds[i] = CpiModel().evaluate(*openRunSource(spec),
                                          scale.warmup);
         });
     }

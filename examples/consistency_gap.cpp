@@ -38,7 +38,8 @@ main(int argc, char **argv)
     // detect its lock idioms, and rewrite it for weak consistency.
     SyntheticTraceGenerator gen(profile, 42);
     Trace pc_trace = gen.generate(insts + insts / 2);
-    LockAnalysis locks = LockDetector().analyze(pc_trace);
+    MaterializedSource pc_src(pc_trace);
+    LockAnalysis locks = LockDetector().analyze(pc_src);
     Trace wc_trace = TraceRewriter().toWeakConsistency(pc_trace, locks);
 
     std::cout << "workload: " << profile.name << "\n"

@@ -1,9 +1,9 @@
 /**
  * @file
  * API tour: build a custom workload profile, generate a trace,
- * persist it to disk, reload it, and run it through the epoch engine
- * directly (without the Runner convenience layer) — the integration
- * path for users bringing their own trace sources.
+ * persist it to disk, stream it back, and run it through the epoch
+ * engine directly (without the Runner convenience layer) — the
+ * integration path for users bringing their own trace sources.
  */
 
 #include <cstdio>
@@ -13,7 +13,7 @@
 #include "core/mlp_sim.hh"
 #include "trace/generator.hh"
 #include "trace/lock_detector.hh"
-#include "trace/trace_io.hh"
+#include "trace/trace_file_source.hh"
 
 using namespace storemlp;
 
@@ -41,17 +41,17 @@ main()
     Trace trace = gen.generate(400000);
     std::string path = "/tmp/storemlp_custom_trace.bin";
     writeTraceFile(path, trace);
-    Trace loaded = readTraceFile(path);
-    std::cout << "trace round trip: " << loaded.size()
+    StreamingFileSource loaded(path);
+    std::cout << "trace round trip: " << *loaded.knownSize()
               << " records\n";
 
-    // 3. Assemble the machine by hand: one chip, no bus.
-    ChipNode chip(HierarchyConfig{}, 0);
+    // 3. Detect its critical sections (one pass over the file).
     LockAnalysis locks = LockDetector().analyze(loaded);
     std::cout << "critical sections detected: " << locks.pairs.size()
               << " (lock-free by construction)\n\n";
 
-    // 4. Compare store handling options on the append path.
+    // 4. Assemble the machine by hand (one chip, no bus) and compare
+    //    store handling options on the append path.
     for (StorePrefetch sp : {StorePrefetch::None,
                              StorePrefetch::AtRetire,
                              StorePrefetch::AtExecute}) {

@@ -35,6 +35,18 @@ struct CacheConfig
     static CacheConfig l2Default() { return {2 * 1024 * 1024, 4, 64}; }
 };
 
+/**
+ * Throw ConfigError unless `n` lines (or SMAC entries: `unit`) in
+ * `assoc`-way sets make at least one set and a power-of-two number of
+ * them: the geometry that SetAssocCache and Smac index by bit mask
+ * (their constructors assert it).
+ */
+void checkSetGeometry(uint64_t n, uint64_t assoc,
+                      const char *unit = "lines");
+
+/** checkSetGeometry for a cache whose line size is a power of two. */
+void checkGeometry(const CacheConfig &config);
+
 } // namespace storemlp
 
 #endif // STOREMLP_CACHE_CACHE_CONFIG_HH

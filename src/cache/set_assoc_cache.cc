@@ -6,6 +6,9 @@
 #include "cache/set_assoc_cache.hh"
 
 #include <cassert>
+#include <string>
+
+#include "util/error.hh"
 
 namespace storemlp
 {
@@ -29,6 +32,31 @@ log2Floor(uint64_t v)
     return s;
 }
 } // namespace
+
+void
+checkSetGeometry(uint64_t n, uint64_t assoc, const char *unit)
+{
+    std::string count = std::to_string(n) + " " + unit;
+    std::string ways = std::to_string(assoc) + "-way";
+    if (assoc == 0 || n < assoc)
+        throw ConfigError(count + " make no " + ways + " set");
+    if (n % assoc != 0)
+        throw ConfigError(ways + " sets do not divide " + count);
+    if (!isPow2(n / assoc)) {
+        throw ConfigError(std::to_string(n / assoc) + " " + ways +
+                          " sets is not a power of two");
+    }
+}
+
+void
+checkGeometry(const CacheConfig &config)
+{
+    if (!isPow2(config.lineBytes)) {
+        throw ConfigError("line size " + std::to_string(config.lineBytes) +
+                          " is not a power of two");
+    }
+    checkSetGeometry(config.sizeBytes / config.lineBytes, config.assoc);
+}
 
 SetAssocCache::SetAssocCache(const CacheConfig &config)
     : _config(config), _numSets(config.numSets())

@@ -6,8 +6,11 @@
 #include "coherence/smac.hh"
 
 #include <cassert>
+#include <string>
 
+#include "cache/cache_config.hh"
 #include "stats/registry.hh"
+#include "util/error.hh"
 
 namespace storemlp
 {
@@ -20,6 +23,16 @@ isPow2(uint64_t v)
     return v && ((v & (v - 1)) == 0);
 }
 } // namespace
+
+void
+checkGeometry(const SmacConfig &config)
+{
+    checkSetGeometry(config.entries, config.assoc, "entries");
+    if (!isPow2(config.subBlocks)) {
+        throw ConfigError(std::to_string(config.subBlocks) +
+                          " sub-blocks per entry is not a power of two");
+    }
+}
 
 Smac::Smac(const SmacConfig &config) : _config(config)
 {

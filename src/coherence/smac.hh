@@ -45,6 +45,13 @@ struct SmacConfig
 };
 
 /**
+ * Throw ConfigError unless `config` is a geometry Smac can index: a
+ * power-of-two number of sets (checkSetGeometry) of power-of-two
+ * super-blocks.
+ */
+void checkGeometry(const SmacConfig &config);
+
+/**
  * The SMAC. Per-sub-block state distinguishes "never owned" from
  * "ownership lost to a coherence event", which is what Figure 6's
  * right-hand graph reports.

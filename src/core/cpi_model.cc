@@ -13,7 +13,7 @@ CpiModel::CpiModel(const CpiModelParams &params) : _params(params)
 }
 
 CpiModel::Breakdown
-CpiModel::evaluate(const Trace &trace, uint64_t warmup) const
+CpiModel::evaluate(TraceSource &src, uint64_t warmup) const
 {
     // Private L1s in front of a perfect L2: every L1 miss is an L2 hit
     // by construction of the metric.
@@ -26,9 +26,9 @@ CpiModel::evaluate(const Trace &trace, uint64_t warmup) const
     uint64_t l1i_misses = 0;
     uint64_t mispredicts = 0;
 
-    for (uint64_t i = 0; i < trace.size(); ++i) {
-        const TraceRecord &r = trace[i];
-        bool measured = i >= warmup;
+    uint64_t i = 0;
+    forEachRecord(src, 0, ~uint64_t{0}, [&](const TraceRecord &r) {
+        bool measured = i++ >= warmup;
         if (measured)
             ++insts;
 
@@ -58,7 +58,7 @@ CpiModel::evaluate(const Trace &trace, uint64_t warmup) const
                     ++mispredicts;
             }
         }
-    }
+    });
 
     Breakdown b;
     if (insts == 0)

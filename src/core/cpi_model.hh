@@ -13,7 +13,7 @@
 #include <cstdint>
 
 #include "cache/hierarchy.hh"
-#include "trace/trace.hh"
+#include "trace/trace_source.hh"
 #include "uarch/branch_predictor.hh"
 
 namespace storemlp
@@ -67,10 +67,10 @@ class CpiModel
     };
 
     /**
-     * Measure over trace records [warmup, end) after warming the L1s
-     * and predictor on [0, warmup).
+     * Measure over records [warmup, end) of `src` after warming the
+     * L1s and predictor on [0, warmup). One pass, O(chunk) memory.
      */
-    Breakdown evaluate(const Trace &trace, uint64_t warmup = 0) const;
+    Breakdown evaluate(TraceSource &src, uint64_t warmup = 0) const;
 
     const CpiModelParams &params() const { return _params; }
 

@@ -864,15 +864,6 @@ MlpSimulator::process(TraceCursor &cur, uint64_t begin, uint64_t end,
     }
 }
 
-void
-MlpSimulator::process(const Trace &trace, uint64_t begin, uint64_t end,
-                      bool collect)
-{
-    MaterializedSource src(trace);
-    TraceCursor cur(src);
-    process(cur, begin, std::min<uint64_t>(end, trace.size()), collect);
-}
-
 SimResult
 MlpSimulator::run(TraceSource &src, uint64_t warmup_insts)
 {
@@ -884,13 +875,6 @@ MlpSimulator::run(TraceSource &src, uint64_t warmup_insts)
     }
     process(cur, start, ~uint64_t{0}, true);
     return takeResult();
-}
-
-SimResult
-MlpSimulator::run(const Trace &trace, uint64_t warmup_insts)
-{
-    MaterializedSource src(trace);
-    return run(src, warmup_insts);
 }
 
 SimResult

@@ -79,19 +79,8 @@ class MlpSimulator
     void process(TraceCursor &cur, uint64_t begin, uint64_t end,
                  bool collect);
 
-    /**
-     * Compatibility shim over the cursor path; behaviorally identical
-     * to pre-TraceSource releases. Slated for deletion — prefer the
-     * TraceCursor overload.
-     */
-    void process(const Trace &trace, uint64_t begin, uint64_t end,
-                 bool collect);
-
     /** Convenience: warmup then measure the rest of the stream. */
     SimResult run(TraceSource &src, uint64_t warmup_insts = 0);
-
-    /** Compatibility shim; prefer the TraceSource overload. */
-    SimResult run(const Trace &trace, uint64_t warmup_insts = 0);
 
     /**
      * Next trace index the simulator will dispatch: where the last

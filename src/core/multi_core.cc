@@ -127,7 +127,7 @@ MultiCoreRunner::run(const MultiRunSpec &spec)
     if (spec.config.sle || spec.config.tm.enabled) {
         locks.reserve(n);
         for (uint32_t c = 0; c < n; ++c)
-            locks.push_back(analyzeSource(*sources[c]));
+            locks.push_back(LockDetector().analyze(*sources[c]));
     }
 
     // ---- the machine: M chips, bus-connected when M > 1 ----

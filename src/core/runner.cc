@@ -16,7 +16,6 @@
 #include "coherence/traffic.hh"
 #include "core/epoch_log.hh"
 #include "core/mlp_sim.hh"
-#include "trace/generator.hh"
 #include "trace/lock_detector.hh"
 #include "trace/rewriter.hh"
 #include "trace/trace_file_source.hh"
@@ -149,22 +148,6 @@ RunOutput::smacHitInvalidPct() const
         : 0.0;
 }
 
-Trace
-Runner::buildTrace(const RunSpec &spec)
-{
-    SyntheticTraceGenerator gen(spec.profile, spec.seed, 0);
-    Trace trace = gen.generate(spec.warmupInsts + spec.measureInsts);
-
-    // The paper simulates weak consistency by rewriting the PC trace's
-    // lock idioms (Section 4.2); any Power-dialect model gets the
-    // same rewrite.
-    if (spec.config.memoryModel.wcTraceRewrite()) {
-        TraceRewriter rewriter;
-        trace = rewriter.toWeakConsistency(trace);
-    }
-    return trace;
-}
-
 SourceSpec
 SourceSpec::forRun(const RunSpec &spec, uint64_t chunk_insts)
 {
@@ -172,6 +155,9 @@ SourceSpec::forRun(const RunSpec &spec, uint64_t chunk_insts)
     s.profile = spec.profile;
     s.seed = spec.seed;
     s.count = spec.warmupInsts + spec.measureInsts;
+    // The paper simulates weak consistency by rewriting the PC trace's
+    // lock idioms (Section 4.2); any Power-dialect model gets the
+    // same rewrite.
     s.wcRewrite = spec.config.memoryModel.wcTraceRewrite();
     s.chunkInsts = chunk_insts;
     return s;
@@ -210,7 +196,7 @@ Runner::run(const RunSpec &spec, TraceSource &source)
     // roles vector) unless those optimizations are on.
     std::optional<LockAnalysis> locks;
     if (spec.config.sle || spec.config.tm.enabled)
-        locks = analyzeSource(source);
+        locks = LockDetector().analyze(source);
 
     // ---- build the machine ----
     HierarchyConfig hier_cfg = spec.hierarchy.value_or(HierarchyConfig{});

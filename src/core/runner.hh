@@ -141,7 +141,11 @@ struct SourceSpec
     uint64_t chunkInsts = 0;    ///< 0: default; v4 files keep theirs
     TraceCache *cache = nullptr; ///< share chunks (sweep workers)
 
-    /** The stream `Runner::buildTrace(spec)` materializes. */
+    /**
+     * A run's generated stream: warmupInsts + measureInsts records of
+     * the spec's profile and seed, PC->WC rewritten when the spec's
+     * memory model asks for the Power dialect (paper Section 4.2).
+     */
     static SourceSpec forRun(const RunSpec &spec, uint64_t chunk_insts = 0);
 };
 
@@ -163,11 +167,11 @@ class Runner
     /**
      * Run one full epoch-model experiment against a record stream.
      * `source` must already reflect the spec's memory model (i.e. be
-     * the stream `buildTrace` would produce, or an on-disk trace
+     * the stream of SourceSpec::forRun(spec), or an on-disk trace
      * written for that model); openRunSource builds it. This is the
-     * primary entry point: resident trace memory is O(chunk) for
-     * streaming sources, and a MaterializedSource reproduces the
-     * historical whole-trace behavior bit for bit.
+     * one engine entry: resident trace memory is O(chunk) for
+     * streaming sources, and a MaterializedSource runs a hand-built
+     * in-memory trace the same way.
      *
      * The stream is read once, in chunk order: the Table-1 store
      * tally (`storesPer100`) counts the measured records as the
@@ -175,16 +179,6 @@ class Runner
      * the lock analysis adds one full pass before the run.
      */
     static RunOutput run(const RunSpec &spec, TraceSource &source);
-
-    /**
-     * Build the input trace for a spec: generate
-     * warmupInsts + measureInsts instructions and apply the PC->WC
-     * rewrite when the spec's config uses weak consistency. Sweeps and
-     * the tools stream instead (openRunSource); this whole-trace form
-     * stays for the whole-trace CPI model, for the tests that compare
-     * streamed runs against it, and for e2ebench's layer tracer.
-     */
-    static Trace buildTrace(const RunSpec &spec);
 
     /**
      * Cache-only measurement of the paper's Table 1 statistics: no

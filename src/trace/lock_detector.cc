@@ -1,7 +1,7 @@
 /**
  * @file
- * Lock detector implementation: a streaming core with batch and
- * whole-source fronts.
+ * Lock detector implementation: a streaming core and its whole-source
+ * front.
  */
 
 #include "trace/lock_detector.hh"
@@ -109,27 +109,9 @@ StreamingLockDetector::processAt(uint64_t j)
 }
 
 LockAnalysis
-LockDetector::analyze(const Trace &trace) const
+LockDetector::analyze(TraceSource &src) const
 {
     StreamingLockDetector det(_window);
-    LockAnalysis out;
-    out.roles.reserve(trace.size());
-    for (const TraceRecord &r : trace.records()) {
-        det.push(r);
-        while (det.finalizedCount())
-            out.roles.push_back(det.pop().second);
-    }
-    det.finish();
-    while (det.finalizedCount())
-        out.roles.push_back(det.pop().second);
-    out.pairs = det.takePairs();
-    return out;
-}
-
-LockAnalysis
-analyzeSource(TraceSource &src, uint64_t window)
-{
-    StreamingLockDetector det(window);
     LockAnalysis out;
     if (std::optional<uint64_t> n = src.knownSize())
         out.roles.reserve(*n);

@@ -75,7 +75,12 @@ class LockDetector
   public:
     explicit LockDetector(uint64_t window = 512) : _window(window) {}
 
-    LockAnalysis analyze(const Trace &trace) const;
+    /**
+     * Detect over a whole source in one pass, with O(window + chunk)
+     * resident trace data; the returned roles vector is still one
+     * byte per record.
+     */
+    LockAnalysis analyze(TraceSource &src) const;
 
     uint64_t window() const { return _window; }
 
@@ -96,9 +101,8 @@ class LockDetector
  *  - after processing j, roles at indices <= j - window are final — a
  *    later release store i > j can only annotate indices >= i - window.
  *
- * `LockDetector::analyze` and `analyzeSource` are both thin loops over
- * this class, so batch and streaming results are identical by
- * construction.
+ * `LockDetector::analyze` is a thin loop over this class; the WC
+ * rewrite (WcRewriteSource) drives it chunk by chunk.
  */
 class StreamingLockDetector
 {
@@ -145,13 +149,6 @@ class StreamingLockDetector
     std::unordered_map<uint64_t, uint64_t> _open; ///< addr -> acquire
     std::vector<LockPair> _pairs;
 };
-
-/**
- * Run lock detection over a whole TraceSource. Streams through the
- * source with O(window + chunk) resident trace data; the returned
- * roles vector is still one byte per record.
- */
-LockAnalysis analyzeSource(TraceSource &src, uint64_t window = 512);
 
 } // namespace storemlp
 

@@ -64,8 +64,8 @@ TraceRewriter::toWeakConsistency(const Trace &trace,
 Trace
 TraceRewriter::toWeakConsistency(const Trace &trace) const
 {
-    LockDetector detector;
-    return toWeakConsistency(trace, detector.analyze(trace));
+    MaterializedSource src(trace);
+    return toWeakConsistency(trace, LockDetector().analyze(src));
 }
 
 // ---------------------------------------------------------------------

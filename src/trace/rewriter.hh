@@ -35,8 +35,9 @@ uint64_t appendWcExpansion(const TraceRecord &r, LockRole role,
                            std::vector<TraceRecord> &out);
 
 /**
- * Produces the weak-consistency rendition of a processor-consistency
- * trace given a lock analysis.
+ * Produces the weak-consistency rendition of a whole
+ * processor-consistency trace given a lock analysis: the chunk-free
+ * reference that WcRewriteSource is tested against.
  */
 class TraceRewriter
 {

@@ -5,8 +5,6 @@
 
 #include "trace/trace.hh"
 
-#include <atomic>
-
 namespace storemlp
 {
 
@@ -27,24 +25,6 @@ deriveLanes(const TraceRecord *data, uint64_t n, TraceLanes &out)
             (static_cast<uint32_t>(r.src2) << 16) |
             (static_cast<uint32_t>(r.flags) << 24);
     }
-}
-
-std::shared_ptr<const TraceLanes>
-Trace::lanes() const
-{
-    std::shared_ptr<const TraceLanes> l = std::atomic_load(&_lanes);
-    if (l)
-        return l;
-    auto built = std::make_shared<TraceLanes>();
-    deriveLanes(_records.data(), _records.size(), *built);
-    std::shared_ptr<const TraceLanes> candidate = std::move(built);
-    // First deriver wins; a concurrent loser's copy is simply dropped.
-    std::shared_ptr<const TraceLanes> expected;
-    if (std::atomic_compare_exchange_strong(&_lanes, &expected,
-                                            candidate)) {
-        return candidate;
-    }
-    return expected;
 }
 
 const char *

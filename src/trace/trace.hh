@@ -7,7 +7,6 @@
 #define STOREMLP_TRACE_TRACE_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -50,24 +49,6 @@ class Trace
     bool empty() const { return _records.empty(); }
     const TraceRecord &operator[](size_t i) const { return _records[i]; }
 
-    void
-    append(const TraceRecord &r)
-    {
-        _records.push_back(r);
-        // Building invalidates any derived lanes (single-threaded by
-        // the immutable-once-built contract).
-        if (_lanes)
-            _lanes = nullptr;
-    }
-    void reserve(size_t n) { _records.reserve(n); }
-
-    /**
-     * Whole-trace SoA lanes, derived once on first use and cached.
-     * Thread-safe for concurrent readers of a built trace (sweep
-     * workers sharing one materialized trace). Copies share the cache.
-     */
-    std::shared_ptr<const TraceLanes> lanes() const;
-
     /** Summary counts used by Table 1 style reporting and tests. */
     struct Mix
     {
@@ -85,8 +66,6 @@ class Trace
 
   private:
     std::vector<TraceRecord> _records;
-    /** Lazily derived lane cache; accessed via std::atomic_load. */
-    mutable std::shared_ptr<const TraceLanes> _lanes;
 };
 
 /**

@@ -2,9 +2,9 @@
  * @file
  * v4 chunk codec: encode/decode one independently decodable
  * compressed chunk of TraceRecords, and validate a v4 chunk index.
- * Shared by the whole-trace reader/writer (trace_io.cc) and the
- * streaming chunk reader (trace_file_source.cc); the wire layout is
- * specified in docs/TRACE_FORMAT.md.
+ * Shared by the trace writer (trace_io.cc) and the trace reader
+ * (trace_file_source.cc); the wire layout is specified in
+ * docs/TRACE_FORMAT.md.
  *
  * The decoder is a wide, chunk-at-a-time path: the control bytes are
  * validated 16 at a time (SSE2, or SWAR on a u64 elsewhere; AVX2
@@ -57,7 +57,7 @@ void writeV4IndexEntry(uint8_t *p, const V4IndexEntry &e);
  * from the envelope's count/chunkInsts, contiguous byte offsets,
  * byteLen bounds) throws TraceFormatError on violation *before* any
  * chunk memory is allocated. `finish` checks that the chunks cover
- * the body exactly when the body size is known.
+ * the body exactly.
  */
 class V4IndexValidator
 {
@@ -66,16 +66,11 @@ class V4IndexValidator
     V4IndexValidator(uint64_t count, uint64_t chunk_insts,
                      uint64_t chunk_count);
 
-    uint64_t chunkCount() const { return _chunkCount; }
-
     /** Validate entry `idx` (0-based, in order). */
     void feed(const V4IndexEntry &e, uint64_t idx);
 
     /** All entries fed; `body_bytes` = bytes after the index. */
     void finish(uint64_t body_bytes) const;
-
-    /** Body bytes the fed entries claim (sum of byteLens). */
-    uint64_t claimedBodyBytes() const { return _nextOff; }
 
   private:
     uint64_t _count;

@@ -31,6 +31,24 @@ namespace
 
 using namespace trace_format;
 
+/**
+ * Throw a TraceFormatError that says to regenerate the file if the
+ * trace_format::kMagicBytes bytes at `magic` name a retired v2/v3
+ * container; return otherwise.
+ */
+void
+rejectRetiredContainer(const uint8_t *magic)
+{
+    for (const char *retired : {kMagicV2, kMagicV3}) {
+        if (std::memcmp(magic, retired, kMagicBytes) == 0) {
+            throw TraceFormatError(
+                "retired container " + std::string(retired, kMagicBytes) +
+                ": v2/v3 trace containers are no longer read; "
+                "regenerate with storemlp_tracegen (writes v4)");
+        }
+    }
+}
+
 /** v4 index entry `idx`, read straight from the mapped index bytes. */
 trace_codec::V4IndexEntry
 v4Entry(const uint8_t *data, uint64_t index_off, uint64_t idx)
@@ -46,7 +64,9 @@ StreamingFileSource::StreamingFileSource(const std::string &path,
     : TraceSource(chunk_insts), _path(path)
 {
 #if STOREMLP_HAVE_MMAP
-    _fd = ::open(path.c_str(), O_RDONLY);
+    // Non-blocking, so a FIFO without a writer is refused below
+    // instead of blocking the open.
+    _fd = ::open(path.c_str(), O_RDONLY | O_NONBLOCK);
     if (_fd < 0)
         throw TraceFormatError("cannot open for read: " + path);
     struct stat st;
@@ -55,9 +75,15 @@ StreamingFileSource::StreamingFileSource(const std::string &path,
         _fd = -1;
         throw TraceFormatError("cannot stat: " + path);
     }
-    _fileBytes = static_cast<uint64_t>(st.st_size);
-    if (_fileBytes > 0) {
-        void *map = ::mmap(nullptr, _fileBytes, PROT_READ, MAP_PRIVATE,
+    if (!S_ISREG(st.st_mode)) {
+        ::close(_fd);
+        _fd = -1;
+        throw TraceFormatError("not a regular file (a trace is mapped "
+                               "whole): " + path);
+    }
+    _info.fileBytes = static_cast<uint64_t>(st.st_size);
+    if (_info.fileBytes > 0) {
+        void *map = ::mmap(nullptr, _info.fileBytes, PROT_READ, MAP_PRIVATE,
                            _fd, 0);
         if (map == MAP_FAILED) {
             ::close(_fd);
@@ -72,35 +98,48 @@ StreamingFileSource::StreamingFileSource(const std::string &path,
     if (!ifs)
         throw TraceFormatError("cannot open for read: " + path);
     ifs.seekg(0, std::ios::end);
-    _fileBytes = static_cast<uint64_t>(ifs.tellg());
+    _info.fileBytes = static_cast<uint64_t>(ifs.tellg());
     ifs.seekg(0);
-    _fallback.resize(_fileBytes);
-    if (_fileBytes)
+    _fallback.resize(_info.fileBytes);
+    if (_info.fileBytes)
         ifs.read(reinterpret_cast<char *>(_fallback.data()),
-                 static_cast<std::streamsize>(_fileBytes));
+                 static_cast<std::streamsize>(_info.fileBytes));
     if (!ifs)
         throw TraceFormatError("read failed: " + path);
     _data = _fallback.data();
 #endif
 
-    // ---- parse the header from the mapping ----
-    uint64_t off = 0;
-    if (_fileBytes < kMagicBytes)
+    try {
+        parseHeader();
+    } catch (...) {
+        release(); // the destructor does not run for a throwing ctor
+        throw;
+    }
+}
+
+void
+StreamingFileSource::parseHeader()
+{
+    const uint64_t file_bytes = _info.fileBytes;
+    uint64_t off = kMagicBytes;
+    if (file_bytes < kMagicBytes)
         throw TraceFormatError("bad trace magic");
-    rejectRetiredContainer(reinterpret_cast<const char *>(_data));
+    rejectRetiredContainer(_data);
     if (std::memcmp(_data, kMagicV1, kMagicBytes) == 0) {
-        _bodyFormat = kBodyFixed;
-        off = kMagicBytes;
+        _info.version = 1;
+        _info.bodyFormat = kBodyFixed;
     } else if (std::memcmp(_data, kMagicV4, kMagicBytes) == 0) {
-        off = kMagicBytes;
-        if (off + 5 > _fileBytes)
+        _info.version = 4;
+        if (off + 1 > file_bytes)
             throw TraceFormatError("truncated trace header");
         uint8_t fmt = _data[off++];
         if (fmt != kBodyChunked) {
             throw TraceFormatError("unknown v4 body format " +
                                    std::to_string(fmt));
         }
-        _bodyFormat = fmt;
+        _info.bodyFormat = fmt;
+        if (off + 4 > file_bytes)
+            throw TraceFormatError("truncated trace header");
         uint32_t len = getU32(_data + off);
         off += 4;
         if (len > kMaxMetaBytes) {
@@ -108,81 +147,88 @@ StreamingFileSource::StreamingFileSource(const std::string &path,
                 "trace metadata length " + std::to_string(len) +
                 " exceeds limit " + std::to_string(kMaxMetaBytes));
         }
-        if (off + len > _fileBytes)
+        if (off + len > file_bytes)
             throw TraceFormatError("truncated trace header");
-        _fingerprint.assign(reinterpret_cast<const char *>(_data + off),
-                            len);
+        _info.fingerprint.assign(
+            reinterpret_cast<const char *>(_data + off), len);
         off += len;
     } else {
         throw TraceFormatError("bad trace magic");
     }
 
-    if (off + 8 > _fileBytes)
+    if (off + 8 > file_bytes)
         throw TraceFormatError("truncated trace header");
-    _count = getU64(_data + off);
+    _info.records = getU64(_data + off);
     _bodyOff = off + 8;
 
-    if (_bodyFormat == kBodyChunked) {
+    if (_info.bodyFormat == kBodyChunked) {
         // Chunk geometry, then the whole index validated in place —
         // O(index) work, no heap: entries are re-read from the
         // mapping at fetch time.
-        if (_bodyOff + 16 > _fileBytes)
+        if (_bodyOff + 16 > file_bytes)
             throw TraceFormatError("truncated trace header");
-        uint64_t chunk_insts = getU64(_data + _bodyOff);
-        _chunkCount = getU64(_data + _bodyOff + 8);
+        _info.chunkInsts = getU64(_data + _bodyOff);
+        _info.chunks = getU64(_data + _bodyOff + 8);
         _indexOff = _bodyOff + 16;
-        trace_codec::V4IndexValidator val(_count, chunk_insts,
-                                          _chunkCount);
-        if (_chunkCount > (_fileBytes - _indexOff) / kIndexEntryBytesV4) {
+        trace_codec::V4IndexValidator val(_info.records, _info.chunkInsts,
+                                          _info.chunks);
+        if (_info.chunks > (file_bytes - _indexOff) / kIndexEntryBytesV4) {
             throw TraceFormatError(
-                "v4 chunk count " + std::to_string(_chunkCount) +
+                "v4 chunk count " + std::to_string(_info.chunks) +
                 " exceeds stream capacity (" +
-                std::to_string(_fileBytes - _indexOff) +
+                std::to_string(file_bytes - _indexOff) +
                 " bytes remain)");
         }
-        for (uint64_t i = 0; i < _chunkCount; ++i)
+        for (uint64_t i = 0; i < _info.chunks; ++i)
             val.feed(v4Entry(_data, _indexOff, i), i);
-        _bodyOff = _indexOff + _chunkCount * kIndexEntryBytesV4;
-        val.finish(_fileBytes - _bodyOff);
+        _bodyOff = _indexOff + _info.chunks * kIndexEntryBytesV4;
+        val.finish(file_bytes - _bodyOff);
         // Chunking is non-semantic; serve the file's own geometry so
         // every fetch is one index lookup plus one chunk decode.
-        if (_chunkCount > 0)
-            _chunkInsts = chunk_insts;
+        if (_info.chunks > 0)
+            _chunkInsts = _info.chunkInsts;
     }
 
-    uint64_t remaining = _fileBytes - _bodyOff;
+    uint64_t remaining = file_bytes - _bodyOff;
     uint64_t min_bytes =
-        _bodyFormat == kBodyFixed ? kRecordBytesV1 : 1;
-    if (_count > remaining / min_bytes) {
+        _info.bodyFormat == kBodyFixed ? kRecordBytesV1 : 1;
+    if (_info.records > remaining / min_bytes) {
         throw TraceFormatError(
-            "trace header count " + std::to_string(_count) +
+            "trace header count " + std::to_string(_info.records) +
             " exceeds stream capacity (" + std::to_string(remaining) +
             " bytes remain, >= " + std::to_string(min_bytes) +
             " bytes per record)");
     }
 
-    if (_fingerprint.empty()) {
-        _fingerprint =
-            "file:" + _path + "|n=" + std::to_string(_count);
-    }
+    _fingerprint = _info.fingerprint.empty()
+        ? "file:" + _path + "|n=" + std::to_string(_info.records)
+        : _info.fingerprint;
 }
 
 StreamingFileSource::~StreamingFileSource()
 {
+    release();
+}
+
+void
+StreamingFileSource::release()
+{
 #if STOREMLP_HAVE_MMAP
     if (_mapped)
-        ::munmap(const_cast<uint8_t *>(_data), _fileBytes);
+        ::munmap(const_cast<uint8_t *>(_data), _info.fileBytes);
     if (_fd >= 0)
         ::close(_fd);
+    _mapped = false;
+    _fd = -1;
 #endif
 }
 
 std::optional<uint64_t>
 StreamingFileSource::chunkByteBegin(uint64_t chunk_idx) const
 {
-    if (_bodyFormat == kBodyFixed)
+    if (_info.bodyFormat == kBodyFixed)
         return _bodyOff + chunk_idx * _chunkInsts * kRecordBytesV1;
-    if (chunk_idx >= _chunkCount)
+    if (chunk_idx >= _info.chunks)
         return std::nullopt;
     return _bodyOff + v4Entry(_data, _indexOff, chunk_idx).byteOff;
 }
@@ -200,7 +246,7 @@ StreamingFileSource::releaseBehind(uint64_t chunk_idx) const
     long page = ::sysconf(_SC_PAGESIZE);
     uint64_t mask = page > 0 ? static_cast<uint64_t>(page) - 1 : 4095;
     // Align down so the current chunk's first page stays resident.
-    uint64_t end = std::min(begin, _fileBytes) & ~mask;
+    uint64_t end = std::min(begin, _info.fileBytes) & ~mask;
     if (end <= _dropUpTo) {
         // Backward seek (e.g. a second sequential pass): resume the
         // drop cursor here so the new pass frees behind itself too.
@@ -246,7 +292,7 @@ StreamingFileSource::decodeV4ChunkAt(uint64_t chunk_idx) const
     // The constructor validated the whole index; re-check this entry's
     // extent against the mapping so a file mutated underneath the map
     // cannot push the decoder out of bounds.
-    uint64_t body_bytes = _fileBytes - _bodyOff;
+    uint64_t body_bytes = _info.fileBytes - _bodyOff;
     if (e.records > _chunkInsts || e.byteLen > body_bytes ||
         e.byteOff > body_bytes - e.byteLen)
         throw TraceFormatError("v4 chunk index changed under the map");
@@ -258,14 +304,15 @@ std::shared_ptr<const TraceChunk>
 StreamingFileSource::fetch(uint64_t chunk_idx)
 {
     uint64_t first = chunk_idx * _chunkInsts;
-    if (first >= _count)
+    if (first >= _info.records)
         return nullptr;
-    uint64_t n = std::min<uint64_t>(_chunkInsts, _count - first);
+    uint64_t n = std::min<uint64_t>(_chunkInsts, _info.records - first);
 
     std::vector<TraceRecord> records;
     try {
-        records = _bodyFormat == kBodyFixed ? decodeV1(first, n)
-                                            : decodeV4ChunkAt(chunk_idx);
+        records = _info.bodyFormat == kBodyFixed
+            ? decodeV1(first, n)
+            : decodeV4ChunkAt(chunk_idx);
     } catch (const TraceFormatError &e) {
         // Same type, so the tools still exit 1, but naming the file
         // and where in it the body went bad.
@@ -276,6 +323,19 @@ StreamingFileSource::fetch(uint64_t chunk_idx)
     }
     releaseBehind(chunk_idx);
     return std::make_shared<const TraceChunk>(first, std::move(records));
+}
+
+TraceFileInfo
+probeTraceFile(const std::string &path)
+{
+    return StreamingFileSource(path).info();
+}
+
+Trace
+readTraceFile(const std::string &path)
+{
+    StreamingFileSource src(path);
+    return materializeSource(src);
 }
 
 } // namespace storemlp

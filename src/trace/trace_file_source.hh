@@ -1,10 +1,11 @@
 /**
  * @file
- * Streaming reader for on-disk traces: an mmap-backed TraceSource that
+ * The one reader of on-disk traces: an mmap-backed TraceSource that
  * decodes fixed-size chunks on demand, so a multi-gigabyte trace runs
  * with O(chunk) resident decoded records. Reads both containers (v1
  * fixed, v4 chunk-indexed compressed; see docs/TRACE_FORMAT.md) and
- * rejects the retired v2/v3 ones by name.
+ * rejects the retired v2/v3 ones by name. probeTraceFile and
+ * readTraceFile are thin fronts over it.
  *
  * v1 bodies are random access (fixed record width). v4 bodies carry
  * their own chunk index (byte extents plus decode seeds, validated in
@@ -27,20 +28,33 @@
 #include <string>
 #include <vector>
 
+#include "trace/trace_io.hh"
 #include "trace/trace_source.hh"
 
 namespace storemlp
 {
+
+/** Header-level description of an on-disk trace (no record decode). */
+struct TraceFileInfo
+{
+    uint32_t version = 0;    ///< container: 1 or 4
+    uint32_t bodyFormat = 0; ///< 1 fixed, 3 chunked
+    uint64_t records = 0;
+    uint64_t fileBytes = 0;
+    uint64_t chunks = 0;     ///< v4 only: chunk count from the index
+    uint64_t chunkInsts = 0; ///< v4 only: records per chunk
+    std::string fingerprint; ///< provenance (v4 only; else empty)
+};
 
 class StreamingFileSource : public TraceSource
 {
   public:
     /**
      * Map `path` and parse its header (O(header + index) work).
-     * Throws TraceFormatError on a bad or retired magic, an
-     * impossible record count, or a corrupt v4 chunk index, with the
-     * same diagnostics as the whole-trace reader. For v4 files `chunk_insts` is
-     * ignored: chunking is non-semantic, so the source serves the
+     * Throws TraceFormatError on a path that is not a regular file (a
+     * pipe, a device), a bad or retired magic, an impossible record
+     * count, or a corrupt v4 chunk index. For v4 files `chunk_insts`
+     * is ignored: chunking is non-semantic, so the source serves the
      * file's own chunk geometry (see chunkInsts()).
      */
     explicit StreamingFileSource(const std::string &path,
@@ -50,13 +64,19 @@ class StreamingFileSource : public TraceSource
     std::shared_ptr<const TraceChunk> fetch(uint64_t chunk_idx) override;
     std::optional<uint64_t> knownSize() const override
     {
-        return _count;
+        return _info.records;
     }
     std::string fingerprint() const override { return _fingerprint; }
 
-    uint32_t bodyFormat() const { return _bodyFormat; }
+    uint32_t bodyFormat() const { return _info.bodyFormat; }
+    /** The header as parsed and validated by the constructor. */
+    const TraceFileInfo &info() const { return _info; }
 
   private:
+    /** Parse and validate the mapped header (and v4 index). */
+    void parseHeader();
+    /** Unmap and close the file. */
+    void release();
     std::vector<TraceRecord> decodeV1(uint64_t first, uint64_t n) const;
     /** Decode v4 chunk `chunk_idx` via its (validated) index entry. */
     std::vector<TraceRecord> decodeV4ChunkAt(uint64_t chunk_idx) const;
@@ -67,23 +87,30 @@ class StreamingFileSource : public TraceSource
 
     std::string _path;
     const uint8_t *_data = nullptr; ///< whole-file mapping (or buffer)
-    uint64_t _fileBytes = 0;
     bool _mapped = false;           ///< true: munmap; false: _fallback
     std::vector<uint8_t> _fallback; ///< used when mmap is unavailable
     int _fd = -1;
 
-    uint32_t _bodyFormat = 1;
+    TraceFileInfo _info;
     uint64_t _bodyOff = 0; ///< offset of the first record byte
-    uint64_t _count = 0;
-    std::string _fingerprint;
+    std::string _fingerprint; ///< the header's, or one naming the file
 
     // v4 only: the chunk index lives in the mapping at _indexOff and
     // is fully validated by the constructor; entries are re-read from
     // the mapped bytes on demand, so the index costs no heap at all.
     uint64_t _indexOff = 0;
-    uint64_t _chunkCount = 0;
     mutable uint64_t _dropUpTo = 0; ///< bytes already MADV_DONTNEEDed
 };
+
+/**
+ * Read a trace file's header: the StreamingFileSource constructor's
+ * O(header + index) parse and validation, no record decode. Throws
+ * TraceFormatError on malformed headers.
+ */
+TraceFileInfo probeTraceFile(const std::string &path);
+
+/** Decode a whole trace file (either container) into memory. */
+Trace readTraceFile(const std::string &path);
 
 } // namespace storemlp
 

@@ -1,8 +1,8 @@
 /**
  * @file
- * On-disk trace format internals shared by the whole-trace reader
- * (trace_io.cc), the streaming chunk reader (trace_file_source.cc)
- * and the v4 chunk codec (trace_codec.cc).
+ * On-disk trace format internals shared by the trace writer
+ * (trace_io.cc), the trace reader (trace_file_source.cc) and the v4
+ * chunk codec (trace_codec.cc).
  *
  * The normative wire-format specification — byte layouts, encodings,
  * and corruption-rejection rules — lives in docs/TRACE_FORMAT.md.

@@ -1,13 +1,13 @@
 /**
  * @file
- * Binary trace serialization. Two on-disk containers (normative spec
+ * Binary trace writing. Two on-disk containers (normative spec
  * in docs/TRACE_FORMAT.md, constants in trace_format.hh):
  *  v1 ("SMLPTRC1"): fixed 22-byte little-endian records.
  *  v4 ("SMLPTRC4"): a metadata envelope (body format + provenance
  *      fingerprint + count) plus chunk geometry, a chunk index, and
  *      independently decodable compressed chunks (trace_codec.cc).
- * readTrace() auto-detects the container by magic and names the
- * retired v2/v3 containers when it meets one.
+ * TraceFileWriter is the one encoder; StreamingFileSource reads both
+ * containers back.
  */
 
 #include "trace/trace_io.hh"
@@ -15,17 +15,14 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <istream>
 #include <optional>
 #include <ostream>
-#include <sstream>
 
 #include "trace/trace_codec.hh"
 #include "trace/trace_format.hh"
@@ -78,8 +75,8 @@ encodeV1Records(std::vector<uint8_t> &out, const TraceRecord *records,
 constexpr uint64_t kBodyBlockRecords = uint64_t{1} << 14;
 
 /**
- * The v1 record body encoder behind both v1 writers: encodes appended
- * records block by block into one reused buffer.
+ * TraceFileWriter's v1 record body encoder: encodes appended records
+ * block by block into one reused buffer.
  */
 class RecordBodyWriter
 {
@@ -134,7 +131,7 @@ writeV1Header(std::ostream &os, uint64_t count)
 }
 
 /**
- * The v4 body encoder behind both v4 writers: cuts appended records
+ * TraceFileWriter's v4 body encoder: cuts appended records
  * into exact `chunk_insts`-record chunks, carrying a short remainder
  * and the codec seeds across appends, and encodes each chunk into one
  * reused buffer before writing it to the body stream. Only the
@@ -369,25 +366,6 @@ TraceFileWriter::commit()
 
 // ---- whole-trace writers ----------------------------------------------
 
-void
-writeTrace(std::ostream &os, const Trace &trace)
-{
-    writeV1Header(os, trace.size());
-    RecordBodyWriter().append(os, trace.records().data(), trace.size());
-}
-
-void
-writeTraceV4(std::ostream &os, const Trace &trace,
-             const std::string &fingerprint, uint64_t chunk_insts)
-{
-    V4BodyWriter v4(chunk_insts);
-    std::stringstream body;
-    v4.append(body, trace.records().data(), trace.size());
-    v4.finish(body);
-    v4.writeHeader(os, fingerprint);
-    copyStream(body, os);
-}
-
 namespace
 {
 
@@ -416,322 +394,6 @@ writeTraceFileV4(const std::string &path, const Trace &trace,
 {
     writeWholeTrace(path, trace, TraceContainer::V4, fingerprint,
                     chunk_insts);
-}
-
-namespace
-{
-
-/**
- * Pre-reserve ceiling when the stream size is unknown (non-seekable
- * input): the vector grows incrementally past this, so a corrupt
- * header count can at worst waste ~24 MB, not allocate 2^64 bytes.
- */
-constexpr uint64_t kMaxBlindReserve = 1u << 20;
-
-/**
- * Bytes left in the stream after the current position, or nullopt for
- * non-seekable streams. Used to reject header record counts that the
- * stream cannot possibly satisfy before reserving memory for them.
- */
-std::optional<uint64_t>
-remainingBytes(std::istream &is)
-{
-    std::istream::pos_type cur = is.tellg();
-    if (cur == std::istream::pos_type(-1))
-        return std::nullopt;
-    is.seekg(0, std::ios::end);
-    std::istream::pos_type end = is.tellg();
-    is.seekg(cur);
-    if (end == std::istream::pos_type(-1) || end < cur || !is)
-        return std::nullopt;
-    return static_cast<uint64_t>(end - cur);
-}
-
-void
-throwCountExceedsCapacity(uint64_t count, uint64_t remaining,
-                          uint64_t min_record_bytes)
-{
-    throw TraceFormatError(
-        "trace header count " + std::to_string(count) +
-        " exceeds stream capacity (" + std::to_string(remaining) +
-        " bytes remain, >= " + std::to_string(min_record_bytes) +
-        " bytes per record)");
-}
-
-/**
- * Validate an untrusted header record count against the bytes that
- * actually remain (each record occupies at least `min_record_bytes`)
- * and return a safe reserve() amount. Throws TraceFormatError on an
- * impossible count instead of letting reserve() OOM the process.
- */
-uint64_t
-checkedReserve(std::istream &is, uint64_t count,
-               uint64_t min_record_bytes)
-{
-    std::optional<uint64_t> remaining = remainingBytes(is);
-    if (remaining) {
-        if (count > *remaining / min_record_bytes)
-            throwCountExceedsCapacity(count, *remaining,
-                                      min_record_bytes);
-        return count;
-    }
-    return std::min(count, kMaxBlindReserve);
-}
-
-uint64_t
-readCountHeader(std::istream &is)
-{
-    uint8_t hdr[8];
-    is.read(reinterpret_cast<char *>(hdr), sizeof(hdr));
-    if (!is)
-        throw TraceFormatError("truncated trace header");
-    return getU64(hdr);
-}
-
-Trace
-readV1Body(std::istream &is, uint64_t count)
-{
-    std::vector<TraceRecord> records;
-    records.reserve(checkedReserve(is, count, kRecordBytesV1));
-    std::array<uint8_t, kRecordBytesV1> buf;
-    for (uint64_t i = 0; i < count; ++i) {
-        is.read(reinterpret_cast<char *>(buf.data()), buf.size());
-        if (!is)
-            throw TraceFormatError("truncated trace body");
-        TraceRecord r;
-        r.pc = getU64(buf.data());
-        r.addr = getU64(buf.data() + 8);
-        if (buf[16] >= static_cast<uint8_t>(InstClass::NumClasses))
-            throw TraceFormatError("invalid instruction class");
-        r.cls = static_cast<InstClass>(buf[16]);
-        r.size = buf[17];
-        r.dst = buf[18];
-        r.src1 = buf[19];
-        r.src2 = buf[20];
-        r.flags = buf[21];
-        records.push_back(r);
-    }
-    return Trace(std::move(records));
-}
-
-/**
- * Read the v4 envelope after the magic and return its fingerprint,
- * rejecting a body-format byte other than chunked with a clear
- * TraceFormatError rather than a misparse.
- */
-std::string
-readEnvelopeFingerprint(std::istream &is)
-{
-    int fmt = is.get();
-    if (fmt == EOF)
-        throw TraceFormatError("truncated trace header");
-    if (fmt != kBodyChunked) {
-        throw TraceFormatError("unknown v4 body format " +
-                               std::to_string(fmt));
-    }
-
-    uint8_t len_buf[4];
-    is.read(reinterpret_cast<char *>(len_buf), sizeof(len_buf));
-    if (!is)
-        throw TraceFormatError("truncated trace header");
-    uint32_t len = getU32(len_buf);
-    if (len > kMaxMetaBytes) {
-        throw TraceFormatError("trace metadata length " +
-                               std::to_string(len) + " exceeds limit " +
-                               std::to_string(kMaxMetaBytes));
-    }
-    std::string fingerprint(len, '\0');
-    if (len) {
-        is.read(fingerprint.data(), len);
-        if (!is)
-            throw TraceFormatError("truncated trace header");
-    }
-    return fingerprint;
-}
-
-/** v4 chunk geometry words following the record count. */
-struct V4Geometry
-{
-    uint64_t chunkInsts = 0;
-    uint64_t chunkCount = 0;
-};
-
-V4Geometry
-readV4Geometry(std::istream &is)
-{
-    uint8_t buf[16];
-    is.read(reinterpret_cast<char *>(buf), sizeof(buf));
-    if (!is)
-        throw TraceFormatError("truncated trace header");
-    return {getU64(buf), getU64(buf + 8)};
-}
-
-/**
- * Read and validate the v4 chunk index. Every entry is checked by the
- * validator as it is read, and the index size itself is checked
- * against the remaining stream bytes first, so a forged header cannot
- * trigger a large allocation.
- */
-std::vector<trace_codec::V4IndexEntry>
-readV4Index(std::istream &is, uint64_t count, const V4Geometry &geom)
-{
-    trace_codec::V4IndexValidator val(count, geom.chunkInsts,
-                                      geom.chunkCount);
-    std::optional<uint64_t> remaining = remainingBytes(is);
-    if (remaining) {
-        // Each record occupies at least one body byte and each chunk
-        // one index entry.
-        if (count > *remaining)
-            throwCountExceedsCapacity(count, *remaining, 1);
-        if (geom.chunkCount > *remaining / kIndexEntryBytesV4) {
-            throw TraceFormatError(
-                "v4 chunk count " + std::to_string(geom.chunkCount) +
-                " exceeds stream capacity (" +
-                std::to_string(*remaining) + " bytes remain)");
-        }
-    }
-    std::vector<trace_codec::V4IndexEntry> index;
-    index.reserve(std::min(geom.chunkCount, kMaxBlindReserve));
-    uint8_t buf[kIndexEntryBytesV4];
-    for (uint64_t i = 0; i < geom.chunkCount; ++i) {
-        is.read(reinterpret_cast<char *>(buf), sizeof(buf));
-        if (!is)
-            throw TraceFormatError("truncated v4 chunk index");
-        trace_codec::V4IndexEntry e = trace_codec::readV4IndexEntry(buf);
-        val.feed(e, i);
-        index.push_back(e);
-    }
-    if (remaining) {
-        val.finish(*remaining -
-                   geom.chunkCount * kIndexEntryBytesV4);
-    }
-    return index;
-}
-
-Trace
-readV4Body(std::istream &is, uint64_t count)
-{
-    V4Geometry geom = readV4Geometry(is);
-    std::vector<trace_codec::V4IndexEntry> index =
-        readV4Index(is, count, geom);
-
-    std::vector<TraceRecord> records;
-    records.reserve(checkedReserve(is, count, 1));
-    std::vector<uint8_t> buf;
-    for (const auto &e : index) {
-        // Read incrementally so a forged byteLen on a non-seekable
-        // stream hits EOF long before it can force a huge allocation.
-        buf.clear();
-        uint64_t got = 0;
-        while (got < e.byteLen) {
-            uint64_t step = std::min(e.byteLen - got, kMaxBlindReserve);
-            buf.resize(got + step);
-            is.read(reinterpret_cast<char *>(buf.data() + got),
-                    static_cast<std::streamsize>(step));
-            if (!is)
-                throw TraceFormatError("truncated v4 chunk");
-            got += step;
-        }
-        std::vector<TraceRecord> chunk = trace_codec::decodeV4Chunk(
-            buf.data(), e.byteLen, e.records, e.seeds);
-        records.insert(records.end(),
-                       std::make_move_iterator(chunk.begin()),
-                       std::make_move_iterator(chunk.end()));
-    }
-    return Trace(std::move(records));
-}
-
-} // namespace
-
-void
-rejectRetiredContainer(const char *magic)
-{
-    for (const char *retired : {kMagicV2, kMagicV3}) {
-        if (std::memcmp(magic, retired, kMagicBytes) == 0) {
-            throw TraceFormatError(
-                "retired container " + std::string(retired, kMagicBytes) +
-                ": v2/v3 trace containers are no longer read; "
-                "regenerate with storemlp_tracegen (writes v4)");
-        }
-    }
-}
-
-Trace
-readTrace(std::istream &is)
-{
-    char magic[kMagicBytes];
-    is.read(magic, sizeof(magic));
-    if (!is)
-        throw TraceFormatError("bad trace magic");
-    rejectRetiredContainer(magic);
-    if (std::memcmp(magic, kMagicV1, kMagicBytes) == 0)
-        return readV1Body(is, readCountHeader(is));
-    if (std::memcmp(magic, kMagicV4, kMagicBytes) == 0) {
-        readEnvelopeFingerprint(is);
-        return readV4Body(is, readCountHeader(is));
-    }
-    throw TraceFormatError("bad trace magic");
-}
-
-Trace
-readTraceFile(const std::string &path)
-{
-    std::ifstream ifs(path, std::ios::binary);
-    if (!ifs)
-        throw TraceFormatError("cannot open for read: " + path);
-    return readTrace(ifs);
-}
-
-TraceFileInfo
-probeTraceFile(const std::string &path)
-{
-    std::ifstream ifs(path, std::ios::binary);
-    if (!ifs)
-        throw TraceFormatError("cannot open for read: " + path);
-
-    TraceFileInfo info;
-    char magic[kMagicBytes];
-    ifs.read(magic, sizeof(magic));
-    if (!ifs)
-        throw TraceFormatError("bad trace magic");
-    rejectRetiredContainer(magic);
-    if (std::memcmp(magic, kMagicV1, kMagicBytes) == 0) {
-        info.version = 1;
-        info.bodyFormat = kBodyFixed;
-    } else if (std::memcmp(magic, kMagicV4, kMagicBytes) == 0) {
-        info.version = 4;
-        info.bodyFormat = kBodyChunked;
-        info.fingerprint = readEnvelopeFingerprint(ifs);
-    } else {
-        throw TraceFormatError("bad trace magic");
-    }
-    info.records = readCountHeader(ifs);
-
-    if (info.version == 4) {
-        // O(index) work: validate the full chunk index against the
-        // remaining bytes without decoding any chunk.
-        V4Geometry geom = readV4Geometry(ifs);
-        readV4Index(ifs, info.records, geom);
-        info.chunks = geom.chunkCount;
-        info.chunkInsts = geom.chunkInsts;
-    }
-
-    // Validate the untrusted count against the bytes actually present,
-    // exactly like the full reader would before reserving memory.
-    uint64_t min_bytes =
-        info.bodyFormat == kBodyFixed ? kRecordBytesV1 : 1;
-    std::optional<uint64_t> remaining = remainingBytes(ifs);
-    if (remaining && info.records > *remaining / min_bytes)
-        throwCountExceedsCapacity(info.records, *remaining, min_bytes);
-
-    std::istream::pos_type cur = ifs.tellg();
-    ifs.seekg(0, std::ios::end);
-    std::istream::pos_type end = ifs.tellg();
-    if (cur != std::istream::pos_type(-1) &&
-        end != std::istream::pos_type(-1)) {
-        info.fileBytes = static_cast<uint64_t>(end);
-    }
-    return info;
 }
 
 } // namespace storemlp

@@ -1,17 +1,16 @@
 /**
  * @file
- * Binary trace serialization. Two on-disk containers (bare fixed-width
- * v1 and the enveloped, chunk-indexed compressed v4; specified in
+ * Binary trace writing. Two on-disk containers (bare fixed-width v1
+ * and the enveloped, chunk-indexed compressed v4; specified in
  * docs/TRACE_FORMAT.md) with magic/version headers so generated traces
- * can be cached between runs and shared across tools. Files in the
- * retired v2/v3 containers are rejected with a TraceFormatError that
- * says to regenerate them.
+ * can be cached between runs and shared across tools. TraceFileWriter
+ * is the one encoder; StreamingFileSource (trace_file_source.hh) is
+ * the one reader.
  */
 
 #ifndef STOREMLP_TRACE_TRACE_IO_HH
 #define STOREMLP_TRACE_TRACE_IO_HH
 
-#include <iosfwd>
 #include <memory>
 #include <string>
 
@@ -74,63 +73,26 @@ class TraceFileWriter
     std::unique_ptr<Impl> _impl;
 };
 
-/** Serialize a trace to a stream (fixed-width v1 format). */
-void writeTrace(std::ostream &os, const Trace &trace);
 /**
- * Serialize a trace to a file. Throws on I/O failure. Every
- * whole-trace `write*File` function is a TraceFileWriter over the
- * trace, so the file appears atomically.
+ * Write a whole trace to a file in bare v1. Throws on I/O failure.
+ * Both whole-trace `write*File` functions are a TraceFileWriter over
+ * the trace, so the file appears atomically.
  */
 void writeTraceFile(const std::string &path, const Trace &trace);
 
 /**
- * Serialize in the chunk-indexed compressed v4 container: a metadata
- * envelope (body format + provenance fingerprint + count) plus chunk
- * geometry, a per-chunk index (record count, byte extent, pc/address
- * seeds) and independently decodable compressed chunks of
+ * Write a whole trace in the chunk-indexed compressed v4 container: a
+ * metadata envelope (body format + provenance fingerprint + count)
+ * plus chunk geometry, a per-chunk index (record count, byte extent,
+ * pc/address seeds) and independently decodable compressed chunks of
  * `chunk_insts` records each. Tools read the count and fingerprint
  * from the header without decoding a record; see
  * docs/TRACE_FORMAT.md. Throws TraceFormatError if `chunk_insts` is 0
  * or exceeds trace_format::kMaxChunkInstsV4.
  */
-void writeTraceV4(std::ostream &os, const Trace &trace,
-                  const std::string &fingerprint,
-                  uint64_t chunk_insts = uint64_t{1} << 16);
 void writeTraceFileV4(const std::string &path, const Trace &trace,
                       const std::string &fingerprint,
                       uint64_t chunk_insts = uint64_t{1} << 16);
-
-/**
- * Throw a TraceFormatError that says to regenerate the file if the
- * trace_format::kMagicBytes bytes at `magic` name a retired v2/v3
- * container; return otherwise. Every reader calls it first.
- */
-void rejectRetiredContainer(const char *magic);
-
-/** Deserialize a trace (auto-detects v1/v4 by magic).
- *  Throws TraceFormatError, naming a retired v2/v3 container. */
-Trace readTrace(std::istream &is);
-/** Deserialize a trace from a file (auto-detects format). */
-Trace readTraceFile(const std::string &path);
-
-/** Header-level description of an on-disk trace (no record decode). */
-struct TraceFileInfo
-{
-    uint32_t version = 0;    ///< container: 1 or 4
-    uint32_t bodyFormat = 0; ///< 1 fixed, 3 chunked
-    uint64_t records = 0;
-    uint64_t fileBytes = 0;
-    uint64_t chunks = 0;     ///< v4 only: chunk count from the index
-    uint64_t chunkInsts = 0; ///< v4 only: records per chunk
-    std::string fingerprint; ///< provenance (v4 only; else empty)
-};
-
-/**
- * Read a trace file's header only: O(header) work regardless of trace
- * length. Validates the record count against the file size. Throws
- * TraceFormatError on malformed headers.
- */
-TraceFileInfo probeTraceFile(const std::string &path);
 
 } // namespace storemlp
 

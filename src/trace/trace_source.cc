@@ -24,12 +24,6 @@ namespace storemlp
 TraceChunk::LaneRefs
 TraceChunk::lanes() const
 {
-    if (_extLanes) {
-        return {_extLanes->pc.data() + _extOff,
-                _extLanes->addr.data() + _extOff,
-                _extLanes->cls.data() + _extOff,
-                _extLanes->meta.data() + _extOff};
-    }
     std::call_once(_lanesOnce,
                    [this] { deriveLanes(data, count, _lanes); });
     return {_lanes.pc.data(), _lanes.addr.data(), _lanes.cls.data(),
@@ -120,11 +114,8 @@ MaterializedSource::fetch(uint64_t chunk_idx)
     if (first >= size)
         return nullptr;
     uint64_t n = std::min<uint64_t>(_chunkInsts, size - first);
-    // Chunks borrow slices of the whole-trace lane cache, so lane
-    // derivation happens once per trace rather than once per run.
     return std::make_shared<const TraceChunk>(
-        first, _trace->records().data() + first, n, nullptr,
-        _trace->lanes(), first);
+        first, _trace->records().data() + first, n);
 }
 
 // ---------------------------------------------------------------------

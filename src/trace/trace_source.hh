@@ -7,7 +7,7 @@
  * instead of materializing a whole trace vector:
  *
  *   MaterializedSource  zero-copy chunk views over an in-memory Trace
- *                       (the compatibility path; identical behavior).
+ *                       (hand-written test traces and references).
  *   GeneratorSource     synthesizes chunks on the fly from a workload
  *                       profile — sweeps over generated traces never
  *                       materialize at all.
@@ -68,9 +68,8 @@ inline constexpr uint64_t kDefaultChunkInsts = uint64_t{1} << 16;
 
 /**
  * One immutable run of consecutive trace records. Either owns its
- * records (`storage`) or borrows a view into memory kept alive by
- * `backing` (or, for MaterializedSource, by the caller's guarantee
- * that the Trace outlives the chunk).
+ * records (`storage`) or borrows a view into memory the creator keeps
+ * alive (MaterializedSource: the caller's Trace outlives the chunk).
  */
 class TraceChunk
 {
@@ -83,19 +82,9 @@ class TraceChunk
         count = _storage.size();
     }
 
-    /**
-     * Borrowed view; `backing` (if any) keeps the memory alive. When
-     * the caller already holds SoA lanes covering the records (e.g. a
-     * whole-trace lane cache), `ext_lanes`/`ext_off` borrow the slice
-     * starting at lane index `ext_off` instead of deriving a copy.
-     */
-    TraceChunk(uint64_t first_idx, const TraceRecord *records,
-               uint64_t n, std::shared_ptr<const void> backing = nullptr,
-               std::shared_ptr<const TraceLanes> ext_lanes = nullptr,
-               uint64_t ext_off = 0)
-        : firstIdx(first_idx), data(records), count(n),
-          _backing(std::move(backing)), _extLanes(std::move(ext_lanes)),
-          _extOff(ext_off)
+    /** Borrowed view of records[0..n). */
+    TraceChunk(uint64_t first_idx, const TraceRecord *records, uint64_t n)
+        : firstIdx(first_idx), data(records), count(n)
     {
     }
 
@@ -124,20 +113,15 @@ class TraceChunk
     };
 
     /**
-     * Lanes for this chunk: a borrowed slice when the creator supplied
-     * one, otherwise derived once on first use (thread-safe: chunks
-     * are shared across sweep workers via TraceCache).
+     * Lanes for this chunk, derived once on first use (thread-safe:
+     * chunks are shared across sweep workers via TraceCache).
      */
     LaneRefs lanes() const;
 
   private:
     std::vector<TraceRecord> _storage;
-    std::shared_ptr<const void> _backing;
 
-    std::shared_ptr<const TraceLanes> _extLanes; ///< borrowed lanes
-    uint64_t _extOff = 0; ///< index of data[0] within *_extLanes
-
-    mutable TraceLanes _lanes; ///< derived lanes (no-_extLanes case)
+    mutable TraceLanes _lanes;
     mutable std::once_flag _lanesOnce;
 };
 
@@ -286,7 +270,8 @@ class TraceCursor
 
 /**
  * Chunk views over an in-memory Trace: zero-copy, random access, and
- * behaviorally identical to indexing the vector. The caller
+ * behaviorally identical to indexing the vector. Each chunk derives
+ * its own lanes, as every other source's chunks do. The caller
  * guarantees the Trace outlives the chunks.
  */
 class MaterializedSource : public TraceSource

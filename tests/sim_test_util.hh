@@ -15,32 +15,44 @@
 #include "coherence/chip.hh"
 #include "core/mlp_sim.hh"
 #include "core/runner.hh"
-#include "trace/lock_detector.hh"
+#include "trace/generator.hh"
+#include "trace/rewriter.hh"
 #include "trace/trace.hh"
 #include "trace/trace_source.hh"
+#include "trace_test_util.hh"
 
 namespace storemlp::test
 {
 
 /**
- * Materialized-trace run: buildTrace + MaterializedSource, byte for
- * byte what the removed Runner::run(spec) convenience overload did.
- * Tests that don't exercise streaming go through here.
+ * The spec's record stream as one whole trace: a fresh generator
+ * drained in one call, then the whole-trace WC rewrite, with no chunk
+ * boundaries. The reference that streamed runs are held to.
  */
-inline RunOutput
-runMaterialized(const RunSpec &spec)
+inline Trace
+wholeTrace(const RunSpec &spec)
 {
-    Trace trace = Runner::buildTrace(spec);
-    MaterializedSource src(trace);
-    return Runner::run(spec, src);
+    SyntheticTraceGenerator gen(spec.profile, spec.seed, 0);
+    Trace trace = gen.generate(spec.warmupInsts + spec.measureInsts);
+    if (spec.config.memoryModel.wcTraceRewrite())
+        trace = TraceRewriter().toWeakConsistency(trace);
+    return trace;
 }
 
-/** Same, over a prebuilt trace (must already reflect the model). */
+/** Runner::run over a prebuilt trace (must already reflect the model). */
 inline RunOutput
 runMaterialized(const RunSpec &spec, const Trace &trace)
 {
     MaterializedSource src(trace);
     return Runner::run(spec, src);
+}
+
+/** Runner::run over wholeTrace(spec). Tests that don't exercise
+ *  streaming go through here. */
+inline RunOutput
+runMaterialized(const RunSpec &spec)
+{
+    return runMaterialized(spec, wholeTrace(spec));
 }
 
 /** The spec's generated stream as openRunSource composes it. */
@@ -102,19 +114,11 @@ class SimRig
     SimResult
     run(const Trace &trace, const SimConfig &cfg)
     {
-        locks = LockDetector().analyze(trace);
+        locks = analyzeTrace(trace);
         warmFor(trace);
         MlpSimulator sim(cfg, chip, &locks);
-        return sim.run(trace);
-    }
-
-    /** Run without warming (for cold-cache scenarios). */
-    SimResult
-    runCold(const Trace &trace, const SimConfig &cfg)
-    {
-        locks = LockDetector().analyze(trace);
-        MlpSimulator sim(cfg, chip, &locks);
-        return sim.run(trace);
+        MaterializedSource src(trace);
+        return sim.run(src);
     }
 
     ChipNode chip;

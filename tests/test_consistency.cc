@@ -8,6 +8,7 @@
 #include "consistency/memory_model.hh"
 #include "consistency/sle.hh"
 #include "trace/trace.hh"
+#include "trace_test_util.hh"
 
 namespace storemlp
 {
@@ -91,7 +92,7 @@ TEST(SerializeEffect, PlainInstructionsDoNotSerialize)
 TEST(Sle, DisabledClassifiesEverythingNormal)
 {
     Trace t = TraceBuilder().casa(0x100).store(0x100).build();
-    LockAnalysis a = LockDetector().analyze(t);
+    LockAnalysis a = test::analyzeTrace(t);
     Sle sle(&a, false);
     EXPECT_EQ(sle.classify(0), Sle::Action::Normal);
     EXPECT_EQ(sle.classify(1), Sle::Action::Normal);
@@ -105,7 +106,7 @@ TEST(Sle, ElidesAcquireAndRelease)
         .load(0x5000)
         .store(0x100)
         .build();
-    LockAnalysis a = LockDetector().analyze(t);
+    LockAnalysis a = test::analyzeTrace(t);
     Sle sle(&a, true);
     EXPECT_EQ(sle.classify(0), Sle::Action::AcquireAsLoad);
     EXPECT_EQ(sle.classify(1), Sle::Action::Normal);
@@ -124,7 +125,7 @@ TEST(Sle, ElidesWcAuxInstructions)
         .lwsync()
         .store(0x100)
         .build();
-    LockAnalysis a = LockDetector().analyze(t);
+    LockAnalysis a = test::analyzeTrace(t);
     Sle sle(&a, true);
     EXPECT_EQ(sle.classify(0), Sle::Action::AcquireAsLoad);
     EXPECT_EQ(sle.classify(1), Sle::Action::Nop); // stwcx
@@ -136,7 +137,7 @@ TEST(Sle, ElidesWcAuxInstructions)
 TEST(Sle, PeekMatchesClassifyWithoutStats)
 {
     Trace t = TraceBuilder().casa(0x100).store(0x100).build();
-    LockAnalysis a = LockDetector().analyze(t);
+    LockAnalysis a = test::analyzeTrace(t);
     Sle sle(&a, true);
     EXPECT_TRUE(sle.peekElided(0));
     EXPECT_TRUE(sle.peekElided(1));
@@ -147,7 +148,7 @@ TEST(Sle, PeekMatchesClassifyWithoutStats)
 TEST(Sle, UnpairedCasaNotElided)
 {
     Trace t = TraceBuilder().casa(0x100).alu().build();
-    LockAnalysis a = LockDetector().analyze(t);
+    LockAnalysis a = test::analyzeTrace(t);
     Sle sle(&a, true);
     EXPECT_EQ(sle.classify(0), Sle::Action::Normal);
     EXPECT_FALSE(sle.peekElided(0));

@@ -8,16 +8,24 @@
 #include "core/cpi_model.hh"
 #include "core/sim_result.hh"
 #include "trace/generator.hh"
+#include "trace/trace_source.hh"
 
 namespace storemlp
 {
 namespace
 {
 
+CpiModel::Breakdown
+evaluate(const CpiModel &m, const Trace &trace, uint64_t warmup = 0)
+{
+    MaterializedSource src(trace);
+    return m.evaluate(src, warmup);
+}
+
 TEST(CpiModel, EmptyTraceIsZero)
 {
     CpiModel m;
-    CpiModel::Breakdown b = m.evaluate(Trace());
+    CpiModel::Breakdown b = evaluate(m, Trace());
     EXPECT_DOUBLE_EQ(b.total(), 0.0);
 }
 
@@ -27,7 +35,7 @@ TEST(CpiModel, AllHitAluStreamIsBaseCpi)
     for (int i = 0; i < 2000; ++i)
         tb.alu(1, 2, 3).atPc(0x1000); // one fetch line: no L1I misses
     CpiModel m;
-    CpiModel::Breakdown b = m.evaluate(tb.build(), 1000);
+    CpiModel::Breakdown b = evaluate(m, tb.build(), 1000);
     EXPECT_DOUBLE_EQ(b.loadUse, 0.0);
     EXPECT_DOUBLE_EQ(b.l1dMiss, 0.0);
     EXPECT_DOUBLE_EQ(b.branch, 0.0);
@@ -40,7 +48,7 @@ TEST(CpiModel, LoadsAddLoadUseComponent)
     for (int i = 0; i < 2000; ++i)
         tb.load(0x1000, 1).atPc(0x1000); // one data+fetch line
     CpiModel m;
-    CpiModel::Breakdown b = m.evaluate(tb.build(), 1000);
+    CpiModel::Breakdown b = evaluate(m, tb.build(), 1000);
     EXPECT_GT(b.loadUse, 0.0);
     EXPECT_DOUBLE_EQ(b.l1dMiss, 0.0);
 }
@@ -52,7 +60,7 @@ TEST(CpiModel, L1ThrashingAddsL1dComponent)
     for (int i = 0; i < 8000; ++i)
         tb.load(0x100000 + (i % 4096) * 64, 1);
     CpiModel m;
-    CpiModel::Breakdown b = m.evaluate(tb.build(), 4000);
+    CpiModel::Breakdown b = evaluate(m, tb.build(), 4000);
     EXPECT_GT(b.l1dMiss, 0.1);
 }
 
@@ -64,7 +72,7 @@ TEST(CpiModel, MispredictsAddBranchComponent)
     for (int i = 0; i < 4000; ++i)
         tb.branch(i % 3 == 0, 1).atPc(0x1000 + (i % 512) * 64);
     CpiModel m;
-    CpiModel::Breakdown b = m.evaluate(tb.build(), 0);
+    CpiModel::Breakdown b = evaluate(m, tb.build(), 0);
     EXPECT_GT(b.branch, 0.0);
 }
 
@@ -76,7 +84,7 @@ TEST(CpiModel, StoresDoNotStallOnChip)
     for (int i = 0; i < 2000; ++i)
         tb.store(0x200000 + i * 64, 1).atPc(0x1000);
     CpiModel m;
-    CpiModel::Breakdown b = m.evaluate(tb.build(), 1000);
+    CpiModel::Breakdown b = evaluate(m, tb.build(), 1000);
     EXPECT_NEAR(b.total(), m.params().baseCpi, 1e-9);
 }
 
@@ -99,7 +107,7 @@ TEST(CpiModel, ParamsArePluggable)
     for (int i = 0; i < 100; ++i)
         tb.alu().atPc(0x1000);
     // One compulsory L1I miss on the single line; warm past it.
-    EXPECT_NEAR(m.evaluate(tb.build(), 10).total(), 1.5, 1e-9);
+    EXPECT_NEAR(evaluate(m, tb.build(), 10).total(), 1.5, 1e-9);
 }
 
 } // namespace

@@ -210,12 +210,14 @@ TEST(EngineEdges, RerunAfterTakeResultContinues)
     Trace t2 = b2.build();
 
     SimRig rig;
-    rig.locks = LockDetector().analyze(t1);
+    rig.locks = test::analyzeTrace(t1);
     rig.warmFor(t1);
     MlpSimulator sim(SimConfig::defaults(), rig.chip, &rig.locks);
-    sim.process(t1, 0, t1.size(), true);
+    MaterializedSource s1(t1), s2(t2);
+    TraceCursor c1(s1), c2(s2);
+    sim.process(c1, 0, t1.size(), true);
     SimResult first = sim.takeResult();
-    sim.process(t2, 0, t2.size(), true);
+    sim.process(c2, 0, t2.size(), true);
     SimResult both = sim.takeResult();
     EXPECT_GE(both.instructions, first.instructions + 100);
 }
@@ -227,16 +229,16 @@ TEST(EngineEdges, ChunkedProcessingMatchesSingleRun)
     // continuous run for a single core.
     WorkloadProfile p = WorkloadProfile::testTiny();
     Trace t = SyntheticTraceGenerator(p, 5).generate(60000);
-    LockAnalysis locks = LockDetector().analyze(t);
+    LockAnalysis locks = test::analyzeTrace(t);
 
     auto run_chunked = [&](uint64_t chunk) {
         ChipNode chip(HierarchyConfig{}, 0);
         SimConfig cfg = SimConfig::defaults();
         MlpSimulator sim(cfg, chip, &locks);
+        MaterializedSource src(t);
+        TraceCursor cur(src);
         for (uint64_t pos = 0; pos < t.size(); pos += chunk)
-            sim.process(t, pos, std::min<uint64_t>(pos + chunk,
-                                                   t.size()),
-                        true);
+            sim.process(cur, pos, pos + chunk, true);
         return sim.takeResult();
     };
 

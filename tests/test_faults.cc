@@ -15,7 +15,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <future>
-#include <sstream>
 #include <thread>
 
 #include "core/sweep.hh"
@@ -24,6 +23,7 @@
 #include "trace/trace_io.hh"
 #include "util/error.hh"
 #include "util/parse.hh"
+#include "trace_test_util.hh"
 
 namespace storemlp
 {
@@ -301,9 +301,8 @@ v1Header(uint64_t count)
 void
 expectTraceError(const std::string &bytes, const std::string &needle)
 {
-    std::istringstream is(bytes);
     try {
-        readTrace(is);
+        test::readTraceBytes(bytes);
         FAIL() << "expected TraceFormatError (" << needle << ")";
     } catch (const TraceFormatError &e) {
         EXPECT_NE(std::string(e.what()).find(needle),
@@ -351,13 +350,11 @@ TEST(TraceFormat, V1InvalidInstructionClassRejected)
 TEST(TraceFormat, RoundTripStillWorksAfterValidation)
 {
     Trace trace = tinyTrace(7, 2000);
-    std::ostringstream os1, os2;
-    writeTrace(os1, trace);
-    writeTraceV4(os2, trace, "");
-
-    std::istringstream is1(os1.str()), is2(os2.str());
-    EXPECT_EQ(readTrace(is1).size(), trace.size());
-    EXPECT_EQ(readTrace(is2).size(), trace.size());
+    test::TempTraceFile v1("v1"), v4("v4");
+    writeTraceFile(v1.path, trace);
+    writeTraceFileV4(v4.path, trace, "");
+    EXPECT_EQ(readTraceFile(v1.path).size(), trace.size());
+    EXPECT_EQ(readTraceFile(v4.path).size(), trace.size());
 }
 
 // ---- strict numeric parsing ------------------------------------------

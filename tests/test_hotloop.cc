@@ -290,7 +290,7 @@ buildCases()
     {
         SyntheticTraceGenerator gen(WorkloadProfile::database(), 7);
         Trace trace = gen.generate(kWarmup + kMeasure);
-        LockAnalysis locks = LockDetector().analyze(trace);
+        LockAnalysis locks = test::analyzeTrace(trace);
         std::string base =
             ::testing::TempDir() + "hotloop_equiv_" +
             std::to_string(static_cast<unsigned>(::getpid()));
@@ -307,8 +307,9 @@ buildCases()
             {
                 ChipNode chip(HierarchyConfig{}, 0);
                 MlpSimulator sim(cfg, chip, &locks);
+                MaterializedSource src(trace);
                 out[std::string("file/") + cfg.name + "_mat"] =
-                    hashSimResult(sim.run(trace, kWarmup));
+                    hashSimResult(sim.run(src, kWarmup));
             }
             struct FileCase
             {

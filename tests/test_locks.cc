@@ -9,6 +9,7 @@
 #include "trace/generator.hh"
 #include "trace/lock_detector.hh"
 #include "trace/rewriter.hh"
+#include "trace_test_util.hh"
 
 namespace storemlp
 {
@@ -23,7 +24,7 @@ TEST(LockDetector, DetectsSimplePcPair)
         .store(0x6000, 4)
         .store(0x100, 5) // release
         .build();
-    LockAnalysis a = LockDetector().analyze(t);
+    LockAnalysis a = test::analyzeTrace(t);
     ASSERT_EQ(a.pairs.size(), 1u);
     EXPECT_EQ(a.pairs[0].acquireIdx, 0u);
     EXPECT_EQ(a.pairs[0].releaseIdx, 3u);
@@ -39,7 +40,7 @@ TEST(LockDetector, UnmatchedCasaStaysUnpaired)
         .casa(0x100, 2) // lock-free CAS, never released
         .load(0x5000, 3)
         .build();
-    LockAnalysis a = LockDetector().analyze(t);
+    LockAnalysis a = test::analyzeTrace(t);
     EXPECT_TRUE(a.pairs.empty());
     EXPECT_EQ(a.roles[0], LockRole::None);
 }
@@ -52,9 +53,9 @@ TEST(LockDetector, WindowLimitRejectsDistantRelease)
         b.alu();
     b.store(0x100, 3);
     Trace t = b.build();
-    LockAnalysis near = LockDetector(64).analyze(t);
+    LockAnalysis near = test::analyzeTrace(t, 64);
     EXPECT_EQ(near.pairs.size(), 1u);
-    LockAnalysis tight = LockDetector(4).analyze(t);
+    LockAnalysis tight = test::analyzeTrace(t, 4);
     EXPECT_TRUE(tight.pairs.empty());
 }
 
@@ -66,7 +67,7 @@ TEST(LockDetector, NestedDistinctLocks)
         .store(0x200) // inner release
         .store(0x100) // outer release
         .build();
-    LockAnalysis a = LockDetector().analyze(t);
+    LockAnalysis a = test::analyzeTrace(t);
     ASSERT_EQ(a.pairs.size(), 2u);
 }
 
@@ -77,7 +78,7 @@ TEST(LockDetector, SupersededAcquire)
         .casa(0x100)
         .store(0x100)
         .build();
-    LockAnalysis a = LockDetector().analyze(t);
+    LockAnalysis a = test::analyzeTrace(t);
     ASSERT_EQ(a.pairs.size(), 1u);
     EXPECT_EQ(a.pairs[0].acquireIdx, 1u);
 }
@@ -92,7 +93,7 @@ TEST(LockDetector, DetectsWcIdiom)
         .lwsync()
         .store(0x100, 4)
         .build();
-    LockAnalysis a = LockDetector().analyze(t);
+    LockAnalysis a = test::analyzeTrace(t);
     ASSERT_EQ(a.pairs.size(), 1u);
     EXPECT_EQ(a.roles[0], LockRole::Acquire);
     EXPECT_EQ(a.roles[1], LockRole::AcquireAux); // stwcx
@@ -108,7 +109,7 @@ TEST(LockDetector, LwarxWithoutStwcxIgnored)
         .alu()
         .store(0x100, 4)
         .build();
-    LockAnalysis a = LockDetector().analyze(t);
+    LockAnalysis a = test::analyzeTrace(t);
     EXPECT_TRUE(a.pairs.empty());
 }
 
@@ -116,7 +117,7 @@ TEST(LockDetector, MatchesGeneratorGroundTruth)
 {
     WorkloadProfile p = WorkloadProfile::specjbb();
     Trace t = SyntheticTraceGenerator(p, 7).generate(100000);
-    LockAnalysis a = LockDetector().analyze(t);
+    LockAnalysis a = test::analyzeTrace(t);
 
     uint64_t truth_acquires = 0;
     for (uint64_t i = 0; i < t.size(); ++i) {
@@ -195,9 +196,9 @@ TEST(Rewriter, RewrittenTraceDetectableAsWcLocks)
 {
     WorkloadProfile p = WorkloadProfile::tpcw();
     Trace t = SyntheticTraceGenerator(p, 11).generate(50000);
-    LockAnalysis pc = LockDetector().analyze(t);
+    LockAnalysis pc = test::analyzeTrace(t);
     Trace wc = TraceRewriter().toWeakConsistency(t, pc);
-    LockAnalysis wca = LockDetector().analyze(wc);
+    LockAnalysis wca = test::analyzeTrace(wc);
     // Every PC lock pair survives as a WC lock pair.
     EXPECT_EQ(wca.pairs.size(), pc.pairs.size());
 }

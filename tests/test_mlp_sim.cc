@@ -624,7 +624,7 @@ TEST(EpochEngine, EpochListenerStreamsCountedEpochs)
     Trace t = b.build();
 
     SimRig rig;
-    rig.locks = LockDetector().analyze(t);
+    rig.locks = test::analyzeTrace(t);
     rig.warmFor(t);
     MlpSimulator sim(SimConfig::defaults(), rig.chip, &rig.locks);
 
@@ -632,7 +632,8 @@ TEST(EpochEngine, EpochListenerStreamsCountedEpochs)
     sim.setEpochListener([&](const EpochRecord &r) {
         seen.push_back(r);
     });
-    SimResult res = sim.run(t);
+    MaterializedSource src(t);
+    SimResult res = sim.run(src);
 
     ASSERT_EQ(seen.size(), res.epochs);
     ASSERT_EQ(seen.size(), 2u);
@@ -653,12 +654,13 @@ TEST(EpochEngine, EpochListenerSkipsQuietGenerations)
     Trace t = b.build();
 
     SimRig rig;
-    rig.locks = LockDetector().analyze(t);
+    rig.locks = test::analyzeTrace(t);
     rig.warmFor(t);
     MlpSimulator sim(SimConfig::defaults(), rig.chip, &rig.locks);
     uint64_t events = 0;
     sim.setEpochListener([&](const EpochRecord &) { ++events; });
-    SimResult res = sim.run(t);
+    MaterializedSource src(t);
+    SimResult res = sim.run(src);
     EXPECT_EQ(res.epochs, 0u);
     EXPECT_EQ(events, 0u);
 }

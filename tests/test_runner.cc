@@ -79,9 +79,8 @@ TEST_P(CalibrationTest, StreamedMissRatesMatchTraceReplay)
 TEST_P(CalibrationTest, Table3OnChipCpiNearPaper)
 {
     WorkloadProfile p = profile();
-    SyntheticTraceGenerator gen(p, 42, 0);
-    Trace trace = gen.generate(kWarmup + kMeasure);
-    CpiModel::Breakdown bd = CpiModel().evaluate(trace, kWarmup);
+    GeneratorSource src(p, 42, kWarmup + kMeasure);
+    CpiModel::Breakdown bd = CpiModel().evaluate(src, kWarmup);
     // Within ~20% of the paper's CPIon-chip.
     EXPECT_NEAR(bd.total(), p.cpiOnChip, 0.20 * p.cpiOnChip + 0.05);
 }

@@ -382,7 +382,7 @@ TEST(Runner, TraceOverloadMatchesSelfBuiltTrace)
     spec.measureInsts = measureInsts();
 
     RunOutput a = test::runMaterialized(spec);
-    Trace trace = Runner::buildTrace(spec);
+    Trace trace = test::wholeTrace(spec);
     RunOutput b = test::runMaterialized(spec, trace);
     expectIdentical(a, b);
 }

@@ -5,10 +5,9 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "trace/trace.hh"
 #include "trace/trace_io.hh"
+#include "trace_test_util.hh"
 
 namespace storemlp
 {
@@ -134,9 +133,9 @@ TEST(TraceIo, RoundTrip)
         .branch(true, 9)
         .build();
 
-    std::stringstream ss;
-    writeTrace(ss, t);
-    Trace u = readTrace(ss);
+    test::TempTraceFile f;
+    writeTraceFile(f.path, t);
+    Trace u = readTraceFile(f.path);
 
     ASSERT_EQ(u.size(), t.size());
     for (size_t i = 0; i < t.size(); ++i) {
@@ -153,38 +152,36 @@ TEST(TraceIo, RoundTrip)
 
 TEST(TraceIo, EmptyTraceRoundTrip)
 {
-    std::stringstream ss;
-    writeTrace(ss, Trace());
-    Trace u = readTrace(ss);
+    test::TempTraceFile f;
+    writeTraceFile(f.path, Trace());
+    Trace u = readTraceFile(f.path);
     EXPECT_TRUE(u.empty());
 }
 
 TEST(TraceIo, RejectsBadMagic)
 {
-    std::stringstream ss;
-    ss << "NOTATRACE-------------------";
-    EXPECT_THROW(readTrace(ss), TraceFormatError);
+    EXPECT_THROW(test::readTraceBytes("NOTATRACE-------------------"),
+                 TraceFormatError);
 }
 
 TEST(TraceIo, RejectsTruncatedBody)
 {
     Trace t = TraceBuilder().alu().alu().build();
-    std::stringstream ss;
-    writeTrace(ss, t);
-    std::string full = ss.str();
-    std::stringstream cut(full.substr(0, full.size() - 5));
-    EXPECT_THROW(readTrace(cut), TraceFormatError);
+    test::TempTraceFile f;
+    writeTraceFile(f.path, t);
+    std::string full = test::fileBytes(f.path);
+    EXPECT_THROW(test::readTraceBytes(full.substr(0, full.size() - 5)),
+                 TraceFormatError);
 }
 
 TEST(TraceIo, RejectsInvalidClass)
 {
     Trace t = TraceBuilder().alu().build();
-    std::stringstream ss;
-    writeTrace(ss, t);
-    std::string s = ss.str();
+    test::TempTraceFile f;
+    writeTraceFile(f.path, t);
+    std::string s = test::fileBytes(f.path);
     s[16 + 16] = 0x7f; // class byte of record 0 (after 16-byte header)
-    std::stringstream bad(s);
-    EXPECT_THROW(readTrace(bad), TraceFormatError);
+    EXPECT_THROW(test::readTraceBytes(s), TraceFormatError);
 }
 
 TEST(TraceIo, FileRoundTrip)

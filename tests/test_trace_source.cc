@@ -120,22 +120,27 @@ TEST(MaterializedSource, RoundTripsAndReportsSize)
 
 TEST(StreamingLockDetector, MatchesBatchAnalysis)
 {
+    // The batch reference sees the whole trace as one chunk; lock
+    // idioms straddling chunk boundaries must not change the result.
     Trace trace = makeTrace(20000, 11);
-    LockAnalysis batch = LockDetector().analyze(trace);
+    MaterializedSource whole(trace, trace.size());
+    LockAnalysis batch = LockDetector().analyze(whole);
 
-    MaterializedSource src(trace);
-    LockAnalysis streamed = analyzeSource(src);
-
-    ASSERT_EQ(streamed.roles.size(), batch.roles.size());
-    for (size_t i = 0; i < batch.roles.size(); ++i)
-        EXPECT_EQ(streamed.roles[i], batch.roles[i]) << "role " << i;
-    ASSERT_EQ(streamed.pairs.size(), batch.pairs.size());
-    for (size_t i = 0; i < batch.pairs.size(); ++i) {
-        EXPECT_EQ(streamed.pairs[i].acquireIdx,
-                  batch.pairs[i].acquireIdx);
-        EXPECT_EQ(streamed.pairs[i].releaseIdx,
-                  batch.pairs[i].releaseIdx);
-        EXPECT_EQ(streamed.pairs[i].lockAddr, batch.pairs[i].lockAddr);
+    for (uint64_t chunk : {uint64_t{1}, uint64_t{193}, uint64_t{4096}}) {
+        MaterializedSource src(trace, chunk);
+        LockAnalysis streamed = LockDetector().analyze(src);
+        ASSERT_EQ(streamed.roles.size(), batch.roles.size());
+        for (size_t i = 0; i < batch.roles.size(); ++i)
+            EXPECT_EQ(streamed.roles[i], batch.roles[i]) << "role " << i;
+        ASSERT_EQ(streamed.pairs.size(), batch.pairs.size());
+        for (size_t i = 0; i < batch.pairs.size(); ++i) {
+            EXPECT_EQ(streamed.pairs[i].acquireIdx,
+                      batch.pairs[i].acquireIdx);
+            EXPECT_EQ(streamed.pairs[i].releaseIdx,
+                      batch.pairs[i].releaseIdx);
+            EXPECT_EQ(streamed.pairs[i].lockAddr,
+                      batch.pairs[i].lockAddr);
+        }
     }
 }
 
@@ -145,7 +150,7 @@ TEST(WcRewriteSource, MatchesBatchRewriteAcrossChunkSizes)
     // the carry state (detector window + pending output) must splice
     // the expansion exactly where the batch rewriter puts it.
     Trace trace = makeTrace(20000, 13);
-    LockAnalysis locks = LockDetector().analyze(trace);
+    LockAnalysis locks = test::analyzeTrace(trace);
     Trace ref = TraceRewriter().toWeakConsistency(trace, locks);
 
     for (uint64_t chunk : {uint64_t{1}, uint64_t{193}, uint64_t{4096}}) {
@@ -176,13 +181,11 @@ class FileSourceTest : public ::testing::Test
   protected:
     std::string
     writeTemp(const std::string &name,
-              const std::function<void(std::ostream &)> &writer)
+              const std::function<void(const std::string &)> &writer)
     {
         std::string path =
             ::testing::TempDir() + "trace_source_" + name + ".trc";
-        std::ofstream os(path, std::ios::binary);
-        writer(os);
-        os.close();
+        writer(path);
         _paths.push_back(path);
         return path;
     }
@@ -200,9 +203,9 @@ TEST_F(FileSourceTest, StreamsV1V4Identically)
 {
     Trace ref = makeTrace(6000, 17);
     std::string v1 = writeTemp(
-        "v1", [&](std::ostream &os) { writeTrace(os, ref); });
-    std::string v4 = writeTemp("v4", [&](std::ostream &os) {
-        writeTraceV4(os, ref, "fp-test", 509);
+        "v1", [&](auto &p) { writeTraceFile(p, ref); });
+    std::string v4 = writeTemp("v4", [&](auto &p) {
+        writeTraceFileV4(p, ref, "fp-test", 509);
     });
 
     for (const std::string &path : {v1, v4}) {
@@ -222,8 +225,8 @@ TEST_F(FileSourceTest, RandomAccessAcrossChunks)
     // access goes through the index seeds and must still decode exact
     // records in any visit order.
     Trace ref = makeTrace(4000, 19);
-    std::string path = writeTemp("rand", [&](std::ostream &os) {
-        writeTraceV4(os, ref, "", 256);
+    std::string path = writeTemp("rand", [&](auto &p) {
+        writeTraceFileV4(p, ref, "", 256);
     });
     StreamingFileSource src(path, 256);
     TraceCursor cur(src);
@@ -238,8 +241,8 @@ TEST_F(FileSourceTest, RandomAccessAcrossChunks)
 TEST_F(FileSourceTest, ProbeReadsHeaderOnly)
 {
     Trace ref = makeTrace(1234, 23);
-    std::string path = writeTemp("probe", [&](std::ostream &os) {
-        writeTraceV4(os, ref, "probe-fingerprint");
+    std::string path = writeTemp("probe", [&](auto &p) {
+        writeTraceFileV4(p, ref, "probe-fingerprint");
     });
     TraceFileInfo info = probeTraceFile(path);
     EXPECT_EQ(info.version, 4u);
@@ -326,7 +329,7 @@ TEST(RunnerStreaming, FileSourceMatchesInMemoryRun)
     spec.warmupInsts = 10000;
     spec.measureInsts = 20000;
 
-    Trace trace = Runner::buildTrace(spec);
+    Trace trace = test::wholeTrace(spec);
     RunOutput mem = test::runMaterialized(spec, trace);
 
     std::string path = ::testing::TempDir() + "runner_file_src.trc";
@@ -426,9 +429,9 @@ TEST_F(FileSourceTest, RunnerReadsEachChunkOnce)
     spec.measureInsts = 25000;
     constexpr uint64_t kChunk = 4096;
 
-    Trace trace = Runner::buildTrace(spec);
-    std::string path = writeTemp("single_read", [&](std::ostream &os) {
-        writeTraceV4(os, trace, "single-read", kChunk);
+    Trace trace = test::wholeTrace(spec);
+    std::string path = writeTemp("single_read", [&](auto &p) {
+        writeTraceFileV4(p, trace, "single-read", kChunk);
     });
     uint64_t chunks = (trace.size() + kChunk - 1) / kChunk;
     ASSERT_GT(chunks, 3u);
@@ -491,7 +494,7 @@ TEST(RunnerTally, MatchesReferenceCountAcrossChunkings)
         spec.warmupInsts = c.warmup;
         spec.measureInsts = 6000;
 
-        Trace trace = Runner::buildTrace(spec);
+        Trace trace = test::wholeTrace(spec);
         std::unique_ptr<TraceSource> src = test::openRun(spec, c.chunk);
         RunOutput out = Runner::run(spec, *src);
         std::string what = std::string(c.model) + " warmup=" +
@@ -639,7 +642,7 @@ TEST(ReadAheadSource, RunsBitIdenticalAndReadsEachChunkOnce)
             spec.config.sle = sle;
             spec.warmupInsts = 15000;
             spec.measureInsts = 25000;
-            Trace trace = Runner::buildTrace(spec);
+            Trace trace = test::wholeTrace(spec);
             RunOutput want = test::runMaterialized(spec, trace);
 
             auto log_src = std::make_unique<FetchLogSource>(
@@ -932,11 +935,11 @@ TEST_F(OpenRunSource, StagesPerInput)
     RunSpec wc = pc;
     wc.config = SimConfig::wc2();
 
-    Trace trace = Runner::buildTrace(pc);
+    Trace trace = test::wholeTrace(pc);
     std::string v1 = writeTemp(
-        "stages_v1", [&](std::ostream &os) { writeTrace(os, trace); });
-    std::string v4 = writeTemp("stages_v4", [&](std::ostream &os) {
-        writeTraceV4(os, trace, "stages", kChunk);
+        "stages_v1", [&](auto &p) { writeTraceFile(p, trace); });
+    std::string v4 = writeTemp("stages_v4", [&](auto &p) {
+        writeTraceFileV4(p, trace, "stages", kChunk);
     });
     TraceCache cache(64ull << 20);
 
@@ -1043,7 +1046,7 @@ TEST_F(OpenRunSource, FileRunsBitIdenticalToBareFile)
         spec.config = cfg;
         spec.warmupInsts = 8000;
         spec.measureInsts = 20000;
-        Trace full = Runner::buildTrace(spec);
+        Trace full = test::wholeTrace(spec);
         // Whole chunks only, then a short last chunk.
         for (uint64_t n : {6 * kChunk, 6 * kChunk + 123}) {
             ASSERT_GE(full.size(), n) << name;
@@ -1051,11 +1054,11 @@ TEST_F(OpenRunSource, FileRunsBitIdenticalToBareFile)
                 full.records().begin(),
                 full.records().begin() + static_cast<ptrdiff_t>(n)));
             std::string tag = name + "_" + std::to_string(n);
-            std::string v1 = writeTemp("bare_v1_" + tag, [&](std::ostream &os) {
-                writeTrace(os, trace);
+            std::string v1 = writeTemp("bare_v1_" + tag, [&](auto &p) {
+                writeTraceFile(p, trace);
             });
-            std::string v4 = writeTemp("bare_v4_" + tag, [&](std::ostream &os) {
-                writeTraceV4(os, trace, "bare-" + tag, kChunk);
+            std::string v4 = writeTemp("bare_v4_" + tag, [&](auto &p) {
+                writeTraceFileV4(p, trace, "bare-" + tag, kChunk);
             });
             for (const std::string &path : {v1, v4}) {
                 std::string what = path + " " + name;
@@ -1150,9 +1153,9 @@ TEST_F(OpenRunSource, SleFileRunIsAnalysisThenOnePass)
     spec.config.sle = true;
     spec.warmupInsts = 10000;
     spec.measureInsts = 20000;
-    Trace trace = Runner::buildTrace(spec);
-    std::string path = writeTemp("sle_v4", [&](std::ostream &os) {
-        writeTraceV4(os, trace, "sle", kChunk);
+    Trace trace = test::wholeTrace(spec);
+    std::string path = writeTemp("sle_v4", [&](auto &p) {
+        writeTraceFileV4(p, trace, "sle", kChunk);
     });
     uint64_t chunks = (trace.size() + kChunk - 1) / kChunk;
     ASSERT_GT(chunks, 3u);

@@ -9,10 +9,11 @@
  * every shipped config.
  */
 
+#include <sys/stat.h>
+
 #include <cstdio>
 #include <fstream>
 #include <functional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -57,23 +58,23 @@ makeTrace(uint64_t n, uint64_t seed = 7)
     return gen.generate(n);
 }
 
+/** The file writeTraceFileV4 writes for `t`, as bytes. */
 std::string
 encodeV4(const Trace &t, uint64_t chunk_insts,
          const std::string &fp = "")
 {
-    std::ostringstream os;
-    writeTraceV4(os, t, fp, chunk_insts);
-    return os.str();
+    test::TempTraceFile f("encode");
+    writeTraceFileV4(f.path, t, fp, chunk_insts);
+    return test::fileBytes(f.path);
 }
 
 Trace
 decode(const std::string &bytes)
 {
-    std::istringstream is(bytes);
-    return readTrace(is);
+    return test::readTraceBytes(bytes);
 }
 
-/** Expect readTrace to throw a TraceFormatError mentioning `needle`. */
+/** Expect decode to throw a TraceFormatError mentioning `needle`. */
 void
 expectV4Error(const std::string &bytes, const std::string &needle)
 {
@@ -122,17 +123,10 @@ TEST(TraceV4, ChunkSizeOneAndNonDivisors)
 
 TEST(TraceV4, EmptyTrace)
 {
-    std::string s = encodeV4(Trace(), 1 << 16);
-    EXPECT_TRUE(decode(s).empty());
-    TraceFileInfo info = [&] {
-        std::string path = ::testing::TempDir() + "v4_empty.trc";
-        std::ofstream os(path, std::ios::binary);
-        os << s;
-        os.close();
-        TraceFileInfo i = probeTraceFile(path);
-        std::remove(path.c_str());
-        return i;
-    }();
+    test::TempTraceFile f;
+    writeTraceFileV4(f.path, Trace(), "");
+    EXPECT_TRUE(readTraceFile(f.path).empty());
+    TraceFileInfo info = probeTraceFile(f.path);
     EXPECT_EQ(info.records, 0u);
     EXPECT_EQ(info.chunks, 0u);
 }
@@ -146,10 +140,10 @@ TEST(TraceV4, SingleRecordTraceSingleRecordChunks)
 TEST(TraceV4, AtMostQuarterOfV1)
 {
     Trace t = makeTrace(50000);
-    std::ostringstream v1;
-    writeTrace(v1, t);
+    test::TempTraceFile v1;
+    writeTraceFile(v1.path, t);
     std::string v4 = encodeV4(t, 1 << 16);
-    EXPECT_LE(v4.size() * 4, v1.str().size())
+    EXPECT_LE(v4.size() * 4, test::fileBytes(v1.path).size())
         << "v4 must be <= 0.25x of v1 on the database profile";
 }
 
@@ -189,17 +183,17 @@ TEST(TraceV4, PreservesFingerprint)
 TEST(TraceV4, RegisterIdOutOfRangeRejectedAtEncode)
 {
     Trace t = TraceBuilder().alu(64, 0, 0).build();
-    std::ostringstream os;
-    EXPECT_THROW(writeTraceV4(os, t, ""), TraceFormatError);
+    test::TempTraceFile f;
+    EXPECT_THROW(writeTraceFileV4(f.path, t, ""), TraceFormatError);
 }
 
 TEST(TraceV4, BadChunkSizeRejectedAtEncode)
 {
     Trace t = TraceBuilder().alu().build();
-    std::ostringstream os;
-    EXPECT_THROW(writeTraceV4(os, t, "", 0), TraceFormatError);
+    test::TempTraceFile f;
+    EXPECT_THROW(writeTraceFileV4(f.path, t, "", 0), TraceFormatError);
     EXPECT_THROW(
-        writeTraceV4(os, t, "", trace_format::kMaxChunkInstsV4 + 1),
+        writeTraceFileV4(f.path, t, "", trace_format::kMaxChunkInstsV4 + 1),
         TraceFormatError);
 }
 
@@ -300,63 +294,38 @@ TEST(TraceV4Corrupt, TruncatedHeaderAndIndex)
 {
     std::string s = V4Layout::bytes();
     expectV4Error(s.substr(0, 20), "truncated trace header");
-    // On a seekable stream a short index is caught up front by the
-    // capacity check, before any entry is read.
+    // A short index is caught up front by the capacity check, before
+    // any entry is read.
     expectV4Error(s.substr(0, V4Layout::kIndex + 7),
                   "exceeds stream capacity");
 }
 
-/** Read-only streambuf with no seek support (tellg() fails). */
-struct NonSeekableBuf : std::streambuf
-{
-    explicit NonSeekableBuf(std::string s) : _s(std::move(s))
-    {
-        setg(_s.data(), _s.data(), _s.data() + _s.size());
-    }
-    std::string _s;
-};
-
 TEST(TraceV4Corrupt, TruncatedIndexOnNonSeekableStream)
 {
-    // Pipes and sockets cannot be sized up front, so the capacity
-    // check is skipped and the short read itself must be diagnosed.
-    NonSeekableBuf buf(V4Layout::bytes().substr(0, V4Layout::kIndex + 7));
-    std::istream is(&buf);
-    EXPECT_THROW(
-        {
-            try {
-                readTrace(is);
-            } catch (const TraceFormatError &e) {
-                EXPECT_NE(std::string(e.what())
-                              .find("truncated v4 chunk index"),
-                          std::string::npos)
-                    << e.what();
-                throw;
-            }
-        },
-        TraceFormatError);
+    // The one reader maps a regular file whole, so it knows the size
+    // before parsing: an index cut short by the end of the input fails
+    // the capacity check before any entry is read. Input with no size
+    // (a pipe) is refused outright, without waiting for a writer.
+    expectV4Error(V4Layout::bytes().substr(0, V4Layout::kIndex + 7),
+                  "v4 chunk count 1 exceeds stream capacity");
+    test::TempTraceFile fifo("fifo");
+    ASSERT_EQ(::mkfifo(fifo.path.c_str(), 0600), 0);
+    try {
+        StreamingFileSource src(fifo.path);
+        FAIL() << "expected TraceFormatError";
+    } catch (const TraceFormatError &e) {
+        EXPECT_NE(std::string(e.what()).find("not a regular file"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(TraceV4Corrupt, TruncatedChunkOnNonSeekableStream)
 {
-    // Without a stream size the index finish() check cannot run; the
-    // missing body bytes must surface as a truncated chunk instead.
+    // Likewise, missing body bytes fail the index's byte total against
+    // the file size before any chunk is decoded.
     std::string s = V4Layout::bytes();
-    NonSeekableBuf buf(s.substr(0, s.size() - 2));
-    std::istream is(&buf);
-    EXPECT_THROW(
-        {
-            try {
-                readTrace(is);
-            } catch (const TraceFormatError &e) {
-                EXPECT_NE(
-                    std::string(e.what()).find("truncated v4 chunk"),
-                    std::string::npos)
-                    << e.what();
-                throw;
-            }
-        },
-        TraceFormatError);
+    expectV4Error(s.substr(0, s.size() - 2), "does not match stream size");
 }
 
 TEST(TraceV4Corrupt, TruncatedMidChunk)
@@ -648,7 +617,7 @@ TEST(TraceV4Runner, BitIdenticalToRawOnShippedConfigs)
         spec.warmupInsts = 20000;
         spec.measureInsts = 40000;
 
-        Trace trace = Runner::buildTrace(spec);
+        Trace trace = test::wholeTrace(spec);
         RunOutput mat = test::runMaterialized(spec, trace);
 
         std::string base = ::testing::TempDir() + "v4_equiv_";

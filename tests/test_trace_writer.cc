@@ -2,15 +2,12 @@
  * @file
  * Tests for TraceFileWriter: both containers round-trip records
  * appended in sizes that do not line up with the chunk size, the file
- * matches the whole-trace ostream encoder byte for byte, and a writer
+ * matches the whole-trace writer's byte for byte, and a writer
  * abandoned before commit() leaves the target as it was.
  */
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -20,6 +17,7 @@
 #include "trace/trace_file_source.hh"
 #include "trace/trace_io.hh"
 #include "trace/trace_source.hh"
+#include "trace_test_util.hh"
 
 namespace storemlp
 {
@@ -28,23 +26,18 @@ namespace
 
 constexpr uint64_t kChunk = 4096;
 
-std::string
-fileBytes(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    return std::string(std::istreambuf_iterator<char>(is), {});
-}
+using test::fileBytes;
 
-/** The whole-trace ostream encoding of `t` in `c`. */
+/** The file the whole-trace writer of `c` writes for `t`. */
 std::string
-streamBytes(const Trace &t, TraceContainer c, const std::string &fp)
+wholeTraceBytes(const Trace &t, TraceContainer c, const std::string &fp)
 {
-    std::ostringstream os;
+    test::TempTraceFile f("whole");
     switch (c) {
-      case TraceContainer::V1: writeTrace(os, t); break;
-      case TraceContainer::V4: writeTraceV4(os, t, fp, kChunk); break;
+      case TraceContainer::V1: writeTraceFile(f.path, t); break;
+      case TraceContainer::V4: writeTraceFileV4(f.path, t, fp, kChunk); break;
     }
-    return os.str();
+    return fileBytes(f.path);
 }
 
 void
@@ -112,7 +105,7 @@ TEST(TraceFileWriter, RoundTripsUnalignedAppendsInEveryContainer)
                 }
                 w.commit();
             }
-            EXPECT_EQ(fileBytes(path), streamBytes(t, c, fp));
+            EXPECT_EQ(fileBytes(path), wholeTraceBytes(t, c, fp));
             expectSameRecords(t, readTraceFile(path));
             StreamingFileSource src(path, kChunk);
             expectSameRecords(t, materializeSource(src));

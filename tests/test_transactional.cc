@@ -33,7 +33,7 @@ lockTrace()
 TEST(TransactionalMemory, DisabledClassifiesNormal)
 {
     Trace t = lockTrace();
-    LockAnalysis a = LockDetector().analyze(t);
+    LockAnalysis a = test::analyzeTrace(t);
     TmConfig cfg; // enabled = false
     TransactionalMemory tm(&a, cfg);
     EXPECT_FALSE(tm.enabled());
@@ -44,7 +44,7 @@ TEST(TransactionalMemory, DisabledClassifiesNormal)
 TEST(TransactionalMemory, CommittingSectionElides)
 {
     Trace t = lockTrace();
-    LockAnalysis a = LockDetector().analyze(t);
+    LockAnalysis a = test::analyzeTrace(t);
     TmConfig cfg;
     cfg.enabled = true;
     cfg.abortProb = 0.0; // every section commits
@@ -60,7 +60,7 @@ TEST(TransactionalMemory, CommittingSectionElides)
 TEST(TransactionalMemory, AbortingSectionFallsBackToLock)
 {
     Trace t = lockTrace();
-    LockAnalysis a = LockDetector().analyze(t);
+    LockAnalysis a = test::analyzeTrace(t);
     TmConfig cfg;
     cfg.enabled = true;
     cfg.abortProb = 1.0; // every section aborts
@@ -75,7 +75,7 @@ TEST(TransactionalMemory, AbortingSectionFallsBackToLock)
 TEST(TransactionalMemory, AbortDecisionDeterministic)
 {
     Trace t = lockTrace();
-    LockAnalysis a = LockDetector().analyze(t);
+    LockAnalysis a = test::analyzeTrace(t);
     TmConfig cfg;
     cfg.enabled = true;
     cfg.abortProb = 0.5;
@@ -99,7 +99,7 @@ TEST(TransactionalMemory, ElidesWcIdiom)
     b.lwsync();
     b.store(lock, 3);
     Trace t = b.build();
-    LockAnalysis a = LockDetector().analyze(t);
+    LockAnalysis a = test::analyzeTrace(t);
     TmConfig cfg;
     cfg.enabled = true;
     cfg.abortProb = 0.0;

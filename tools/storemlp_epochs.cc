@@ -16,8 +16,8 @@
 #include "coherence/chip.hh"
 #include "core/epoch_log.hh"
 #include "core/mlp_sim.hh"
+#include "core/runner.hh"
 #include "stats/stats_json.hh"
-#include "trace/generator.hh"
 #include "trace/lock_detector.hh"
 
 using namespace storemlp;
@@ -46,9 +46,12 @@ toolMain(int argc, char **argv)
     configFlag(cli, cfg, "prefetch", "storePrefetch");
     cfg.cpiOnChip = profile.cpiOnChip;
 
-    SyntheticTraceGenerator gen(profile, cli.num("seed", 42));
-    Trace trace = gen.generate(warmup + 400 * 1000);
-    LockAnalysis locks = LockDetector().analyze(trace);
+    SourceSpec spec;
+    spec.profile = profile;
+    spec.seed = cli.num("seed", 42);
+    spec.count = warmup + 400 * 1000;
+    std::unique_ptr<TraceSource> src = openRunSource(spec);
+    LockAnalysis locks = LockDetector().analyze(*src);
 
     ChipNode chip(HierarchyConfig{}, 0);
     MlpSimulator sim(cfg, chip, &locks);
@@ -107,9 +110,7 @@ toolMain(int argc, char **argv)
         ++printed;
     });
 
-    sim.process(trace, 0, warmup, false);
-    sim.process(trace, warmup, trace.size(), true);
-    SimResult res = sim.takeResult();
+    SimResult res = sim.run(*src, warmup);
 
     if (fmt == OutFormat::Json) {
         StatsMeta meta = {

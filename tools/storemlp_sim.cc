@@ -123,18 +123,34 @@ toolMain(int argc, char **argv)
     if (cli.flag("perfect-stores"))
         cfg.perfectStores = true;
 
+    // A geometry the caches cannot index is a usage error naming the
+    // flags that set it, never a constructor assert.
+    auto check_geometry = [&](const std::string &flags, const auto &config) {
+        try {
+            checkGeometry(config);
+        } catch (const ConfigError &e) {
+            cli.fail(flags + ": " + e.what());
+        }
+    };
     if (cli.has("l1-kb") || cli.has("l2-kb") || cli.has("l2-assoc")) {
         HierarchyConfig hier;
         if (cli.has("l1-kb")) {
             uint64_t kb = cli.num("l1-kb", 32);
             hier.l1i.sizeBytes = kb * 1024;
             hier.l1d.sizeBytes = kb * 1024;
+            check_geometry("--l1-kb", hier.l1d);
         }
         if (cli.has("l2-kb"))
             hier.l2.sizeBytes = cli.num("l2-kb", 2048) * 1024;
         if (cli.has("l2-assoc"))
             hier.l2.assoc =
                 static_cast<uint32_t>(cli.num("l2-assoc", 4));
+        if (cli.has("l2-kb") || cli.has("l2-assoc")) {
+            check_geometry(!cli.has("l2-assoc") ? "--l2-kb"
+                           : cli.has("l2-kb")   ? "--l2-kb/--l2-assoc"
+                                                : "--l2-assoc",
+                           hier.l2);
+        }
         spec.hierarchy = hier;
     }
 
@@ -142,6 +158,7 @@ toolMain(int argc, char **argv)
         SmacConfig smac;
         smac.entries =
             static_cast<uint32_t>(cli.num("smac-entries", 8192));
+        check_geometry("--smac-entries", smac);
         spec.smac = smac;
     }
     spec.numChips = static_cast<uint32_t>(cli.num("chips", 1));

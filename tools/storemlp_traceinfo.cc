@@ -88,23 +88,9 @@ toolMain(int argc, char **argv)
         }
     }
     if (full) {
-        mix.total = info.records;
-        forEachRecord(*src, 0, info.records, [&](const TraceRecord &r) {
-            if (r.cls == InstClass::AtomicCas ||
-                r.cls == InstClass::StoreCond ||
-                r.cls == InstClass::LoadLocked) {
-                ++mix.atomics;
-            }
-            if (isLoadClass(r.cls))
-                ++mix.loads;
-            if (isStoreClass(r.cls))
-                ++mix.stores;
-            if (r.cls == InstClass::Branch)
-                ++mix.branches;
-            if (isBarrierClass(r.cls))
-                ++mix.barriers;
-        });
-        locks = analyzeSource(*src);
+        forEachRecord(*src, 0, info.records,
+                      [&](const TraceRecord &r) { mix.add(&r, 1); });
+        locks = LockDetector().analyze(*src);
         for (const auto &p : locks.pairs)
             total_len += p.releaseIdx - p.acquireIdx;
     }
