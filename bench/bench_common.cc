@@ -142,7 +142,7 @@ sweepAll(const std::vector<RunSpec> &specs)
         planned[i].spec = specs[i];
     }
     // Built on first use, after benchInit has parsed the command
-    // line; the process-wide engine shares one trace cache.
+    // line. Each call makes its own traces, one per trace group.
     static SweepEngine engine([] {
         SweepOptions opts;
         opts.jobs = io().jobs;

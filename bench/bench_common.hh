@@ -3,8 +3,8 @@
  * Shared helpers for the table/figure reproduction binaries. Every
  * bench prints paper-style rows via TextTable, executes its runs
  * through one shared SweepEngine (parallel across STOREMLP_JOBS
- * workers, trace chunks shared through the process-wide TraceCache),
- * and honours environment variables so CI can scale run length:
+ * workers; runs that read one trace share its producer, see
+ * core/sweep.hh), and honours environment variables so CI can scale run length:
  *   STOREMLP_WARMUP   warmup instructions  (default 600000)
  *   STOREMLP_MEASURE  measured instructions (default 1000000)
  *   STOREMLP_JOBS     sweep worker threads (default: hardware)

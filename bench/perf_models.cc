@@ -21,8 +21,8 @@ main(int argc, char **argv)
     const std::vector<ModelDescriptor> &models =
         ModelDescriptor::presets();
 
-    // 4 workloads x 5 presets, one sweep submission. The trace cache
-    // keys on the dialect rewrite, so all Sparc-dialect runs of a
+    // 4 workloads x 5 presets, one sweep submission. Trace groups
+    // key on the dialect rewrite, so all Sparc-dialect runs of a
     // workload share one trace and all Power-dialect runs another.
     std::vector<RunSpec> specs;
     for (const auto &profile : workloads()) {

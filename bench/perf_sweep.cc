@@ -1,10 +1,11 @@
 /**
  * @file
  * Sweep-engine performance harness (google-benchmark): wall-clock of
- * a fig7-style configuration batch at 1/2/4 worker threads, and the
- * trace-cache effect in isolation (same batch, cache on vs off, one
- * worker). The batch is 12 runs over 2 distinct traces (PC + WC
- * rewrite), so the chunk cache eliminates 10 of 12 generations.
+ * a fig7-style configuration batch at 1/2/4 worker threads, and
+ * trace-major sharing in isolation (one worker: the batch's trace
+ * groups against the same batch with one producer per run). The batch
+ * is 12 runs over 2 distinct traces (PC + WC rewrite), so trace-major
+ * execution makes 2 streams where one producer per run makes 12.
  */
 
 #include <ostream>
@@ -62,13 +63,12 @@ BM_SweepJobs(benchmark::State &state)
 {
     std::vector<PlannedRun> runs = fig7StyleBatch(100000, 200000);
     for (auto _ : state) {
-        // Fresh engine + cache per iteration: measures a cold sweep
+        // Fresh engine per iteration: measures a cold sweep
         // (generation + simulation), the shape of a bench binary run.
-        TraceCache cache;
         SweepOptions opts;
         opts.jobs = static_cast<unsigned>(state.range(0));
         opts.progress = false;
-        SweepEngine engine(opts, &cache);
+        SweepEngine engine(opts);
         auto results = engine.execute(runs);
         benchmark::DoNotOptimize(results.size());
     }
@@ -84,24 +84,30 @@ BENCHMARK(BM_SweepJobs)
     ->UseRealTime();
 
 void
-BM_SweepTraceCache(benchmark::State &state)
+BM_SweepTraceMajor(benchmark::State &state)
 {
+    // Arg(0): every run opens its own producer (Runner::run alone).
+    // Arg(1): the engine's trace groups, one producer per stream.
     std::vector<PlannedRun> runs = fig7StyleBatch(100000, 200000);
-    bool use_cache = state.range(0) != 0;
+    bool trace_major = state.range(0) != 0;
     for (auto _ : state) {
-        TraceCache cache;
         SweepOptions opts;
         opts.jobs = 1;
-        opts.useTraceCache = use_cache;
         opts.progress = false;
-        SweepEngine engine(opts, &cache);
+        if (!trace_major) {
+            opts.runOverride = [](const RunSpec &spec) {
+                return Runner::run(
+                    spec, *openRunSource(SourceSpec::forRun(spec)));
+            };
+        }
+        SweepEngine engine(opts);
         auto results = engine.execute(runs);
         benchmark::DoNotOptimize(results.size());
     }
     state.SetItemsProcessed(state.iterations() *
                             static_cast<int64_t>(runs.size()));
 }
-BENCHMARK(BM_SweepTraceCache)
+BENCHMARK(BM_SweepTraceMajor)
     ->Arg(0)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);

@@ -5,6 +5,8 @@
 
 #include "consistency/transactional.hh"
 
+#include <algorithm>
+
 namespace storemlp
 {
 
@@ -25,12 +27,26 @@ mix(uint64_t x)
 
 TransactionalMemory::TransactionalMemory(const LockAnalysis *analysis,
                                          const TmConfig &config)
-    : _config(config), _enabled(config.enabled && analysis)
+    : _config(config), _enabled(config.enabled && analysis),
+      _analysis(analysis)
+{
+    indexFinalPairs();
+}
+
+void
+TransactionalMemory::indexFinalPairs() const
 {
     if (!_enabled)
         return;
+    const LockAnalysis &a = *_analysis;
+    for (; _indexed < a.pairs.size(); ++_indexed) {
+        const LockPair &p = a.pairs[_indexed];
+        // A pair reads roles up to its release and acquire + 2; wait
+        // (and keep pair order) until those are final.
+        if (!a.complete &&
+            std::max(p.acquireIdx + 2, p.releaseIdx) >= a.roles.size())
+            return;
 
-    for (const LockPair &p : analysis->pairs) {
         ++_sections;
         if (!sectionCommits(p.acquireIdx))
             ++_abortedSections;
@@ -40,12 +56,12 @@ TransactionalMemory::TransactionalMemory(const LockAnalysis *analysis,
         _byIdx[p.acquireIdx] = {p.acquireIdx, LockRole::Acquire};
         _byIdx[p.releaseIdx] = {p.acquireIdx, LockRole::Release};
         for (uint64_t i = p.acquireIdx + 1;
-             i < analysis->roles.size() && i <= p.acquireIdx + 2; ++i) {
-            if (analysis->roles[i] == LockRole::AcquireAux)
+             i < a.roles.size() && i <= p.acquireIdx + 2; ++i) {
+            if (a.roles[i] == LockRole::AcquireAux)
                 _byIdx[i] = {p.acquireIdx, LockRole::AcquireAux};
         }
         if (p.releaseIdx > 0 &&
-            analysis->roles[p.releaseIdx - 1] == LockRole::ReleaseAux) {
+            a.roles[p.releaseIdx - 1] == LockRole::ReleaseAux) {
             _byIdx[p.releaseIdx - 1] = {p.acquireIdx,
                                         LockRole::ReleaseAux};
         }
@@ -66,6 +82,7 @@ TransactionalMemory::classify(uint64_t idx) const
 {
     if (!_enabled)
         return Action::Normal;
+    indexFinalPairs();
     auto it = _byIdx.find(idx);
     if (it == _byIdx.end())
         return Action::Normal;
@@ -90,6 +107,7 @@ TransactionalMemory::abortsAt(uint64_t idx) const
 {
     if (!_enabled)
         return false;
+    indexFinalPairs();
     auto it = _byIdx.find(idx);
     if (it == _byIdx.end() || it->second.role != LockRole::Acquire)
         return false;

@@ -54,6 +54,11 @@ class TransactionalMemory
         Nop,           ///< elided release / auxiliary instruction
     };
 
+    /**
+     * `analysis` may still be growing (LockAnalysisBuilder): pairs are
+     * indexed once their roles are final, and a query at `idx` is
+     * exact once the builder covers idx + 1.
+     */
     TransactionalMemory(const LockAnalysis *analysis,
                         const TmConfig &config);
 
@@ -72,23 +77,39 @@ class TransactionalMemory
     double abortPenalty() const { return _config.abortPenaltyCycles; }
 
     bool enabled() const { return _enabled; }
-    uint64_t sections() const { return _sections; }
-    uint64_t abortedSections() const { return _abortedSections; }
+    /** Sections (and aborted ones) among the pairs indexed so far. */
+    uint64_t
+    sections() const
+    {
+        indexFinalPairs();
+        return _sections;
+    }
+    uint64_t
+    abortedSections() const
+    {
+        indexFinalPairs();
+        return _abortedSections;
+    }
 
   private:
     bool sectionCommits(uint64_t acquire_idx) const;
+    /** Index the analysis's pairs whose roles are final, in order. */
+    void indexFinalPairs() const;
 
     TmConfig _config;
     bool _enabled;
+    const LockAnalysis *_analysis;
     /** idx of any lock-idiom instruction -> acquire idx + role. */
     struct Entry
     {
         uint64_t acquireIdx;
         LockRole role;
     };
-    std::unordered_map<uint64_t, Entry> _byIdx;
-    uint64_t _sections = 0;
-    uint64_t _abortedSections = 0;
+    // Built lazily, as the analysis's pairs become final.
+    mutable std::unordered_map<uint64_t, Entry> _byIdx;
+    mutable size_t _indexed = 0; ///< analysis pairs indexed
+    mutable uint64_t _sections = 0;
+    mutable uint64_t _abortedSections = 0;
 };
 
 } // namespace storemlp

@@ -177,30 +177,54 @@ openRunSource(const SourceSpec &spec)
         if (spec.wcRewrite)
             src = std::make_unique<WcRewriteSource>(std::move(src));
     }
-    if (spec.cache) {
-        std::string key = src->fingerprint() +
-            "|chunk=" + std::to_string(src->chunkInsts());
-        return std::make_unique<CachedSource>(std::move(src), *spec.cache,
-                                              std::move(key));
-    }
     if (onParallelWorker())
         return src;
     return std::make_unique<ReadAheadSource>(std::move(src));
 }
 
-RunOutput
-Runner::run(const RunSpec &spec, TraceSource &source)
+/**
+ * One run's machine and read position: everything Runner::run builds
+ * before the first record and reads after the last.
+ */
+struct Runner::Session::Machine
 {
-    // Lock analysis feeds SLE/TM only; the simulator never reads it
-    // otherwise, so skip the extra pass (and its one-byte-per-record
-    // roles vector) unless those optimizations are on.
-    std::optional<LockAnalysis> locks;
-    if (spec.config.sle || spec.config.tm.enabled)
-        locks = LockDetector().analyze(source);
+    Machine(const RunSpec &run_spec, TraceSource &source,
+            const LockAnalysis *locks);
 
-    // ---- build the machine ----
-    HierarchyConfig hier_cfg = spec.hierarchy.value_or(HierarchyConfig{});
+    RunSpec spec;
     SnoopBus bus;
+    std::vector<std::unique_ptr<ChipNode>> chips;
+    std::vector<std::unique_ptr<PeerTrafficAgent>> peers;
+    std::optional<EpochLogWriter> epochLog;
+    MlpSimulator sim;
+    // The tally counts measured stores as the engine's cursor fetches
+    // each chunk, so the stream is read once.
+    StoreTallySource tally;
+    TraceCursor cur;
+    bool measuring = false;
+    uint64_t warmupEnd = 0;
+
+    ChipNode &local() { return *chips.front(); }
+
+  private:
+    /** The chips, wired to the bus; built before the simulator. */
+    static std::vector<std::unique_ptr<ChipNode>>
+    buildChips(const RunSpec &spec, SnoopBus &bus);
+    static SimConfig simConfig(const RunSpec &spec);
+};
+
+std::vector<std::unique_ptr<ChipNode>>
+Runner::Session::Machine::buildChips(const RunSpec &spec, SnoopBus &bus)
+{
+    // A geometry the caches cannot index is the run's ConfigError, not
+    // a constructor assert.
+    HierarchyConfig hier_cfg = spec.hierarchy.value_or(HierarchyConfig{});
+    checkGeometry(hier_cfg.l1i);
+    checkGeometry(hier_cfg.l1d);
+    checkGeometry(hier_cfg.l2);
+    if (spec.smac)
+        checkGeometry(*spec.smac);
+
     std::vector<std::unique_ptr<ChipNode>> chips;
     for (uint32_t c = 0; c < spec.numChips; ++c) {
         chips.push_back(std::make_unique<ChipNode>(
@@ -208,23 +232,6 @@ Runner::run(const RunSpec &spec, TraceSource &source)
         if (spec.numChips > 1)
             chips.back()->connect(&bus);
     }
-    ChipNode &local = *chips.front();
-
-    std::vector<std::unique_ptr<PeerTrafficAgent>> peers;
-    if (spec.peerTraffic) {
-        for (uint32_t c = 1; c < spec.numChips; ++c) {
-            peers.push_back(std::make_unique<PeerTrafficAgent>(
-                spec.profile, spec.seed + 1000 + c, *chips[c]));
-        }
-    }
-    if (spec.siblingCore) {
-        // The second core of the measured chip (paper Section 4.3:
-        // "two single-threaded cores sharing an L2 cache").
-        peers.push_back(std::make_unique<PeerTrafficAgent>(
-            spec.profile, spec.seed + 77, local,
-            static_cast<int>(spec.numChips) + 1));
-    }
-
     if (spec.prefillL2) {
         // Fill each L2 with clean placeholder lines from a reserved
         // region so real traffic immediately contends for capacity.
@@ -239,52 +246,103 @@ Runner::run(const RunSpec &spec, TraceSource &source)
                 l2.access(base + i * l2.config().lineBytes, false);
         }
     }
+    return chips;
+}
 
+SimConfig
+Runner::Session::Machine::simConfig(const RunSpec &spec)
+{
     SimConfig cfg = spec.config;
     cfg.cpiOnChip = spec.profile.cpiOnChip;
+    return cfg;
+}
 
-    MlpSimulator sim(cfg, local, locks ? &*locks : nullptr);
-    std::optional<EpochLogWriter> epoch_log;
+Runner::Session::Machine::Machine(const RunSpec &run_spec,
+                                  TraceSource &source,
+                                  const LockAnalysis *locks)
+    : spec(run_spec), chips(buildChips(spec, bus)),
+      sim(simConfig(spec), local(), locks),
+      tally(source, spec.warmupInsts), cur(tally)
+{
+    if (spec.peerTraffic) {
+        for (uint32_t c = 1; c < spec.numChips; ++c) {
+            peers.push_back(std::make_unique<PeerTrafficAgent>(
+                spec.profile, spec.seed + 1000 + c, *chips[c]));
+        }
+    }
+    if (spec.siblingCore) {
+        // The second core of the measured chip (paper Section 4.3:
+        // "two single-threaded cores sharing an L2 cache").
+        peers.push_back(std::make_unique<PeerTrafficAgent>(
+            spec.profile, spec.seed + 77, local(),
+            static_cast<int>(spec.numChips) + 1));
+    }
     if (spec.epochLog) {
-        epoch_log.emplace(*spec.epochLog);
-        sim.setEpochListener([&epoch_log](const EpochRecord &rec) {
-            epoch_log->write(rec);
-        });
+        epochLog.emplace(*spec.epochLog);
+        sim.setEpochListener(
+            [this](const EpochRecord &rec) { epochLog->write(rec); });
     }
     if (!peers.empty()) {
-        sim.setPeerHook([&peers](uint64_t delta) {
+        sim.setPeerHook([this](uint64_t delta) {
             for (auto &p : peers)
                 p->step(delta);
         });
     }
+}
 
-    // ---- warm, reset, measure ----
-    // The tally counts measured stores as the engine's cursor fetches
-    // each chunk, so the stream is read once.
-    StoreTallySource tally(source, spec.warmupInsts);
-    TraceCursor cur(tally);
-    sim.process(cur, 0, spec.warmupInsts, false);
-    uint64_t warmup_end = sim.position(); // min(warmup, stream length)
-    local.resetStats();
-    bus.resetStats();
+Runner::Session::Session(const RunSpec &spec, TraceSource &source,
+                         const LockAnalysis *locks)
+    : _m(std::make_unique<Machine>(spec, source, locks))
+{
+}
 
-    sim.process(cur, warmup_end, ~uint64_t{0}, true);
-    uint64_t end_idx = sim.position(); // the stream length
-    if (tally.tallied() != end_idx) {
+Runner::Session::~Session() = default;
+
+bool
+Runner::Session::advance(uint64_t end)
+{
+    Machine &m = *_m;
+    MlpSimulator &sim = m.sim;
+    if (!m.measuring) {
+        uint64_t stop = std::min(end, m.spec.warmupInsts);
+        sim.process(m.cur, sim.position(), stop, false);
+        if (sim.position() == stop && stop < m.spec.warmupInsts)
+            return true; // paused inside the warmup
+        // ---- warm, reset, measure ----
+        m.warmupEnd = sim.position(); // min(warmup, stream length)
+        m.local().resetStats();
+        m.bus.resetStats();
+        m.measuring = true;
+    }
+    // Called at least once after the warmup, even past `end`: the
+    // first measured process() resolves the warmup's open generation.
+    sim.process(m.cur, sim.position(), std::max(end, sim.position()),
+                true);
+    return sim.position() >= end;
+}
+
+RunOutput
+Runner::Session::finish()
+{
+    advance(~uint64_t{0});
+    Machine &m = *_m;
+    ChipNode &local = m.local();
+    uint64_t end_idx = m.sim.position(); // the stream length
+    if (m.tally.tallied() != end_idx) {
         throw std::logic_error(
             "Runner: store tally covers " +
-            std::to_string(tally.tallied()) + " records, run ended at " +
-            std::to_string(end_idx));
+            std::to_string(m.tally.tallied()) +
+            " records, run ended at " + std::to_string(end_idx));
     }
     RunOutput out;
-    out.sim = sim.takeResult();
+    out.sim = m.sim.takeResult();
 
     // ---- Table 1 style rates over the measured records ----
-    uint64_t measured = end_idx - warmup_end;
+    uint64_t measured = end_idx - m.warmupEnd;
     if (measured) {
         double n = static_cast<double>(measured);
         out.storesPer100 =
-            100.0 * static_cast<double>(tally.stores()) / n;
+            100.0 * static_cast<double>(m.tally.stores()) / n;
         out.storeMissPer100 = 100.0 *
             static_cast<double>(local.hierarchy().storeL2Misses()) / n;
         out.loadMissPer100 = 100.0 *
@@ -305,15 +363,34 @@ Runner::run(const RunSpec &spec, TraceSource &source)
         out.smacProbeHits = smac->probeHits();
         out.smacProbeHitInvalidated = smac->probeHitInvalidated();
     }
-    for (auto &p : peers)
+    for (auto &p : m.peers)
         out.peerInstructions += p->instructionsRetired();
 
     local.hierarchy().exportStats(out.machine);
-    if (spec.numChips > 1)
-        bus.exportStats(out.machine);
+    if (m.spec.numChips > 1)
+        m.bus.exportStats(out.machine);
     if (const Smac *smac = local.smac())
         smac->exportStats(out.machine);
     return out;
+}
+
+bool
+Runner::needsLockAnalysis(const SimConfig &config)
+{
+    // Lock analysis feeds SLE/TM only; the simulator never reads it
+    // otherwise, so skip the extra pass (and its one-byte-per-record
+    // roles vector) unless those optimizations are on.
+    return config.sle || config.tm.enabled;
+}
+
+RunOutput
+Runner::run(const RunSpec &spec, TraceSource &source)
+{
+    std::optional<LockAnalysis> locks;
+    if (needsLockAnalysis(spec.config))
+        locks = LockDetector().analyze(source);
+    Session session(spec, source, locks ? &*locks : nullptr);
+    return session.finish();
 }
 
 void

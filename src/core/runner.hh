@@ -5,6 +5,12 @@
  * analysis, chips/bus/SMAC, peer traffic — warms it up and measures,
  * mirroring the paper's methodology (Section 4.2): warm the caches on
  * a prefix of the trace, then collect statistics on the remainder.
+ *
+ * A run is three steps (Runner::Session): build the machine, advance
+ * it to a record index, finish. `Runner::run` takes them in one go;
+ * the sweep engine interleaves the sessions of every run that reads
+ * one stream, chunk by chunk, so the stream is made once for all of
+ * them (core/sweep.hh).
  */
 
 #ifndef STOREMLP_CORE_RUNNER_HH
@@ -29,6 +35,8 @@
 
 namespace storemlp
 {
+
+struct LockAnalysis;
 
 /** Everything needed to reproduce one experimental data point. */
 struct RunSpec
@@ -138,8 +146,7 @@ struct SourceSpec
     uint32_t generatorId = 0; ///< GeneratorSource chip id
     bool wcRewrite = false;   ///< generated streams only
 
-    uint64_t chunkInsts = 0;    ///< 0: default; v4 files keep theirs
-    TraceCache *cache = nullptr; ///< share chunks (sweep workers)
+    uint64_t chunkInsts = 0; ///< 0: default; v4 files keep theirs
 
     /**
      * A run's generated stream: warmupInsts + measureInsts records of
@@ -153,10 +160,9 @@ struct SourceSpec
  * Build a run's stream: the one place that decides which stages a run
  * gets and whether it is pipelined. Innermost first: the file or
  * generator; the PC->WC rewrite (generated streams only; files replay
- * as written); a CachedSource keyed by fingerprint and chunk size when
- * `cache` is set; and a ReadAheadSource, unless the stream is
- * cache-backed or the calling thread is a parallel pool worker
- * (onParallelWorker()), whose siblings already fill the CPUs.
+ * as written); and a ReadAheadSource, unless the calling thread is a
+ * parallel pool worker (onParallelWorker()), whose siblings already
+ * fill the CPUs.
  */
 std::unique_ptr<TraceSource> openRunSource(const SourceSpec &spec);
 
@@ -164,6 +170,47 @@ std::unique_ptr<TraceSource> openRunSource(const SourceSpec &spec);
 class Runner
 {
   public:
+    /**
+     * One run in three steps: the constructor builds the machine
+     * (chips, bus, SMAC, peers, prefilled L2, simulator), advance()
+     * simulates up to a record index — the warmup first, then the
+     * measured interval — and finish() runs to the end of the stream
+     * and collects the RunOutput. Sessions over separate sources share
+     * nothing, so several may be interleaved on one thread.
+     *
+     * `source` must already reflect the spec's memory model (see
+     * run()); `locks` is the stream's lock analysis, required when
+     * needsLockAnalysis(spec.config) and otherwise ignored. Both must
+     * outlive the session. A geometry the caches or the SMAC cannot
+     * index throws ConfigError from the constructor.
+     */
+    class Session
+    {
+      public:
+        Session(const RunSpec &spec, TraceSource &source,
+                const LockAnalysis *locks);
+        ~Session();
+        Session(const Session &) = delete;
+        Session &operator=(const Session &) = delete;
+
+        /**
+         * Simulate the records before index `end`. Returns false once
+         * the stream has ended short of `end`. Any split of the
+         * stream into advance() calls yields the same RunOutput.
+         */
+        bool advance(uint64_t end);
+
+        /** Run to the end of the stream; collect the run's output. */
+        RunOutput finish();
+
+      private:
+        struct Machine;
+        std::unique_ptr<Machine> _m;
+    };
+
+    /** SLE and TM read a LockAnalysis of the stream; nothing else does. */
+    static bool needsLockAnalysis(const SimConfig &config);
+
     /**
      * Run one full epoch-model experiment against a record stream.
      * `source` must already reflect the spec's memory model (i.e. be
@@ -176,7 +223,8 @@ class Runner
      * The stream is read once, in chunk order: the Table-1 store
      * tally (`storesPer100`) counts the measured records as the
      * engine's cursor first fetches each chunk. With SLE or TM on,
-     * the lock analysis adds one full pass before the run.
+     * the lock analysis adds one full pass before the run. This is
+     * the one-session case: build, advance to the end, finish.
      */
     static RunOutput run(const RunSpec &spec, TraceSource &source);
 

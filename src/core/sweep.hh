@@ -2,24 +2,44 @@
  * @file
  * Parallel sweep engine. A paper figure or table is a batch of
  * independent `RunSpec`s — the epoch model shares no mutable state
- * between runs, so the batch is embarrassingly parallel. The engine
- * executes specs on a fixed pool of worker threads (a shared work
- * queue of spec indices), streams every run's trace from
- * `openRunSource` through a shared `TraceCache` so configurations over
- * the same workload generate each chunk once (`sweep.traceCache.*`
- * counts chunks), and writes results into submission-order slots so
- * tables are deterministic regardless of scheduling.
+ * between runs, so the batch is embarrassingly parallel. Like the
+ * paper's MLPsim, which runs every configuration over the same
+ * traces, the engine runs trace-major:
  *
- * Results are bit-identical across `jobs` values and chunk sizes:
- * each run owns its machine state and RNG (seeded from the spec), the
- * only shared input is immutable chunks, and result slots are
- * index-addressed.
+ *  - Runs that read one stream (same profile, seed, length and PC->WC
+ *    rewrite: `SourceSpec::forRun`) form a trace group.
+ *  - A group runs on one worker with one `openRunSource` producer.
+ *    Each member has its own cursor, simulator and machine
+ *    (Runner::Session) and the members advance round-robin, one chunk
+ *    at a time, so each chunk is made once and dropped once the last
+ *    member has fetched it. SLE/TM members share one lock analysis,
+ *    built from the same chunks as they are made.
+ *  - Groups go to a fixed pool of workers, largest first. Only when
+ *    there are fewer groups than workers is a group split into
+ *    per-worker subgroups, each with its own producer.
+ *  - A worker that finds no group left to start takes members of a
+ *    running group over at a chunk boundary, and runs them on a
+ *    producer of its own (which makes the skipped chunks again), so
+ *    the batch does not wait on one worker's last group. Members that
+ *    read the group's lock analysis stay with its owner.
+ *
+ * Resident trace memory is a few chunks per group in flight, not the
+ * batch's streams (`sweep.traceGroups`, `sweep.traceChunksProduced`).
+ * Results go into submission-order slots, so tables are deterministic
+ * regardless of scheduling.
+ *
+ * Results are bit-identical across `jobs` values and chunk sizes, and
+ * to `Runner::run` of each spec alone: each run owns its machine state
+ * and RNG (seeded from the spec), the only shared input is immutable
+ * chunks, and any split of a stream into advance() steps gives the
+ * same run.
  *
  * Faults are contained per run: an exception thrown by trace
- * construction or by the runner marks that run's `RunOutcome` as
- * failed (`ok == false`, diagnostic in `errorMessage`) and the sweep
- * continues — one corrupt configuration or transient failure never
- * discards the other N-1 results or terminates the process.
+ * construction or by a member's session marks that run's `RunOutcome`
+ * as failed (`ok == false`, diagnostic in `errorMessage`) while its
+ * group-mates go on; a retry runs it alone from a fresh source. One
+ * corrupt configuration or transient failure never discards the other
+ * N-1 results or terminates the process.
  */
 
 #ifndef STOREMLP_CORE_SWEEP_HH
@@ -45,29 +65,27 @@ struct SweepOptions
 {
     /** Worker threads; 0 = STOREMLP_JOBS, else hardware_concurrency. */
     unsigned jobs = 0;
-    /** Share trace chunks across runs via the trace cache. */
-    bool useTraceCache = true;
     /** Chunk size (instructions) of every run's stream; 0 = default. */
     uint64_t chunkInsts = 0;
     /**
-     * Attempts per run (>= 1). Values above 1 retry a throwing run —
-     * bounded containment for transient failures (a cache build that
-     * lost a race with eviction, an I/O hiccup). Deterministic faults
-     * simply fail `maxAttempts` times and are reported once.
+     * Attempts per run (>= 1). Values above 1 retry a throwing run,
+     * alone from a fresh source — bounded containment for transient
+     * failures (an I/O hiccup). Deterministic faults simply fail
+     * `maxAttempts` times and are reported once.
      */
     unsigned maxAttempts = 1;
     /**
-     * Emit a live progress line (runs completed / total, trace-cache
-     * chunk hits) to stderr. Defaults from the environment: on when
+     * Emit a live progress line (runs and trace groups completed /
+     * total) to stderr. Defaults from the environment: on when
      * stderr is a terminal, forced by STOREMLP_PROGRESS=1, silenced
      * by =0.
      */
     bool progress = progressFromEnv();
     /**
-     * Test/fault-injection hook: when set, executes a run instead of
-     * opening its stream and calling `Runner::run`. Lets tests throw
-     * from the Nth run (or return synthetic outputs) without touching
-     * the production path; null for normal operation.
+     * Test/fault-injection hook: when set, executes each run alone
+     * instead of its trace group's sessions. Lets tests throw from the
+     * Nth run (or return synthetic outputs) without touching the
+     * production path; null for normal operation.
      */
     std::function<RunOutput(const RunSpec &)> runOverride;
 
@@ -95,7 +113,13 @@ struct RunOutcome
     std::string model;      ///< model axis value; "" when not crossed
 
     RunOutput output;
-    double wallMs = 0.0; ///< wall-clock time of this run
+    /**
+     * Wall-clock time of this run's own simulation slices: building
+     * its machine, its advance() steps and its finish, plus any retry
+     * run alone. The group's shared trace production and lock
+     * analysis are billed to no run.
+     */
+    double wallMs = 0.0;
     /** Run completed; when false `output` is default-initialized. */
     bool ok = true;
     /** Attempts consumed (1 unless maxAttempts retried the run). */
@@ -133,8 +157,13 @@ parallelForEach(const std::vector<std::function<void()>> &tasks,
 class SweepEngine
 {
   public:
+    /**
+     * `cache` is ignored: runs share chunks within their trace group,
+     * not through a cache. The parameter stays for callers that still
+     * pass one, until TraceCache itself goes.
+     */
     explicit SweepEngine(SweepOptions opts = {},
-                         TraceCache *cache = &TraceCache::global());
+                         TraceCache *cache = nullptr);
 
     /**
      * Primary entry point: execute planned runs; outcomes come back
@@ -160,22 +189,28 @@ class SweepEngine
     std::vector<RunOutcome> execute(const SweepRequest &request,
                                     const RunObserver &observer = {});
 
-    /** Valid only when constructed with a non-null cache. */
-    TraceCache &traceCache() { return *_cache; }
-    bool hasTraceCache() const { return _cache != nullptr; }
-
     /** Runs that completed / failed across this engine's lifetime. */
     uint64_t runsSucceeded() const { return _runsOk.load(); }
     uint64_t runsFailed() const { return _runsFailed.load(); }
     /** Retry attempts beyond the first, across all runs. */
     uint64_t runRetries() const { return _runRetries.load(); }
+    /**
+     * Producers run: trace groups, with split subgroups and members
+     * taken over by an idle worker counting singly. Above one worker
+     * this depends on timing.
+     */
+    uint64_t traceGroups() const { return _traceGroups.load(); }
+    /**
+     * Chunks made by those producers, skipped ones included; retries
+     * run alone and are not counted.
+     */
+    uint64_t traceChunksProduced() const { return _traceChunks.load(); }
 
     /**
-     * Register engine-side observability (`sweep.traceCache.*`,
-     * `sweep.runs.*`) into `reg` — the cache sharing that makes batch
-     * artifacts cheap, and the fault ledger, are themselves part of
-     * the run artifact. Safe without a cache: the traceCache counters
-     * are emitted as zeros.
+     * Register engine-side observability (`sweep.traceGroups`,
+     * `sweep.traceChunksProduced`, `sweep.runs.*`) into `reg`: the
+     * trace sharing that makes batch artifacts cheap, and the fault
+     * ledger, are themselves part of the run artifact.
      */
     void exportStats(StatsRegistry &reg) const;
 
@@ -183,8 +218,7 @@ class SweepEngine
     static unsigned defaultJobs();
 
   private:
-    unsigned resolveJobs(size_t work_items) const;
-    /** One attempt of a run under `opts`; throws on failure. */
+    /** One attempt of a run alone under `opts`; throws on failure. */
     RunOutput runOnce(const RunSpec &spec, const SweepOptions &opts);
     /** execute() body against explicit options (request overrides). */
     std::vector<RunOutcome>
@@ -193,10 +227,11 @@ class SweepEngine
                 const RunObserver &observer);
 
     SweepOptions _opts;
-    TraceCache *_cache;
     std::atomic<uint64_t> _runsOk{0};
     std::atomic<uint64_t> _runsFailed{0};
     std::atomic<uint64_t> _runRetries{0};
+    std::atomic<uint64_t> _traceGroups{0};
+    std::atomic<uint64_t> _traceChunks{0};
     /** Effective maxAttempts of the most recent request execute(). */
     std::atomic<unsigned> _lastMaxAttempts{0};
 };

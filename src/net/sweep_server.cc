@@ -21,7 +21,8 @@ namespace
 {
 
 std::string
-summaryJson(size_t runs, size_t ok, size_t failed)
+summaryJson(size_t runs, size_t ok, size_t failed,
+            const SweepEngine &engine)
 {
     std::ostringstream oss;
     JsonWriter w(oss, /*pretty=*/false);
@@ -36,6 +37,8 @@ summaryJson(size_t runs, size_t ok, size_t failed)
     w.key("runs").value(static_cast<uint64_t>(runs));
     w.key("ok").value(static_cast<uint64_t>(ok));
     w.key("failed").value(static_cast<uint64_t>(failed));
+    w.key("traceGroups").value(engine.traceGroups());
+    w.key("traceChunksProduced").value(engine.traceChunksProduced());
     w.endObject();
     w.endObject();
     return oss.str();
@@ -197,7 +200,7 @@ SweepServer::serveConnection(int fd)
             SweepOptions sw;
             sw.jobs = _opts.jobs;
             sw.progress = false;
-            SweepEngine engine(sw, &TraceCache::global());
+            SweepEngine engine(sw);
 
             std::mutex write_mu;
             bool dead = false;
@@ -241,7 +244,8 @@ SweepServer::serveConnection(int fd)
             if (dead)
                 return;
             conn.send(MsgType::JobDone,
-                      summaryJson(n_ok + n_failed, n_ok, n_failed));
+                      summaryJson(n_ok + n_failed, n_ok, n_failed,
+                                  engine));
         }
     } catch (const SimError &) {
         // Truncated frame, oversized prefix, mid-frame disconnect:

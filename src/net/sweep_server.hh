@@ -3,9 +3,9 @@
  * The sweep daemon core: accepts connections, speaks the framed
  * protocol (Hello/HelloAck handshake, Submit -> streamed RunResult
  * frames -> JobDone), and executes each submitted `SweepRequest` on a
- * `SweepEngine` worker pool. Every connection gets a fresh engine but
- * all of them share `TraceCache::global()`, so concurrent clients
- * sweeping the same workloads decode each trace once.
+ * `SweepEngine` worker pool. Every connection gets a fresh engine, and
+ * each batch makes its own traces (one producer per trace group), so
+ * nothing of one batch's traces stays resident for the next.
  *
  * Fault stance mirrors the engine's: a malformed request or an
  * unknown frame draws an Error frame and the connection lives on; a

@@ -108,23 +108,50 @@ StreamingLockDetector::processAt(uint64_t j)
     }
 }
 
+LockAnalysisBuilder::LockAnalysisBuilder(uint64_t window, uint64_t records)
+    : _det(window), _window(window)
+{
+    _out.roles.reserve(records);
+    _out.complete = false;
+}
+
+void
+LockAnalysisBuilder::push(const TraceRecord &r)
+{
+    _det.push(r);
+    drain();
+}
+
+void
+LockAnalysisBuilder::finish()
+{
+    _det.finish();
+    drain();
+    _out.complete = true;
+}
+
+void
+LockAnalysisBuilder::drain()
+{
+    while (_det.finalizedCount())
+        _out.roles.push_back(_det.pop().second);
+    const std::vector<LockPair> &found = _det.pairs();
+    if (found.size() != _out.pairs.size()) {
+        _out.pairs.insert(_out.pairs.end(),
+                          found.begin() +
+                              static_cast<ptrdiff_t>(_out.pairs.size()),
+                          found.end());
+    }
+}
+
 LockAnalysis
 LockDetector::analyze(TraceSource &src) const
 {
-    StreamingLockDetector det(_window);
-    LockAnalysis out;
-    if (std::optional<uint64_t> n = src.knownSize())
-        out.roles.reserve(*n);
-    forEachRecord(src, 0, ~uint64_t{0}, [&](const TraceRecord &r) {
-        det.push(r);
-        while (det.finalizedCount())
-            out.roles.push_back(det.pop().second);
-    });
-    det.finish();
-    while (det.finalizedCount())
-        out.roles.push_back(det.pop().second);
-    out.pairs = det.takePairs();
-    return out;
+    LockAnalysisBuilder builder(_window, src.knownSize().value_or(0));
+    forEachRecord(src, 0, ~uint64_t{0},
+                  [&](const TraceRecord &r) { builder.push(r); });
+    builder.finish();
+    return builder.take();
 }
 
 } // namespace storemlp

@@ -49,6 +49,12 @@ struct LockAnalysis
 {
     std::vector<LockPair> pairs;
     std::vector<LockRole> roles; ///< one per trace record
+    /**
+     * False while a LockAnalysisBuilder is still reading the stream:
+     * `roles` then holds the final roles of a prefix, and `pairs`
+     * every pair found so far, some of whose roles may not be final.
+     */
+    bool complete = true;
 
     bool
     isAcquire(uint64_t idx) const
@@ -148,6 +154,48 @@ class StreamingLockDetector
     bool _finished = false;
     std::unordered_map<uint64_t, uint64_t> _open; ///< addr -> acquire
     std::vector<LockPair> _pairs;
+};
+
+/**
+ * A LockAnalysis built while its stream is read, so readers can run
+ * alongside it instead of after a pass of its own. Push records in
+ * trace order, then finish(). Readers hold `&analysis()`; a reader of
+ * the records below index `end` sees exactly the batch analysis once
+ * covers(end) holds. LockDetector::analyze is this builder over a
+ * whole source.
+ */
+class LockAnalysisBuilder
+{
+  public:
+    /** `records`, when known, reserves the roles vector up front. */
+    explicit LockAnalysisBuilder(uint64_t window = 512,
+                                 uint64_t records = 0);
+
+    void push(const TraceRecord &r);
+    /** End of the stream: every role and pair becomes final. */
+    void finish();
+
+    const LockAnalysis &analysis() const { return _out; }
+    LockAnalysis take() { return std::move(_out); }
+
+    /**
+     * Roles are final up to end + window + 2, so every pair touching
+     * a record below `end` is final too: its release lies at most
+     * `window` records past its acquire, and it reads roles up to
+     * acquire + 2.
+     */
+    bool
+    covers(uint64_t end) const
+    {
+        return _out.complete || _out.roles.size() >= end + _window + 3;
+    }
+
+  private:
+    void drain();
+
+    StreamingLockDetector _det;
+    uint64_t _window;
+    LockAnalysis _out;
 };
 
 } // namespace storemlp

@@ -1,14 +1,15 @@
 /**
  * @file
- * Keyed, thread-safe cache of decoded trace chunks. A paper figure
- * runs 6-8 configurations against the *same* workload trace (same
- * profile, seed, length, and memory-model rewrite); regenerating it
- * per run is the dominant redundant work in a sweep. Every sweep run
- * streams through a CachedSource, keyed per chunk as fingerprint +
- * "|chunk=" + chunk size + "#c" + chunk index. The cache builds each
- * distinct chunk exactly once — concurrent requesters for the same key
- * block on the first builder — and hands out shared immutable
- * references, so worker threads never copy or mutate trace data.
+ * Keyed, thread-safe cache of decoded trace chunks. The cache builds
+ * each distinct key's chunk exactly once — concurrent requesters for
+ * the same key block on the first builder — and hands out shared
+ * immutable references.
+ *
+ * Nothing in the library reads through it any more: sweeps share a
+ * stream by running its runs trace-major (core/sweep.hh), which keeps
+ * a few chunks resident instead of whole streams. The class stays
+ * while the end-to-end layer tracer still clears and reads
+ * `TraceCache::global()`; its counters read zero.
  */
 
 #ifndef STOREMLP_TRACE_TRACE_CACHE_HH
@@ -55,8 +56,8 @@ class TraceCache
      * first request. Concurrent callers with the same key wait for
      * the in-flight build instead of duplicating it; a throwing build
      * leaves the key unbuilt. `was_hit`, if non-null, reports whether
-     * an entry existed. The builder must not return nullptr —
-     * CachedSource caches end-of-stream as an empty chunk.
+     * an entry existed. The builder must not return nullptr; cache
+     * an end of stream as an empty chunk.
      */
     std::shared_ptr<const TraceChunk>
     getOrBuildChunk(const std::string &key, const ChunkBuilder &build,

@@ -1,7 +1,7 @@
 /**
  * @file
  * TraceSource implementations: cursor slow path, materialized views,
- * on-the-fly generation, and the shared chunk cache front.
+ * on-the-fly generation, and read-ahead.
  */
 
 #include "trace/trace_source.hh"
@@ -201,51 +201,6 @@ GeneratorSource::fingerprint() const
     os << _profile.cacheKey() << "|seed=" << _seed << "|n=" << _count
        << "|wc=0|chip=" << _chipId;
     return os.str();
-}
-
-// ---------------------------------------------------------------------
-// CachedSource
-// ---------------------------------------------------------------------
-
-CachedSource::CachedSource(std::unique_ptr<TraceSource> inner,
-                           TraceCache &cache, std::string key_base)
-    : TraceSource(inner->chunkInsts()), _inner(std::move(inner)),
-      _cache(cache), _keyBase(std::move(key_base))
-{
-    if (_keyBase.empty())
-        _keyBase = _inner->fingerprint();
-    if (_keyBase.empty()) {
-        throw std::invalid_argument(
-            "CachedSource: inner source has no fingerprint and no key "
-            "base was given");
-    }
-}
-
-std::shared_ptr<const TraceChunk>
-CachedSource::fetch(uint64_t chunk_idx)
-{
-    std::string key = _keyBase + "#c" + std::to_string(chunk_idx);
-    std::shared_ptr<const TraceChunk> c = _cache.getOrBuildChunk(
-        key, [&]() -> std::shared_ptr<const TraceChunk> {
-            std::lock_guard<std::mutex> lk(_mu);
-            std::shared_ptr<const TraceChunk> inner =
-                _inner->fetch(chunk_idx);
-            if (inner)
-                return inner;
-            // Cache end-of-stream as an empty chunk so every worker
-            // learns the stream length without touching the inner
-            // source again.
-            return std::make_shared<const TraceChunk>(
-                chunk_idx * _chunkInsts, std::vector<TraceRecord>{});
-        });
-    return c->count ? c : nullptr;
-}
-
-std::optional<uint64_t>
-CachedSource::knownSize() const
-{
-    std::lock_guard<std::mutex> lk(_mu);
-    return _inner->knownSize();
 }
 
 // ---------------------------------------------------------------------

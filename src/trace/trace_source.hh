@@ -15,28 +15,26 @@
  *                       chunk (trace_file_source.hh).
  *   WcRewriteSource     streaming PC->WC rewrite of an inner source
  *                       (rewriter.hh).
- *   CachedSource        routes chunk construction through a shared
- *                       TraceCache keyed by (fingerprint, chunk index)
- *                       so parallel sweep workers share chunk decodes.
  *   ReadAheadSource     pipelines an inner source exactly one chunk
  *                       ahead of its consumer on a helper thread, which
  *                       also derives the chunk's lanes.
  *
  * A run reads its stream once: Runner::run tallies the Table-1 store
  * count from the chunks the engine's cursor fetches, so only the lock
- * analysis (SLE/TM runs) adds a second pass.
+ * analysis (SLE/TM runs) adds a second pass. A sweep goes one step
+ * further: the runs that read one stream share a single producer,
+ * whose chunks are fanned out to each run's cursor (core/sweep.hh).
  *
  * Where read-ahead applies: openRunSource() (core/runner.hh) composes
  * every run's stream and alone decides. Generation (plus the WC
  * rewrite) costs about as much as the engine, and decoding an on-disk
  * trace about a third of a file run, so both get a ReadAheadSource:
  * the run waits for max(produce, simulate) per chunk instead of the
- * sum. Two kinds of stream are not pipelined. Cache-backed streams
- * (CachedSource) belong to sweep workers, which share chunks instead.
- * Runs on the worker threads of a parallel pool (onParallelWorker():
- * sweeps, and multi-core runs fanned out by `storemlp_sweep --cores`
- * or the benchmarks with more than one job) are not pipelined either,
- * because the pool's `jobs` workers already fill the cores.
+ * sum. Streams opened on the worker threads of a parallel pool
+ * (onParallelWorker(): sweeps, and multi-core runs fanned out by
+ * `storemlp_sweep --cores` or the benchmarks with more than one job)
+ * are not pipelined, because the pool's `jobs` workers already fill
+ * the cores.
  *
  * Chunking is an execution detail, never a semantic one: any chunk
  * size yields the identical record stream, and the equivalence suite
@@ -58,7 +56,6 @@
 
 #include "trace/generator.hh"
 #include "trace/trace.hh"
-#include "trace/trace_cache.hh"
 
 namespace storemlp
 {
@@ -114,7 +111,7 @@ class TraceChunk
 
     /**
      * Lanes for this chunk, derived once on first use (thread-safe:
-     * chunks are shared across sweep workers via TraceCache).
+     * a read-ahead helper may derive them while the consumer waits).
      */
     LaneRefs lanes() const;
 
@@ -146,8 +143,7 @@ takeChunk(std::vector<TraceRecord> &buf, uint64_t first_idx, uint64_t n);
  *    fetch by restarting from scratch — correct, but O(n); random-
  *    access sources (materialized, file) fetch any chunk in O(chunk).
  *
- * Implementations are single-threaded; wrap in CachedSource (which
- * serializes inner fetches) to share one source across sweep workers.
+ * Implementations are single-threaded.
  */
 class TraceSource
 {
@@ -168,9 +164,9 @@ class TraceSource
     virtual std::optional<uint64_t> knownSize() const = 0;
 
     /**
-     * Identity of the record stream for chunk caching: everything that
-     * determines the bytes (profile fingerprint, seed, length,
-     * rewrite). Empty means "not cacheable".
+     * Identity of the record stream: everything that determines the
+     * bytes (profile fingerprint, seed, length, rewrite). Empty means
+     * "unknown".
      */
     virtual std::string fingerprint() const { return {}; }
 
@@ -303,8 +299,7 @@ class MaterializedSource : public TraceSource
  * including the generator's stop-at-slot-boundary overshoot — without
  * ever materializing it: generation proceeds one chunk ahead of the
  * consumer with O(chunk) carried state. Backward fetches restart the
- * generator from the seed (deterministic, O(n)); front a CachedSource
- * when revisiting chunks matters.
+ * generator from the seed (deterministic, O(n)).
  */
 class GeneratorSource : public TraceSource
 {
@@ -336,33 +331,6 @@ class GeneratorSource : public TraceSource
 };
 
 /**
- * Routes chunk construction of an inner source through a TraceCache,
- * keyed `keyBase + "#c" + chunkIdx`, so concurrent consumers of the
- * same stream (sweep workers) build/decode each chunk exactly once.
- * Inner fetches are serialized under a mutex; cache lookups are not,
- * so cache hits from N workers proceed concurrently. End-of-stream is
- * cached as an empty chunk so every worker learns the length.
- */
-class CachedSource : public TraceSource
-{
-  public:
-    /** `key_base` defaults to the inner source's fingerprint. */
-    CachedSource(std::unique_ptr<TraceSource> inner, TraceCache &cache,
-                 std::string key_base = {});
-
-    std::shared_ptr<const TraceChunk> fetch(uint64_t chunk_idx) override;
-    std::optional<uint64_t> knownSize() const override;
-    std::string fingerprint() const override { return _keyBase; }
-    const TraceSource *inner() const override { return _inner.get(); }
-
-  private:
-    std::unique_ptr<TraceSource> _inner;
-    TraceCache &_cache;
-    std::string _keyBase;
-    mutable std::mutex _mu; ///< serializes inner fetches
-};
-
-/**
  * Pipelines an inner source one chunk ahead of its consumer: after
  * handing out chunk k, a persistent helper thread fetches chunk k+1
  * from the inner source and derives its lanes while the consumer
@@ -390,8 +358,7 @@ class CachedSource : public TraceSource
  *
  * Meant for one consumer of a source whose fetches cost CPU time: a
  * generator, a WC rewrite of one, or a chunk-decoding file source.
- * Not thread-safe for several consumers; sweep workers share sources
- * through CachedSource instead.
+ * Not thread-safe for several consumers.
  */
 class ReadAheadSource : public TraceSource
 {

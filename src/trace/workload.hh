@@ -150,8 +150,8 @@ struct WorkloadProfile
     double cpiOnChip = 1.0; ///< Table 3 on-chip CPI
 
     /**
-     * Stable fingerprint of every generator knob, used to key the
-     * trace cache: every workloadProfileFields() entry marked
+     * Stable fingerprint of every generator knob, used to key sweep
+     * trace groups: every workloadProfileFields() entry marked
      * `fingerprint`, in table order. Two profiles with equal
      * fingerprints generate byte-identical traces for the same
      * seed/length/chip. cpiOnChip and the calibration targets do not

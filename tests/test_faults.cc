@@ -58,7 +58,6 @@ faultingOptions(unsigned jobs, uint64_t failing_marker)
 {
     SweepOptions opts;
     opts.jobs = jobs;
-    opts.useTraceCache = false;
     opts.progress = false;
     opts.runOverride = [failing_marker](const RunSpec &spec) {
         if (spec.measureInsts == failing_marker)
@@ -138,7 +137,8 @@ TEST(SweepFaults, FailureCountersLandInExportedStats)
     engine.exportStats(reg); // must not crash on the null cache
     EXPECT_EQ(reg.getCounter("sweep.runs.ok"), 2u);
     EXPECT_EQ(reg.getCounter("sweep.runs.failed"), 1u);
-    EXPECT_EQ(reg.getCounter("sweep.traceCache.bytes"), 0u);
+    // The override runs each spec alone: no trace is produced.
+    EXPECT_EQ(reg.getCounter("sweep.traceChunksProduced"), 0u);
 }
 
 TEST(SweepFaults, BoundedRetryRecoversTransientFailure)
@@ -146,7 +146,6 @@ TEST(SweepFaults, BoundedRetryRecoversTransientFailure)
     auto remaining = std::make_shared<std::atomic<int>>(2);
     SweepOptions opts;
     opts.jobs = 1;
-    opts.useTraceCache = false;
     opts.progress = false;
     opts.maxAttempts = 3;
     opts.runOverride = [remaining](const RunSpec &spec) {
@@ -170,7 +169,6 @@ TEST(SweepFaults, RetryBudgetExhaustedReportsFailure)
 {
     SweepOptions opts;
     opts.jobs = 1;
-    opts.useTraceCache = false;
     opts.progress = false;
     opts.maxAttempts = 2;
     opts.runOverride = [](const RunSpec &) -> RunOutput {
@@ -443,19 +441,18 @@ TEST(StrictParse, TraceCacheBudgetEnvIsValidated)
 
 // ---- null-cache engine -----------------------------------------------
 
-TEST(SweepFaults, NullCacheEngineRunsAndExportsZeroedCacheStats)
+TEST(SweepFaults, NullCacheEngineRunsAndExportsGroupStats)
 {
     SweepOptions opts;
     opts.jobs = 1;
-    opts.useTraceCache = false;
     opts.progress = false;
     opts.runOverride = [](const RunSpec &spec) {
         RunOutput out;
         out.sim.instructions = spec.measureInsts;
         return out;
     };
+    // The cache argument is ignored; null is accepted.
     SweepEngine engine(opts, nullptr);
-    EXPECT_FALSE(engine.hasTraceCache());
 
     std::vector<RunSpec> specs = markedSpecs(2);
     std::vector<RunOutcome> results = executeSpecs(engine, specs);
@@ -463,7 +460,9 @@ TEST(SweepFaults, NullCacheEngineRunsAndExportsZeroedCacheStats)
 
     StatsRegistry reg;
     EXPECT_NO_THROW(engine.exportStats(reg));
-    EXPECT_EQ(reg.getCounter("sweep.traceCache.hits"), 0u);
+    // The specs differ in length, so each is a group of its own.
+    EXPECT_EQ(reg.getCounter("sweep.traceGroups"), 2u);
+    EXPECT_EQ(reg.getCounter("sweep.traceChunksProduced"), 0u);
     EXPECT_EQ(reg.getCounter("sweep.runs.ok"), 2u);
 }
 

@@ -405,12 +405,10 @@ TEST(HotloopEquivalence, SweepJobsAndStreamingAgree)
     }
 
     for (unsigned jobs : {1u, 4u}) {
-        TraceCache cache;
         SweepOptions opts;
         opts.jobs = jobs;
         opts.progress = false;
-        std::vector<RunOutcome> got =
-            SweepEngine(opts, &cache).execute(runs);
+        std::vector<RunOutcome> got = SweepEngine(opts).execute(runs);
         ASSERT_EQ(got.size(), runs.size());
         for (size_t i = 0; i < runs.size(); ++i) {
             ASSERT_TRUE(got[i].ok) << got[i].errorMessage;

@@ -303,11 +303,10 @@ TEST(SweepRequestIo, StreamingKeyIsAcceptedAndIgnored)
         SweepRequest back =
             sweepRequestFromText(sweepRequestToText(req));
         EXPECT_EQ(back.streaming, streaming);
-        TraceCache cache;
         SweepOptions opts;
         opts.jobs = 2;
         opts.progress = false;
-        stats.push_back(outcomeStats(SweepEngine(opts, &cache).execute(back)));
+        stats.push_back(outcomeStats(SweepEngine(opts).execute(back)));
     }
     ASSERT_EQ(stats[0].size(), 4u);
     EXPECT_EQ(stats[0], stats[1]);
@@ -621,8 +620,9 @@ expectRemoteMatchesLocal(unsigned drop_after, bool bad_request_first = false)
     server.stop();
 
     ASSERT_EQ(report.results.size(), expected.size());
-    if (drop_after)
+    if (drop_after) {
         EXPECT_GE(report.reconnects, 1u);
+    }
     for (size_t i = 0; i < expected.size(); ++i) {
         const RunOutcome &want = expected[i];
         const RemoteRunResult &got = report.results[i];

@@ -28,7 +28,6 @@
 #include "trace/generator.hh"
 #include "trace/lock_detector.hh"
 #include "trace/rewriter.hh"
-#include "trace/trace_cache.hh"
 #include "trace/trace_file_source.hh"
 #include "trace/trace_io.hh"
 #include "trace/trace_source.hh"
@@ -253,27 +252,6 @@ TEST_F(FileSourceTest, ProbeReadsHeaderOnly)
 
     StreamingFileSource src(path);
     EXPECT_EQ(src.fingerprint(), "probe-fingerprint");
-}
-
-TEST(CachedSource, SharesChunksAndStaysExact)
-{
-    Trace ref = makeTrace(5000, 29);
-    TraceCache cache(64ull << 20);
-    auto make = [&] {
-        return std::make_unique<CachedSource>(
-            std::make_unique<MaterializedSource>(ref, 512), cache,
-            "cached-source-test");
-    };
-    auto a = make();
-    expectStreamEquals(*a, ref);
-    uint64_t misses_after_first = cache.stats().misses;
-    EXPECT_GT(misses_after_first, 0u);
-
-    auto b = make();
-    expectStreamEquals(*b, ref);
-    EXPECT_EQ(cache.stats().misses, misses_after_first)
-        << "second pass must be served from the chunk cache";
-    EXPECT_GT(cache.stats().hits, 0u);
 }
 
 TEST(RunnerStreaming, BitIdenticalToMaterializedOnShippedConfigs)
@@ -909,8 +887,6 @@ stageNames(const TraceSource &src)
     for (const TraceSource *s = &src; s; s = s->inner()) {
         if (dynamic_cast<const ReadAheadSource *>(s))
             names.push_back("readahead");
-        else if (dynamic_cast<const CachedSource *>(s))
-            names.push_back("cache");
         else if (dynamic_cast<const WcRewriteSource *>(s))
             names.push_back("wc");
         else if (dynamic_cast<const GeneratorSource *>(s))
@@ -941,19 +917,12 @@ TEST_F(OpenRunSource, StagesPerInput)
     std::string v4 = writeTemp("stages_v4", [&](auto &p) {
         writeTraceFileV4(p, trace, "stages", kChunk);
     });
-    TraceCache cache(64ull << 20);
-
     auto generated = [&](const RunSpec &spec) {
         return SourceSpec::forRun(spec, kChunk);
     };
     auto file = [&](const RunSpec &spec, const std::string &path) {
         SourceSpec s = generated(spec);
         s.tracePath = path;
-        return s;
-    };
-    auto cached = [&](const RunSpec &spec) {
-        SourceSpec s = generated(spec);
-        s.cache = &cache;
         return s;
     };
     struct Case
@@ -971,10 +940,8 @@ TEST_F(OpenRunSource, StagesPerInput)
         {"v4 file", file(pc, v4), false, {"readahead", "file"}},
         // Files replay as written: a WC model adds no rewrite.
         {"v4 file, wc model", file(wc, v4), false, {"readahead", "file"}},
-        {"cache given", cached(wc), false, {"cache", "wc", "generator"}},
         {"pool worker, generated", generated(wc), true, {"wc", "generator"}},
         {"pool worker, file", file(pc, v4), true, {"file"}},
-        {"pool worker, cache given", cached(pc), true, {"cache", "generator"}},
     };
     for (const Case &c : cases) {
         std::optional<ParallelWorkerScope> worker;
@@ -985,11 +952,10 @@ TEST_F(OpenRunSource, StagesPerInput)
         EXPECT_EQ(src->chunkInsts(), kChunk) << c.what;
     }
 
-    // Cached chunks keep the key sweeps have always used: everything
-    // that determines the records, then the chunk size.
-    EXPECT_EQ(openRunSource(cached(wc))->fingerprint(),
-              wc.profile.cacheKey() +
-                  "|seed=42|n=4000|wc=1|chip=0|chunk=1000");
+    // A stream's fingerprint names everything that determines its
+    // records, through every stage.
+    EXPECT_EQ(openRunSource(generated(wc))->fingerprint(),
+              wc.profile.cacheKey() + "|seed=42|n=4000|wc=1|chip=0");
 }
 
 /** The shipped configs reachable from the test cwd, by file name. */

@@ -22,7 +22,6 @@
 #include "core/config_io.hh"
 #include "core/runner.hh"
 #include "trace/generator.hh"
-#include "trace/trace_cache.hh"
 #include "trace/trace_codec.hh"
 #include "trace/trace_file_source.hh"
 #include "trace/trace_format.hh"
@@ -558,30 +557,6 @@ TEST(TraceV4Streaming, RandomAccessWithoutSequentialWalk)
     ASSERT_TRUE(mid);
     EXPECT_EQ(mid->data[17].addr, ref[4 * 1024 + 17].addr);
     EXPECT_FALSE(src.fetch(10));
-    std::remove(path.c_str());
-}
-
-TEST(TraceV4Streaming, CachedSourceSharesDecodedChunks)
-{
-    Trace ref = makeTrace(5000, 29);
-    std::string path = ::testing::TempDir() + "v4_cache.trc";
-    writeTraceFileV4(path, ref, "v4-cache-test", 512);
-    TraceCache cache(64ull << 20);
-    auto make = [&] {
-        return std::make_unique<CachedSource>(
-            std::make_unique<StreamingFileSource>(path), cache);
-    };
-    auto a = make();
-    Trace first = materializeSource(*a);
-    expectTracesEqual(first, ref);
-    uint64_t misses_after_first = cache.stats().misses;
-    EXPECT_GT(misses_after_first, 0u);
-
-    auto b = make();
-    expectTracesEqual(materializeSource(*b), ref);
-    EXPECT_EQ(cache.stats().misses, misses_after_first)
-        << "second pass must be served from the chunk cache";
-    EXPECT_GT(cache.stats().hits, 0u);
     std::remove(path.c_str());
 }
 

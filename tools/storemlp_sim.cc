@@ -9,6 +9,7 @@
  *                --format=json --out run.json --epoch-log run.jsonl
  */
 
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -123,28 +124,43 @@ toolMain(int argc, char **argv)
     if (cli.flag("perfect-stores"))
         cfg.perfectStores = true;
 
-    // A geometry the caches cannot index is a usage error naming the
-    // flags that set it, never a constructor assert.
-    auto check_geometry = [&](const std::string &flags, const auto &config) {
+    // A geometry the caches cannot index, or a value that would wrap
+    // when narrowed to u32 or scaled from KB, is a usage error naming
+    // the flags that set it, never a constructor assert or a silently
+    // different cache.
+    auto flag_check = [&](const std::string &flags, auto &&check) {
         try {
-            checkGeometry(config);
+            check();
         } catch (const ConfigError &e) {
             cli.fail(flags + ": " + e.what());
         }
     };
+    auto check_geometry = [&](const std::string &flags, const auto &config) {
+        flag_check(flags, [&] { checkGeometry(config); });
+    };
+    auto u32_flag = [&](const char *flag, uint32_t def) {
+        uint64_t v = cli.num(flag, def);
+        flag_check(std::string("--") + flag, [&] {
+            if (v > UINT32_MAX) {
+                throw ConfigError(std::to_string(v) +
+                                  " exceeds the maximum " +
+                                  std::to_string(UINT32_MAX));
+            }
+        });
+        return static_cast<uint32_t>(v);
+    };
     if (cli.has("l1-kb") || cli.has("l2-kb") || cli.has("l2-assoc")) {
         HierarchyConfig hier;
         if (cli.has("l1-kb")) {
-            uint64_t kb = cli.num("l1-kb", 32);
+            uint64_t kb = u32_flag("l1-kb", 32);
             hier.l1i.sizeBytes = kb * 1024;
             hier.l1d.sizeBytes = kb * 1024;
             check_geometry("--l1-kb", hier.l1d);
         }
         if (cli.has("l2-kb"))
-            hier.l2.sizeBytes = cli.num("l2-kb", 2048) * 1024;
+            hier.l2.sizeBytes = uint64_t{u32_flag("l2-kb", 2048)} * 1024;
         if (cli.has("l2-assoc"))
-            hier.l2.assoc =
-                static_cast<uint32_t>(cli.num("l2-assoc", 4));
+            hier.l2.assoc = u32_flag("l2-assoc", 4);
         if (cli.has("l2-kb") || cli.has("l2-assoc")) {
             check_geometry(!cli.has("l2-assoc") ? "--l2-kb"
                            : cli.has("l2-kb")   ? "--l2-kb/--l2-assoc"
@@ -156,8 +172,7 @@ toolMain(int argc, char **argv)
 
     if (cli.has("smac-entries")) {
         SmacConfig smac;
-        smac.entries =
-            static_cast<uint32_t>(cli.num("smac-entries", 8192));
+        smac.entries = u32_flag("smac-entries", 8192);
         check_geometry("--smac-entries", smac);
         spec.smac = smac;
     }

@@ -1,8 +1,8 @@
 /**
  * @file
- * storemlp_sweep: run a whole directory of SimConfig files (e.g.
- * configs/*.cfg) against one or all workloads in a single parallel
- * invocation of the sweep engine. Prints one table per workload
+ * storemlp_sweep: run a whole directory of SimConfig files (every
+ * `.cfg` file in, e.g., `configs`) against one or all workloads in a
+ * single parallel invocation of the sweep engine. Prints one table per workload
  * (config x headline metrics, with per-run wall-clock), CSV rows, or
  * — with --format=json — one versioned JSON document per run (JSON
  * lines) followed by an engine summary document.
@@ -294,7 +294,9 @@ toolMain(int argc, char **argv)
         {"lock-prob", "F",
          "lock-density override for --cores runs"},
         kJobsFlag,
-        {"no-trace-cache", "", "rebuild the trace for every run"},
+        {"no-trace-cache", "",
+         "accepted and ignored: runs that read one trace share its\n"
+         "producer, and no trace is cached"},
         {"epoch-log", "DIR",
          "write one JSON-lines epoch trace per run into DIR"},
         kFormatFlag, kOutFlag,
@@ -339,7 +341,6 @@ toolMain(int argc, char **argv)
     SweepOptions opts;
     if (cli.has("jobs"))
         opts.jobs = static_cast<unsigned>(cli.num("jobs", 0));
-    opts.useTraceCache = !cli.flag("no-trace-cache");
     applyRequestOptions(opts, req);
     SweepEngine engine(opts);
     std::vector<RunOutcome> results = engine.execute(planned);
@@ -379,8 +380,7 @@ toolMain(int argc, char **argv)
         // JSON lines: one compact schemaVersion-2 document per run —
         // the same documents a sweep daemon streams for this request,
         // produced by the same runOutcomeJson — then an engine
-        // summary document (trace-cache sharing, job count, retry
-        // policy).
+        // summary document (trace groups, job count, retry policy).
         ArtifactSource src;
         src.tool = "storemlp_sweep";
         src.host = localHostName();
@@ -430,12 +430,8 @@ toolMain(int argc, char **argv)
         table.print(os);
     }
 
-    if (engine.hasTraceCache()) {
-        TraceCacheStats cs = engine.traceCache().stats();
-        os << "trace cache: " << cs.hits << " hits, " << cs.misses
-           << " misses, " << cs.bytes / (1024 * 1024)
-           << " MB resident\n";
-    }
+    os << "trace groups: " << engine.traceGroups() << ", "
+       << engine.traceChunksProduced() << " chunks produced\n";
     if (failed) {
         os << failed << " of " << results.size() << " runs failed:\n";
         for (const RunOutcome &r : results) {

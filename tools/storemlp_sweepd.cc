@@ -2,9 +2,10 @@
  * @file
  * storemlp_sweepd: the sweep daemon. Listens on loopback (or a given
  * address), accepts framed-protocol connections from storemlp_sweepc,
- * and executes submitted sweep requests on a shared worker pool +
- * trace cache, streaming per-run schemaVersion-2 JSON documents back
- * as each run completes.
+ * and executes submitted sweep requests on a worker pool (trace-major:
+ * one producer per trace group, nothing kept between batches),
+ * streaming per-run schemaVersion-2 JSON documents back as each run
+ * completes.
  *
  *   storemlp_sweepd --port 0 --port-file sweepd.port   # ephemeral
  *   storemlp_sweepd --port 7777 --jobs 8

@@ -41,8 +41,8 @@ sweepRequestFlags()
          "retry a failing run up to N extra times (default 0)"},
         {"stream", "",
          "accepted for compatibility; every run streams its\n"
-         "trace in chunks (O(chunk) trace memory per run;\n"
-         "workers share chunks via the trace cache)"},
+         "trace in chunks (runs over one trace share its\n"
+         "producer, a few chunks resident per trace group)"},
         kChunkInstsFlag,
     };
 }
