@@ -2,8 +2,9 @@
  * @file
  * Simulator performance harness (google-benchmark): trace generation
  * throughput, cache-only replay throughput, full epoch-engine
- * throughput on each commercial workload, and on-disk trace decode
- * throughput for each container (raw v1 vs chunked v4).
+ * throughput on each commercial workload, lock analysis throughput,
+ * and on-disk trace decode throughput for each container (raw v1 vs
+ * chunked v4).
  *
  * The decode benchmarks default to a generated database-profile trace
  * written to a temp file in every container; pass `--trace PATH` to
@@ -14,6 +15,8 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -21,6 +24,8 @@
 #include "core/mlp_sim.hh"
 #include "core/runner.hh"
 #include "trace/generator.hh"
+#include "trace/lock_detector.hh"
+#include "trace/rewriter.hh"
 #include "trace/trace_file_source.hh"
 #include "trace/trace_io.hh"
 #include "trace/trace_source.hh"
@@ -116,6 +121,54 @@ BM_EpochEngineScout_Database(benchmark::State &state)
                      SimConfig::defaults().withScout(ScoutMode::Hws2));
 }
 BENCHMARK(BM_EpochEngineScout_Database);
+
+/** Every chunk of a source, made (lanes included) up front. */
+class HeldChunks : public TraceSource
+{
+  public:
+    explicit HeldChunks(TraceSource &src) : TraceSource(src.chunkInsts())
+    {
+        for (;;) {
+            std::shared_ptr<const TraceChunk> c = src.fetch(_chunks.size());
+            if (!c)
+                break;
+            c->lanes();
+            _records += c->count;
+            _chunks.push_back(std::move(c));
+        }
+    }
+
+    std::shared_ptr<const TraceChunk>
+    fetch(uint64_t chunk_idx) override
+    {
+        return chunk_idx < _chunks.size() ? _chunks[chunk_idx] : nullptr;
+    }
+    std::optional<uint64_t> knownSize() const override { return _records; }
+
+  private:
+    std::vector<std::shared_ptr<const TraceChunk>> _chunks;
+    uint64_t _records = 0;
+};
+
+/**
+ * Lock analysis of 1M specjbb WC records (the profile with the most
+ * locking) from chunks already made, as an SLE/TM run's analysis reads
+ * the chunks its engine fetches: the detector alone is timed.
+ */
+void
+BM_LockAnalysis(benchmark::State &state)
+{
+    WcRewriteSource wc(std::make_unique<GeneratorSource>(
+        WorkloadProfile::specjbb(), 1, 1000000));
+    HeldChunks chunks(wc);
+    for (auto _ : state) {
+        LockAnalysis a = LockDetector().analyze(chunks);
+        benchmark::DoNotOptimize(a.pairs.size());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(*chunks.knownSize()));
+}
+BENCHMARK(BM_LockAnalysis);
 
 /**
  * Full streaming decode of an on-disk trace: construct the source

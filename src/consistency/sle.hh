@@ -42,11 +42,18 @@ class Sle
     {
     }
 
-    /** Classify the instruction at trace index `idx`. */
+    /**
+     * Classify the instruction at trace index `idx`. An analysis still
+     * being built must cover `idx` (LockAnalysis::covers), or this
+     * throws std::logic_error.
+     */
     Action
     classify(uint64_t idx)
     {
-        if (!_enabled || idx >= _analysis->roles.size())
+        if (!_enabled)
+            return Action::Normal;
+        _analysis->requireCovered(idx);
+        if (idx >= _analysis->roles.size())
             return Action::Normal;
         switch (_analysis->roles[idx]) {
           case LockRole::Acquire:
@@ -70,7 +77,10 @@ class Sle
     bool
     peekElided(uint64_t idx) const
     {
-        if (!_enabled || idx >= _analysis->roles.size())
+        if (!_enabled)
+            return false;
+        _analysis->requireCovered(idx);
+        if (idx >= _analysis->roles.size())
             return false;
         return _analysis->roles[idx] != LockRole::None;
     }

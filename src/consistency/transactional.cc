@@ -82,6 +82,7 @@ TransactionalMemory::classify(uint64_t idx) const
 {
     if (!_enabled)
         return Action::Normal;
+    _analysis->requireCovered(idx);
     indexFinalPairs();
     auto it = _byIdx.find(idx);
     if (it == _byIdx.end())
@@ -107,6 +108,7 @@ TransactionalMemory::abortsAt(uint64_t idx) const
 {
     if (!_enabled)
         return false;
+    _analysis->requireCovered(idx);
     indexFinalPairs();
     auto it = _byIdx.find(idx);
     if (it == _byIdx.end() || it->second.role != LockRole::Acquire)

@@ -57,7 +57,8 @@ class TransactionalMemory
     /**
      * `analysis` may still be growing (LockAnalysisBuilder): pairs are
      * indexed once their roles are final, and a query at `idx` is
-     * exact once the builder covers idx + 1.
+     * exact once it covers idx + 1. A query it does not cover yet
+     * throws std::logic_error.
      */
     TransactionalMemory(const LockAnalysis *analysis,
                         const TmConfig &config);

@@ -45,6 +45,22 @@ MlpSimulator::MlpSimulator(const SimConfig &config, ChipNode &chip,
     _rob.reset(_cfg.robSize);
 }
 
+uint64_t
+MlpSimulator::lockReadLead(const SimConfig &config)
+{
+    // The serialize lookahead reads records _i+1 .. _i+robSize; the
+    // scout reads _i .. _i+budget-1, its budget at most missLatency
+    // cycles at on-chip CPI (runScout), plus one for rounding.
+    uint64_t lead = config.prefetchPastSerializing ? config.robSize : 0;
+    if (config.scout != ScoutMode::Off) {
+        lead = std::max<uint64_t>(
+            lead, static_cast<uint64_t>(config.missLatency /
+                                        std::max(0.1, config.cpiOnChip)) +
+                1);
+    }
+    return lead;
+}
+
 bool
 MlpSimulator::elidedAt(uint64_t idx)
 {
@@ -690,15 +706,16 @@ MlpSimulator::stepOne(TraceCursor &cur)
 
     // ---- quiet-machine fast path ----
     // With no generation open, an empty ROB/SQ (which implies an empty
-    // SB and zero deferred/waiting counts), no poison, and elision off,
-    // an Alu, Branch, or hitting Load reduces to: pay the on-chip CPI,
-    // touch the predictor/cache, retire immediately. The general path
-    // below provably does nothing else in this state — the window
-    // cannot be blocked, the entry would retire from an empty ROB on
-    // the spot, and the tail drain is skipped — so the shortcut is
-    // bit-identical while skipping entry construction and executeEntry.
-    if (!_gen.open && !_elisionActive && _rob.empty() && _sq.empty() &&
-        _poison.empty() &&
+    // SB and zero deferred/waiting counts) and no poison, an Alu,
+    // Branch, or hitting Load reduces to: pay the on-chip CPI, touch
+    // the predictor/cache, retire immediately. The general path below
+    // provably does nothing else in this state — the window cannot be
+    // blocked, the entry would retire from an empty ROB on the spot,
+    // and the tail drain is skipped — so the shortcut is bit-identical
+    // while skipping entry construction and executeEntry. That holds
+    // under SLE/TM too: lock roles land only on atomics, stores and
+    // fences, so elision leaves these three classes alone.
+    if (!_gen.open && _rob.empty() && _sq.empty() && _poison.empty() &&
         (cls == InstClass::Alu || cls == InstClass::Branch ||
          cls == InstClass::Load)) {
         _cycle += _cfg.cpiOnChip;

@@ -109,6 +109,15 @@ class MlpSimulator
 
     const SimConfig &config() const { return _cfg; }
 
+    /**
+     * How far past the record it dispatches the simulator may read
+     * the lock analysis: records before `end` read roles below
+     * end + lockReadLead(config), so a growing analysis must cover
+     * that far (LockFeedSource::coveredStop). `config` is the
+     * simulator's own, with the profile's cpiOnChip.
+     */
+    static uint64_t lockReadLead(const SimConfig &config);
+
   private:
     // ---- pipeline bookkeeping ----
     /** Execution state of a ROB entry. */

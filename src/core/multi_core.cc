@@ -121,13 +121,18 @@ MultiCoreRunner::run(const MultiRunSpec &spec)
         sources.push_back(openRunSource(src));
     }
 
-    // Lock analysis feeds SLE/TM only; skip the extra streaming pass
-    // unless those optimizations are on (Runner::run semantics).
-    std::vector<LockAnalysis> locks;
-    if (spec.config.sle || spec.config.tm.enabled) {
-        locks.reserve(n);
-        for (uint32_t c = 0; c < n; ++c)
-            locks.push_back(LockDetector().analyze(*sources[c]));
+    SimConfig cfg = spec.config;
+    cfg.cpiOnChip = prof.cpiOnChip;
+
+    // SLE/TM cores build their lock analysis from the chunks their own
+    // cursor reads, as Runner::run does, and step only as far as it
+    // covers.
+    std::vector<std::unique_ptr<LockFeedSource>> feeds(n);
+    if (Runner::needsLockAnalysis(cfg)) {
+        for (uint32_t c = 0; c < n; ++c) {
+            feeds[c] = std::make_unique<LockFeedSource>(
+                *sources[c], MlpSimulator::lockReadLead(cfg));
+        }
     }
 
     // ---- the machine: M chips, bus-connected when M > 1 ----
@@ -153,18 +158,33 @@ MultiCoreRunner::run(const MultiRunSpec &spec)
         }
     }
 
-    SimConfig cfg = spec.config;
-    cfg.cpiOnChip = prof.cpiOnChip;
-
     std::vector<std::unique_ptr<MlpSimulator>> sims;
     std::vector<std::unique_ptr<TraceCursor>> cursors;
     sims.reserve(n);
     cursors.reserve(n);
     for (uint32_t c = 0; c < n; ++c) {
         sims.push_back(std::make_unique<MlpSimulator>(
-            cfg, *chips[c % m], locks.empty() ? nullptr : &locks[c]));
-        cursors.push_back(std::make_unique<TraceCursor>(*sources[c]));
+            cfg, *chips[c % m],
+            feeds[c] ? &feeds[c]->analysis() : nullptr));
+        cursors.push_back(std::make_unique<TraceCursor>(
+            feeds[c] ? *feeds[c] : *sources[c]));
     }
+
+    // Simulate core c's records before `end`, in steps its lock
+    // analysis covers.
+    auto process = [&](uint32_t c, uint64_t end, bool collect) {
+        MlpSimulator &sim = *sims[c];
+        if (feeds[c]) {
+            for (uint64_t stop;
+                 (stop = feeds[c]->coveredStop(sim.position(), end)) <
+                 end;) {
+                sim.process(*cursors[c], sim.position(), stop, collect);
+                if (sim.position() < stop)
+                    return; // end of stream
+            }
+        }
+        sim.process(*cursors[c], sim.position(), end, collect);
+    };
 
     // ---- deterministic quantum-interleaved execution ----
     // Every core advances `quantum` records per turn, in core-id
@@ -174,21 +194,21 @@ MultiCoreRunner::run(const MultiRunSpec &spec)
     // per-core stream lengths differ slightly) simply drops out.
     uint64_t q = spec.quantum;
     uint64_t warm = spec.warmupInsts;
-    auto turn = [&](MlpSimulator &sim, TraceCursor &cur, bool &done,
-                    uint64_t begin, uint64_t end) {
+    auto turn = [&](uint32_t c, bool &done, uint64_t begin,
+                    uint64_t end) {
         if (done)
             return;
         if (begin < warm && end > warm) {
-            sim.process(cur, begin, warm, false);
-            if (sim.position() < warm) {
+            process(c, warm, false);
+            if (sims[c]->position() < warm) {
                 done = true;
                 return;
             }
-            sim.process(cur, warm, end, true);
+            process(c, end, true);
         } else {
-            sim.process(cur, begin, end, begin >= warm);
+            process(c, end, begin >= warm);
         }
-        done = sim.position() < end; // stopped early: end of stream
+        done = sims[c]->position() < end; // stopped early: end of stream
     };
 
     std::vector<char> done(n, 0);
@@ -198,7 +218,7 @@ MultiCoreRunner::run(const MultiRunSpec &spec)
         uint64_t next = pos + q;
         for (uint32_t c = 0; c < n; ++c) {
             bool d = done[c];
-            turn(*sims[c], *cursors[c], d, pos, next);
+            turn(c, d, pos, next);
             if (d && !done[c]) {
                 done[c] = 1;
                 --running;

@@ -20,7 +20,9 @@
  * parallel pool (`storemlp_sweep --cores` or bench/perf_multicore
  * with more than one job) generates inline instead, because the pool
  * already fills the CPUs. Results do not depend on the threads: every
- * core's record stream is fixed by (profile, seed, core id).
+ * core's record stream is fixed by (profile, seed, core id). With SLE
+ * or TM on, each core builds its lock analysis from the chunks its own
+ * cursor reads (LockFeedSource), so every stream is made once.
  *
  * Execution is deterministic quantum-interleaved: every core advances
  * `quantum` instructions per turn, in core-id order, over one shared

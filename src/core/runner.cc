@@ -196,6 +196,9 @@ struct Runner::Session::Machine
     std::vector<std::unique_ptr<ChipNode>> chips;
     std::vector<std::unique_ptr<PeerTrafficAgent>> peers;
     std::optional<EpochLogWriter> epochLog;
+    // An SLE/TM run given no analysis builds its own from the chunks
+    // it reads; the engine steps only as far as it covers.
+    std::unique_ptr<LockFeedSource> feed;
     MlpSimulator sim;
     // The tally counts measured stores as the engine's cursor fetches
     // each chunk, so the stream is read once.
@@ -205,6 +208,9 @@ struct Runner::Session::Machine
     uint64_t warmupEnd = 0;
 
     ChipNode &local() { return *chips.front(); }
+
+    /** Simulate the records before `end`; see Session::advance. */
+    bool advanceTo(uint64_t end);
 
   private:
     /** The chips, wired to the bus; built before the simulator. */
@@ -261,8 +267,12 @@ Runner::Session::Machine::Machine(const RunSpec &run_spec,
                                   TraceSource &source,
                                   const LockAnalysis *locks)
     : spec(run_spec), chips(buildChips(spec, bus)),
-      sim(simConfig(spec), local(), locks),
-      tally(source, spec.warmupInsts), cur(tally)
+      feed(!locks && needsLockAnalysis(spec.config)
+               ? std::make_unique<LockFeedSource>(
+                     source, MlpSimulator::lockReadLead(simConfig(spec)))
+               : nullptr),
+      sim(simConfig(spec), local(), feed ? &feed->analysis() : locks),
+      tally(feed ? *feed : source, spec.warmupInsts), cur(tally)
 {
     if (spec.peerTraffic) {
         for (uint32_t c = 1; c < spec.numChips; ++c) {
@@ -299,26 +309,40 @@ Runner::Session::Session(const RunSpec &spec, TraceSource &source,
 Runner::Session::~Session() = default;
 
 bool
-Runner::Session::advance(uint64_t end)
+Runner::Session::Machine::advanceTo(uint64_t end)
 {
-    Machine &m = *_m;
-    MlpSimulator &sim = m.sim;
-    if (!m.measuring) {
-        uint64_t stop = std::min(end, m.spec.warmupInsts);
-        sim.process(m.cur, sim.position(), stop, false);
-        if (sim.position() == stop && stop < m.spec.warmupInsts)
+    if (!measuring) {
+        uint64_t stop = std::min(end, spec.warmupInsts);
+        sim.process(cur, sim.position(), stop, false);
+        if (sim.position() == stop && stop < spec.warmupInsts)
             return true; // paused inside the warmup
         // ---- warm, reset, measure ----
-        m.warmupEnd = sim.position(); // min(warmup, stream length)
-        m.local().resetStats();
-        m.bus.resetStats();
-        m.measuring = true;
+        warmupEnd = sim.position(); // min(warmup, stream length)
+        local().resetStats();
+        bus.resetStats();
+        measuring = true;
     }
     // Called at least once after the warmup, even past `end`: the
     // first measured process() resolves the warmup's open generation.
-    sim.process(m.cur, sim.position(), std::max(end, sim.position()),
+    sim.process(cur, sim.position(), std::max(end, sim.position()),
                 true);
     return sim.position() >= end;
+}
+
+bool
+Runner::Session::advance(uint64_t end)
+{
+    Machine &m = *_m;
+    if (m.feed) {
+        // Step as far as the lock analysis covers; each step's end
+        // pulls the next chunk into it.
+        for (uint64_t stop;
+             (stop = m.feed->coveredStop(m.sim.position(), end)) < end;) {
+            if (!m.advanceTo(stop))
+                return false;
+        }
+    }
+    return m.advanceTo(end);
 }
 
 RunOutput
@@ -378,19 +402,15 @@ bool
 Runner::needsLockAnalysis(const SimConfig &config)
 {
     // Lock analysis feeds SLE/TM only; the simulator never reads it
-    // otherwise, so skip the extra pass (and its one-byte-per-record
-    // roles vector) unless those optimizations are on.
+    // otherwise, so skip it (and its one-byte-per-record roles
+    // vector) unless those optimizations are on.
     return config.sle || config.tm.enabled;
 }
 
 RunOutput
 Runner::run(const RunSpec &spec, TraceSource &source)
 {
-    std::optional<LockAnalysis> locks;
-    if (needsLockAnalysis(spec.config))
-        locks = LockDetector().analyze(source);
-    Session session(spec, source, locks ? &*locks : nullptr);
-    return session.finish();
+    return Session(spec, source, nullptr).finish();
 }
 
 void

@@ -179,10 +179,13 @@ class Runner
      * nothing, so several may be interleaved on one thread.
      *
      * `source` must already reflect the spec's memory model (see
-     * run()); `locks` is the stream's lock analysis, required when
-     * needsLockAnalysis(spec.config) and otherwise ignored. Both must
-     * outlive the session. A geometry the caches or the SMAC cannot
-     * index throws ConfigError from the constructor.
+     * run()). `locks` is a lock analysis of the stream that the
+     * caller builds (a sweep group shares one), read only when
+     * needsLockAnalysis(spec.config); when null, such a session
+     * builds its own from the chunks its cursor fetches
+     * (LockFeedSource) and advances only as far as that covers. Both
+     * must outlive the session. A geometry the caches or the SMAC
+     * cannot index throws ConfigError from the constructor.
      */
     class Session
     {
@@ -222,9 +225,11 @@ class Runner
      *
      * The stream is read once, in chunk order: the Table-1 store
      * tally (`storesPer100`) counts the measured records as the
-     * engine's cursor first fetches each chunk. With SLE or TM on,
-     * the lock analysis adds one full pass before the run. This is
-     * the one-session case: build, advance to the end, finish.
+     * engine's cursor first fetches each chunk, and with SLE or TM on
+     * the lock analysis is built from the same chunks, one detector
+     * window plus the engine's lock lookahead ahead of it
+     * (MlpSimulator::lockReadLead). This is the one-session case:
+     * build, advance to the end, finish.
      */
     static RunOutput run(const RunSpec &spec, TraceSource &source);
 

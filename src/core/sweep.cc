@@ -88,7 +88,7 @@ class ChunkFanout
         if (chunk_idx >= produced())
             return nullptr;
         uint64_t end = (chunk_idx + 1) * _producer->chunkInsts();
-        while (_locks && !_locks->covers(end))
+        while (_locks && !_locks->analysis().covers(end))
             produceNext();
         std::shared_ptr<const TraceChunk> c = _buf[chunk_idx - _base];
         _next[member] = std::max(_next[member], chunk_idx + 1);
@@ -126,10 +126,8 @@ class ChunkFanout
                 _producer->fetch(produced());
             if (c) {
                 c->lanes();
-                if (_locks) {
-                    for (uint64_t i = 0; i < c->count; ++i)
-                        _locks->push(c->data[i]);
-                }
+                if (_locks)
+                    _locks->push(*c);
                 _buf.push_back(std::move(c));
             } else {
                 _ended = true;

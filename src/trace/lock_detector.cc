@@ -1,157 +1,243 @@
 /**
  * @file
- * Lock detector implementation: a streaming core and its whole-source
- * front.
+ * Lock detector implementation: the streaming core and its fronts.
  */
 
 #include "trace/lock_detector.hh"
 
-#include "trace/trace_source.hh"
+#include <algorithm>
+#include <stdexcept>
+#include <string>
 
 namespace storemlp
 {
 
 void
-StreamingLockDetector::push(const TraceRecord &r)
+LockAnalysis::throwUncovered(uint64_t idx) const
 {
-    _recs.push_back(r);
-    _roles.push_back(LockRole::None);
-    ++_next;
-    // Keep a one-record lag: record j is processed only once j+1 is
-    // buffered, because the lwarx idiom inspects the following stwcx.
-    while (_processed + 1 < _next)
-        processAt(_processed++);
+    throw std::logic_error(
+        "lock analysis read at record " + std::to_string(idx) +
+        " past its final roles (" + std::to_string(roles.size()) +
+        " records, window " + std::to_string(window) + ")");
+}
+
+StreamingLockDetector::StreamingLockDetector(uint64_t window)
+    : _window(window)
+{
+    // A consumer popping each role once final keeps about window + 2
+    // records buffered; grow() covers one that pops later.
+    uint64_t cap = 8;
+    while (cap < window + 4)
+        cap <<= 1;
+    _ring.resize(cap);
+    _mask = cap - 1;
+}
+
+void
+StreamingLockDetector::grow()
+{
+    std::vector<Slot> ring(_ring.size() * 2);
+    uint64_t mask = ring.size() - 1;
+    for (uint64_t i = _base; i < _next; ++i)
+        ring[i & mask] = _ring[i & _mask];
+    _ring = std::move(ring);
+    _mask = mask;
+}
+
+void
+StreamingLockDetector::push(const uint8_t *cls, const uint64_t *addr,
+                            uint64_t n)
+{
+    while (_next - _base + n > _mask + 1)
+        grow();
+    // Locals, so the slot stores need not reload the ring's geometry.
+    Slot *ring = _ring.data();
+    uint64_t mask = _mask;
+    uint64_t next = _next;
+    for (uint64_t k = 0; k < n; ++k) {
+        ring[next & mask] = {addr[k], static_cast<InstClass>(cls[k]),
+                             LockRole::None};
+        ++next;
+        // Keep a one-record lag: the lwarx idiom inspects the
+        // following stwcx.
+        if (next >= 2 && mayChangeRoles(ring[(next - 2) & mask].cls)) {
+            _next = next;
+            processLockClass(next - 2);
+        }
+    }
+    _next = next;
 }
 
 void
 StreamingLockDetector::finish()
 {
+    if (!_finished && _next >= 1 && mayChangeRoles(slot(_next - 1).cls))
+        processLockClass(_next - 1);
     _finished = true;
-    while (_processed < _next)
-        processAt(_processed++);
-}
-
-uint64_t
-StreamingLockDetector::finalizedCount() const
-{
-    if (_finished)
-        return _next - _base;
-    if (_processed == 0)
-        return 0;
-    // Last processed index is _processed - 1; a future release store
-    // i > j can annotate indices >= i - window >= _processed - window,
-    // so everything strictly below that is final.
-    uint64_t j = _processed - 1;
-    uint64_t final_upto = j >= _window ? j - _window + 1 : 0;
-    return final_upto > _base ? final_upto - _base : 0;
-}
-
-std::pair<TraceRecord, LockRole>
-StreamingLockDetector::pop()
-{
-    std::pair<TraceRecord, LockRole> out{_recs.front(), _roles.front()};
-    _recs.pop_front();
-    _roles.pop_front();
-    ++_base;
-    return out;
 }
 
 void
-StreamingLockDetector::processAt(uint64_t j)
+StreamingLockDetector::processLockClass(uint64_t j)
 {
-    const TraceRecord &r = recAt(j);
-
-    if (r.cls == InstClass::AtomicCas) {
-        // PC idiom. A new casa to the same address supersedes a
-        // stale unmatched one.
-        _open[r.addr] = j;
-        return;
-    }
-
-    if (r.cls == InstClass::LoadLocked) {
-        // WC idiom: lwarx must be completed by stwcx to the same
-        // address; a trailing isync is part of the acquire.
-        if (j + 1 < _next && recAt(j + 1).cls == InstClass::StoreCond &&
-            recAt(j + 1).addr == r.addr) {
-            _open[r.addr] = j;
-        }
-        return;
-    }
-
-    if (r.cls == InstClass::Store) {
-        auto it = _open.find(r.addr);
-        if (it == _open.end())
-            return;
-        uint64_t acq = it->second;
-        if (j - acq > _window) {
-            // Critical section implausibly long: treat the atomic
-            // as a bare CAS, not a lock acquire.
+    // An acquire more than `window` records back can no longer pair:
+    // close it, unless a later acquire of its address replaced it.
+    while (!_opened.empty() && j - _opened.front().first > _window) {
+        auto it = _open.find(_opened.front().second);
+        if (it != _open.end() && it->second == _opened.front().first)
             _open.erase(it);
-            return;
-        }
-        _pairs.push_back({acq, j, r.addr});
-        roleAt(acq) = LockRole::Acquire;
-        roleAt(j) = LockRole::Release;
-
-        // Annotate the auxiliary instructions of WC sequences. For a
-        // LoadLocked acquire, acq+1 is the stwcx and the release store
-        // sits at j >= acq+2, so both aux slots are always buffered.
-        if (recAt(acq).cls == InstClass::LoadLocked) {
-            roleAt(acq + 1) = LockRole::AcquireAux; // stwcx
-            if (recAt(acq + 2).cls == InstClass::Isync)
-                roleAt(acq + 2) = LockRole::AcquireAux;
-        }
-        if (j > 0 && recAt(j - 1).cls == InstClass::Lwsync)
-            roleAt(j - 1) = LockRole::ReleaseAux;
-
-        _open.erase(it);
+        _opened.pop_front();
     }
+
+    const Slot &r = slot(j);
+    if (r.cls == InstClass::AtomicCas ||
+        (r.cls == InstClass::LoadLocked && j + 1 < _next &&
+         slot(j + 1).cls == InstClass::StoreCond &&
+         slot(j + 1).addr == r.addr)) {
+        // PC idiom: casa. WC idiom: lwarx completed by stwcx to the
+        // same address (a trailing isync is part of the acquire). A
+        // new acquire of the same address supersedes a stale one.
+        _open[r.addr] = j;
+        _opened.emplace_back(j, r.addr);
+        return;
+    }
+    if (r.cls != InstClass::Store)
+        return;
+
+    auto it = _open.find(r.addr);
+    if (it == _open.end())
+        return;
+    uint64_t acq = it->second;
+    _open.erase(it);
+    _pairs.push_back({acq, j, r.addr});
+    slot(acq).role = LockRole::Acquire;
+    slot(j).role = LockRole::Release;
+
+    // Annotate the auxiliary instructions of WC sequences. For a
+    // LoadLocked acquire, acq+1 is the stwcx and the release store
+    // sits at j >= acq+2, so both aux slots are still buffered.
+    if (slot(acq).cls == InstClass::LoadLocked) {
+        slot(acq + 1).role = LockRole::AcquireAux; // stwcx
+        if (slot(acq + 2).cls == InstClass::Isync)
+            slot(acq + 2).role = LockRole::AcquireAux;
+    }
+    if (j > 0 && slot(j - 1).cls == InstClass::Lwsync)
+        slot(j - 1).role = LockRole::ReleaseAux;
 }
 
 LockAnalysisBuilder::LockAnalysisBuilder(uint64_t window, uint64_t records)
-    : _det(window), _window(window)
+    : _det(window)
 {
     _out.roles.reserve(records);
     _out.complete = false;
+    _out.window = window;
 }
 
 void
-LockAnalysisBuilder::push(const TraceRecord &r)
+LockAnalysisBuilder::push(const TraceChunk &chunk)
 {
-    _det.push(r);
-    drain();
+    // A block at a time, so the detector's ring stays within about a
+    // window plus a block while the roles leave it in bulk.
+    constexpr uint64_t kBlock = 256;
+    TraceChunk::LaneRefs lanes = chunk.lanes();
+    for (uint64_t i = 0; i < chunk.count;) {
+        uint64_t end = std::min(chunk.count, i + kBlock);
+        _det.push(lanes.cls + i, lanes.addr + i, end - i);
+        _det.popFinal(_out.roles);
+        i = end;
+    }
+    std::vector<LockPair> &found = _det.pairs();
+    _out.pairs.insert(_out.pairs.end(), found.begin(), found.end());
+    found.clear();
 }
 
 void
 LockAnalysisBuilder::finish()
 {
     _det.finish();
-    drain();
+    _det.popFinal(_out.roles);
+    std::vector<LockPair> &found = _det.pairs();
+    _out.pairs.insert(_out.pairs.end(), found.begin(), found.end());
+    found.clear();
     _out.complete = true;
-}
-
-void
-LockAnalysisBuilder::drain()
-{
-    while (_det.finalizedCount())
-        _out.roles.push_back(_det.pop().second);
-    const std::vector<LockPair> &found = _det.pairs();
-    if (found.size() != _out.pairs.size()) {
-        _out.pairs.insert(_out.pairs.end(),
-                          found.begin() +
-                              static_cast<ptrdiff_t>(_out.pairs.size()),
-                          found.end());
-    }
 }
 
 LockAnalysis
 LockDetector::analyze(TraceSource &src) const
 {
     LockAnalysisBuilder builder(_window, src.knownSize().value_or(0));
-    forEachRecord(src, 0, ~uint64_t{0},
-                  [&](const TraceRecord &r) { builder.push(r); });
+    for (uint64_t k = 0;; ++k) {
+        std::shared_ptr<const TraceChunk> c = src.fetch(k);
+        if (!c)
+            break;
+        builder.push(*c);
+    }
     builder.finish();
     return builder.take();
+}
+
+// ---------------------------------------------------------------------
+// LockFeedSource
+// ---------------------------------------------------------------------
+
+LockFeedSource::LockFeedSource(TraceSource &inner, uint64_t lead,
+                               uint64_t window)
+    : TraceSource(inner.chunkInsts()), _inner(inner), _lead(lead),
+      _locks(window, inner.knownSize().value_or(0))
+{
+}
+
+bool
+LockFeedSource::pull()
+{
+    if (_ended)
+        return false;
+    std::shared_ptr<const TraceChunk> c = _inner.fetch(_pulled);
+    if (!c) {
+        _ended = true;
+        _locks.finish();
+        return false;
+    }
+    _locks.push(*c);
+    if (_held.empty())
+        _heldBase = _pulled;
+    _held.push_back(std::move(c));
+    ++_pulled;
+    return true;
+}
+
+std::shared_ptr<const TraceChunk>
+LockFeedSource::fetch(uint64_t chunk_idx)
+{
+    while (_pulled <= chunk_idx && pull()) {
+    }
+    if (chunk_idx < _heldBase || chunk_idx >= _heldBase + _held.size()) {
+        // Past the end, or fetched before and given away: a backward
+        // fetch goes to the inner source (which may restart).
+        return chunk_idx < _pulled ? _inner.fetch(chunk_idx) : nullptr;
+    }
+    // The reader holds it from here, and reads forward: drop it and
+    // any chunk below it.
+    std::shared_ptr<const TraceChunk> c = _held[chunk_idx - _heldBase];
+    while (_heldBase <= chunk_idx) {
+        _held.pop_front();
+        ++_heldBase;
+    }
+    return c;
+}
+
+uint64_t
+LockFeedSource::coveredStop(uint64_t pos, uint64_t end)
+{
+    for (;;) {
+        const LockAnalysis &a = _locks.analysis();
+        // covers(e + lead) <=> roles >= e + lead + window + 3
+        uint64_t need = _lead + a.window + 3;
+        uint64_t ready = a.complete ? end
+            : a.roles.size() > need ? a.roles.size() - need : 0;
+        if (ready >= end || ready > pos)
+            return std::min(ready, end);
+        pull();
+    }
 }
 
 } // namespace storemlp

@@ -8,6 +8,19 @@
  * the same address, purely from the instruction stream — the
  * generator's ground-truth flags are used only by tests to validate
  * the detector.
+ *
+ * One detector core (StreamingLockDetector) reads each record's class
+ * and address once, in trace order, with O(window) state. Everything
+ * else is a front over it:
+ *  - LockAnalysisBuilder turns whole chunks into a LockAnalysis that
+ *    readers may use while it grows;
+ *  - LockFeedSource builds one from the chunks its reader fetches, so
+ *    an SLE/TM run reads its stream once (Runner::run,
+ *    MultiCoreRunner); a sweep's ChunkFanout feeds a builder with the
+ *    chunks it makes for a trace group;
+ *  - LockDetector::analyze is the builder over a whole source;
+ *  - WcRewriteSource keeps the records beside the core and expands
+ *    each one once its role is final.
  */
 
 #ifndef STOREMLP_TRACE_LOCK_DETECTOR_HH
@@ -15,16 +28,19 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "trace/trace.hh"
+#include "trace/trace_source.hh"
 
 namespace storemlp
 {
 
-class TraceSource;
+/** Default lock-detector window: longest critical section, in records. */
+inline constexpr uint64_t kLockWindow = 512;
 
 /** One detected critical section. */
 struct LockPair
@@ -55,6 +71,8 @@ struct LockAnalysis
      * every pair found so far, some of whose roles may not be final.
      */
     bool complete = true;
+    /** Window of the detector that builds it (see covers()). */
+    uint64_t window = kLockWindow;
 
     bool
     isAcquire(uint64_t idx) const
@@ -66,6 +84,30 @@ struct LockAnalysis
     {
         return idx < roles.size() && roles[idx] == LockRole::Release;
     }
+
+    /**
+     * Whether a reader of the records below `end` sees exactly the
+     * whole-stream analysis. Roles are final up to end + window + 2,
+     * so every pair touching a record below `end` is final too: its
+     * release lies at most `window` records past its acquire, and it
+     * reads roles up to acquire + 2.
+     */
+    bool
+    covers(uint64_t end) const
+    {
+        return complete || roles.size() >= end + window + 3;
+    }
+
+    /** Throws std::logic_error unless covers(idx + 1). */
+    void
+    requireCovered(uint64_t idx) const
+    {
+        if (!covers(idx + 1))
+            throwUncovered(idx);
+    }
+
+  private:
+    [[noreturn]] void throwUncovered(uint64_t idx) const;
 };
 
 /**
@@ -79,12 +121,17 @@ struct LockAnalysis
 class LockDetector
 {
   public:
-    explicit LockDetector(uint64_t window = 512) : _window(window) {}
+    explicit LockDetector(uint64_t window = kLockWindow)
+        : _window(window)
+    {
+    }
 
     /**
-     * Detect over a whole source in one pass, with O(window + chunk)
-     * resident trace data; the returned roles vector is still one
-     * byte per record.
+     * The analysis of a whole source: a LockAnalysisBuilder fed every
+     * chunk, with O(window + chunk) resident trace data; the returned
+     * roles vector is still one byte per record. For tests and
+     * `storemlp_traceinfo`; runs build theirs from the chunks they
+     * read (LockFeedSource).
      */
     LockAnalysis analyze(TraceSource &src) const;
 
@@ -95,107 +142,182 @@ class LockDetector
 };
 
 /**
- * Incremental lock detection over a record stream. This is the carry
- * state that lets the detector run as a streaming per-chunk transform:
- * push records in trace order, pop (record, role) pairs back out once
- * their role can no longer change. Resident state is O(window), not
- * O(trace).
+ * The detector core: push each record's class and address in trace
+ * order, pop roles back out, oldest first, once they can no longer
+ * change. It keeps a ring of the last O(window) records' class,
+ * address and role, and the open acquires of the last `window`
+ * records; nothing grows with the trace but the pairs found, which
+ * the consumer takes.
  *
- * The lag rules mirror exactly what the batch pass reads:
+ * The lag rules:
  *  - record j is processed only once record j+1 has been pushed (the
  *    lwarx idiom looks one record ahead), or at finish();
  *  - after processing j, roles at indices <= j - window are final — a
  *    later release store i > j can only annotate indices >= i - window.
- *
- * `LockDetector::analyze` is a thin loop over this class; the WC
- * rewrite (WcRewriteSource) drives it chunk by chunk.
  */
 class StreamingLockDetector
 {
   public:
-    explicit StreamingLockDetector(uint64_t window = 512)
-        : _window(window)
-    {
-    }
+    explicit StreamingLockDetector(uint64_t window = kLockWindow);
+
+    /**
+     * Append the next `n` records of the stream, given as class and
+     * address lanes (TraceChunk::LaneRefs).
+     */
+    void push(const uint8_t *cls, const uint64_t *addr, uint64_t n);
 
     /** Append the next record of the stream. */
-    void push(const TraceRecord &r);
+    void
+    push(InstClass cls, uint64_t addr)
+    {
+        uint8_t c = static_cast<uint8_t>(cls);
+        push(&c, &addr, 1);
+    }
 
     /** Declare end of input: every buffered record becomes final. */
     void finish();
 
     /** Leading records whose roles are final and ready to pop. */
-    uint64_t finalizedCount() const;
+    uint64_t
+    finalizedCount() const
+    {
+        uint64_t final_upto = _finished ? _next
+            : _next >= _window + 1 ? _next - _window - 1 : 0;
+        return final_upto > _base ? final_upto - _base : 0;
+    }
 
-    /** Pop the oldest finalized record together with its role. */
-    std::pair<TraceRecord, LockRole> pop();
+    /** Pop the oldest finalized record's role. */
+    LockRole pop() { return _ring[_base++ & _mask].role; }
 
-    /** Trace index of the next record pop() will return. */
-    uint64_t baseIdx() const { return _base; }
+    /** Pop every finalized role onto `out`, oldest first. */
+    void
+    popFinal(std::vector<LockRole> &out)
+    {
+        uint64_t n = finalizedCount();
+        size_t at = out.size();
+        out.resize(at + n);
+        for (uint64_t k = 0; k < n; ++k)
+            out[at + k] = _ring[(_base + k) & _mask].role;
+        _base += n;
+    }
 
-    /** All pairs matched so far, in release order. */
-    const std::vector<LockPair> &pairs() const { return _pairs; }
-    std::vector<LockPair> takePairs() { return std::move(_pairs); }
+    /** Pairs matched and not yet taken (the consumer moves them out
+     *  and clears this), in release order. */
+    std::vector<LockPair> &pairs() { return _pairs; }
 
   private:
-    void processAt(uint64_t j);
-    const TraceRecord &recAt(uint64_t idx) const
+    struct Slot
     {
-        return _recs[idx - _base];
+        uint64_t addr;
+        InstClass cls;
+        LockRole role;
+    };
+
+    /** Only atomics, and stores while an acquire is open, change roles. */
+    bool
+    mayChangeRoles(InstClass cls) const
+    {
+        return cls == InstClass::AtomicCas ||
+            cls == InstClass::LoadLocked ||
+            (cls == InstClass::Store && !_open.empty());
     }
-    LockRole &roleAt(uint64_t idx) { return _roles[idx - _base]; }
+    /** Process record j (< _next) of a class mayChangeRoles() admits. */
+    void processLockClass(uint64_t j);
+    void grow();
+    Slot &slot(uint64_t idx) { return _ring[idx & _mask]; }
 
     uint64_t _window;
-    std::deque<TraceRecord> _recs; ///< indices [_base, _next)
-    std::deque<LockRole> _roles;   ///< parallel to _recs
-    uint64_t _base = 0;            ///< trace index of _recs.front()
-    uint64_t _next = 0;            ///< one past the last pushed index
-    uint64_t _processed = 0;       ///< next index to process
+    std::vector<Slot> _ring; ///< indices [_base, _next), by idx & _mask
+    uint64_t _mask = 0;
+    uint64_t _base = 0; ///< oldest record not popped
+    uint64_t _next = 0; ///< one past the last pushed index
     bool _finished = false;
-    std::unordered_map<uint64_t, uint64_t> _open; ///< addr -> acquire
+    /** addr -> acquire index, for acquires of the last `window` records. */
+    std::unordered_map<uint64_t, uint64_t> _open;
+    /** (acquire, addr) of every open, oldest first, for expiry. */
+    std::deque<std::pair<uint64_t, uint64_t>> _opened;
     std::vector<LockPair> _pairs;
 };
 
 /**
  * A LockAnalysis built while its stream is read, so readers can run
- * alongside it instead of after a pass of its own. Push records in
+ * alongside it instead of after a pass of its own. Push chunks in
  * trace order, then finish(). Readers hold `&analysis()`; a reader of
- * the records below index `end` sees exactly the batch analysis once
- * covers(end) holds. LockDetector::analyze is this builder over a
- * whole source.
+ * the records below index `end` sees exactly the whole-stream
+ * analysis once analysis().covers(end) holds.
  */
 class LockAnalysisBuilder
 {
   public:
     /** `records`, when known, reserves the roles vector up front. */
-    explicit LockAnalysisBuilder(uint64_t window = 512,
+    explicit LockAnalysisBuilder(uint64_t window = kLockWindow,
                                  uint64_t records = 0);
 
-    void push(const TraceRecord &r);
+    /** The next chunk of the stream (read through its lanes). */
+    void push(const TraceChunk &chunk);
     /** End of the stream: every role and pair becomes final. */
     void finish();
 
     const LockAnalysis &analysis() const { return _out; }
     LockAnalysis take() { return std::move(_out); }
 
-    /**
-     * Roles are final up to end + window + 2, so every pair touching
-     * a record below `end` is final too: its release lies at most
-     * `window` records past its acquire, and it reads roles up to
-     * acquire + 2.
-     */
-    bool
-    covers(uint64_t end) const
+  private:
+    StreamingLockDetector _det;
+    LockAnalysis _out;
+};
+
+/**
+ * Pass-through source for one reader that builds the stream's lock
+ * analysis from the chunks it fetches, so a run reads its stream
+ * once. Chunks come from `inner` in order, each exactly once; a chunk
+ * pulled for the analysis before its reader asks for it is held until
+ * then.
+ *
+ * The reader simulates only records whose lock reads the analysis
+ * covers: with `lead` the furthest past a record the reader reads
+ * roles (MlpSimulator::lockReadLead), coveredStop() says how far it
+ * may go and pulls the next chunk only once the reader has got there.
+ * Pulling late keeps a ReadAheadSource below it one chunk ahead of the
+ * engine, with no extra chunk resident.
+ */
+class LockFeedSource : public TraceSource
+{
+  public:
+    LockFeedSource(TraceSource &inner, uint64_t lead,
+                   uint64_t window = kLockWindow);
+
+    std::shared_ptr<const TraceChunk> fetch(uint64_t chunk_idx) override;
+    std::optional<uint64_t> knownSize() const override
     {
-        return _out.complete || _out.roles.size() >= end + _window + 3;
+        return _inner.knownSize();
     }
+    std::string fingerprint() const override
+    {
+        return _inner.fingerprint();
+    }
+    const TraceSource *inner() const override { return &_inner; }
+
+    const LockAnalysis &analysis() const { return _locks.analysis(); }
+
+    /**
+     * Where a reader at record `pos` may stop on its way to `end`:
+     * min(end, e) for the largest e whose lock reads are covered,
+     * pulling chunks until e > pos (or the stream ends).
+     */
+    uint64_t coveredStop(uint64_t pos, uint64_t end);
 
   private:
-    void drain();
+    /** Pull the next chunk into the analysis; false at the end. */
+    bool pull();
 
-    StreamingLockDetector _det;
-    uint64_t _window;
-    LockAnalysis _out;
+    TraceSource &_inner;
+    uint64_t _lead;
+    LockAnalysisBuilder _locks;
+    uint64_t _pulled = 0; ///< chunks pulled from `inner`
+    bool _ended = false;
+    /** Pulled chunks the reader has not fetched, from _heldBase. */
+    std::deque<std::shared_ptr<const TraceChunk>> _held;
+    uint64_t _heldBase = 0;
 };
 
 } // namespace storemlp

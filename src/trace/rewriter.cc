@@ -85,6 +85,7 @@ WcRewriteSource::restart()
 {
     _cur.emplace(*_inner);
     _inPos = 0;
+    _recs.clear();
     _det = StreamingLockDetector(_window);
     _outCarry.clear();
     _emitted = 0;
@@ -101,9 +102,11 @@ WcRewriteSource::produceNext()
     while (!_drained && _outCarry.size() < _chunkInsts) {
         const TraceRecord *r = _cur->tryAt(_inPos);
         if (r) {
-            // The detector copies records into its window, so the
-            // cursor only ever needs the chunk under _inPos.
-            _det.push(*r);
+            // The records wait beside the detector until their roles
+            // are final, so the cursor only ever needs the chunk under
+            // _inPos.
+            _recs.push_back(*r);
+            _det.push(r->cls, r->addr);
             ++_inPos;
             _cur->trim(_inPos);
         } else {
@@ -111,9 +114,10 @@ WcRewriteSource::produceNext()
             _drained = true;
         }
         while (_det.finalizedCount()) {
-            auto [rec, role] = _det.pop();
-            appendWcExpansion(rec, role, _outCarry);
+            appendWcExpansion(_recs.front(), _det.pop(), _outCarry);
+            _recs.pop_front();
         }
+        _det.pairs().clear(); // the rewrite reads roles only
     }
 
     if (_outCarry.empty())

@@ -14,6 +14,7 @@
 #ifndef STOREMLP_TRACE_REWRITER_HH
 #define STOREMLP_TRACE_REWRITER_HH
 
+#include <deque>
 #include <memory>
 
 #include "trace/lock_detector.hh"
@@ -51,10 +52,11 @@ class TraceRewriter
 };
 
 /**
- * Streaming PC -> WC rewrite of an inner source: pulls input records
- * through a StreamingLockDetector and expands each finalized
- * (record, role) with appendWcExpansion, carrying only the detector
- * window plus one output chunk across chunk boundaries. Emits exactly
+ * Streaming PC -> WC rewrite of an inner source: pushes input records
+ * through a StreamingLockDetector, keeps them beside it until their
+ * roles are final, and expands each (record, role) with
+ * appendWcExpansion, carrying only the detector window plus one
+ * output chunk across chunk boundaries. Emits exactly
  * the record stream of `TraceRewriter::toWeakConsistency(materialize
  * (inner))`. Sequential; backward fetches restart both the detector
  * and the inner source.
@@ -63,7 +65,7 @@ class WcRewriteSource : public TraceSource
 {
   public:
     explicit WcRewriteSource(std::unique_ptr<TraceSource> inner,
-                             uint64_t window = 512);
+                             uint64_t window = kLockWindow);
 
     std::shared_ptr<const TraceChunk> fetch(uint64_t chunk_idx) override;
     std::optional<uint64_t> knownSize() const override;
@@ -80,6 +82,7 @@ class WcRewriteSource : public TraceSource
     std::optional<TraceCursor> _cur;
     uint64_t _inPos = 0;  ///< next input record to push
     StreamingLockDetector _det;
+    std::deque<TraceRecord> _recs; ///< pushed, role not yet popped
     std::vector<TraceRecord> _outCarry; ///< rewritten, not yet chunked
     uint64_t _emitted = 0;              ///< records handed out in chunks
     uint64_t _nextChunk = 0;

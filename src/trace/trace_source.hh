@@ -20,8 +20,9 @@
  *                       also derives the chunk's lanes.
  *
  * A run reads its stream once: Runner::run tallies the Table-1 store
- * count from the chunks the engine's cursor fetches, so only the lock
- * analysis (SLE/TM runs) adds a second pass. A sweep goes one step
+ * count from the chunks the engine's cursor fetches, and an SLE/TM
+ * run builds its lock analysis from those same chunks
+ * (LockFeedSource, trace/lock_detector.hh). A sweep goes one step
  * further: the runs that read one stream share a single producer,
  * whose chunks are fanned out to each run's cursor (core/sweep.hh).
  *

@@ -10,6 +10,7 @@
 
 #include <initializer_list>
 #include <memory>
+#include <string>
 #include <unordered_set>
 
 #include "coherence/chip.hh"
@@ -53,6 +54,19 @@ inline RunOutput
 runMaterialized(const RunSpec &spec)
 {
     return runMaterialized(spec, wholeTrace(spec));
+}
+
+/** Two runs agree on the engine's result and the Table-1 rates. */
+inline void
+expectSameRun(const RunOutput &got, const RunOutput &want,
+              const std::string &what)
+{
+    EXPECT_EQ(got.sim, want.sim) << what;
+    EXPECT_EQ(got.storesPer100, want.storesPer100) << what;
+    EXPECT_EQ(got.storeMissPer100, want.storeMissPer100) << what;
+    EXPECT_EQ(got.loadMissPer100, want.loadMissPer100) << what;
+    EXPECT_EQ(got.l2Accesses, want.l2Accesses) << what;
+    EXPECT_EQ(got.tlbMissPer100, want.tlbMissPer100) << what;
 }
 
 /** The spec's generated stream as openRunSource composes it. */

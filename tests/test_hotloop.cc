@@ -232,8 +232,8 @@ buildCases()
         out["multi/smac_moesi_4c2c"] =
             hashMultiRunOutput(MultiCoreRunner::run(spec));
 
-        // WC rewrite plus SLE: a lock-analysis pass, then a second
-        // pass from chunk 0, on every core's stream.
+        // WC rewrite plus SLE: every core builds its lock analysis
+        // from the chunks its own cursor reads.
         spec.config = SimConfig::wc2();
         spec.config.sle = true;
         spec.smac.reset();

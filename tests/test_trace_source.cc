@@ -397,9 +397,9 @@ countSinglePasses(const std::vector<FetchLogSource::Fetch> &log,
 
 TEST_F(FileSourceTest, RunnerReadsEachChunkOnce)
 {
-    // With SLE/TM off, the engine's own pass feeds the Table-1 tally:
-    // every chunk is fetched once, in order, for every source kind.
-    // SLE adds exactly one pass, the lock analysis.
+    // The engine's own pass feeds the Table-1 tally and, with SLE or
+    // TM on, the lock analysis: every chunk is fetched once, in order
+    // (never backward), for every source kind.
     RunSpec spec;
     spec.profile = WorkloadProfile::specjbb();
     spec.config = SimConfig::pc2().withScout(ScoutMode::Hws2);
@@ -423,17 +423,19 @@ TEST_F(FileSourceTest, RunnerReadsEachChunkOnce)
         {"materialized",
          [&] { return std::make_unique<MaterializedSource>(trace, kChunk); }},
     };
-    for (bool sle : {false, true}) {
+    for (const char *locks : {"none", "sle", "tm"}) {
         RunSpec s = spec;
-        s.config.sle = sle;
-        RunOutput want = sle ? test::runMaterialized(s, trace) : ref;
+        s.config.sle = locks == std::string("sle");
+        s.config.tm.enabled = locks == std::string("tm");
+        RunOutput want = s.config.sle || s.config.tm.enabled
+            ? test::runMaterialized(s, trace) : ref;
         for (const auto &[name, make] : kinds) {
             FetchLogSource src(make());
             RunOutput out = Runner::run(s, src);
-            EXPECT_EQ(out.sim, want.sim) << name << " sle=" << sle;
+            EXPECT_EQ(out.sim, want.sim) << name << " " << locks;
             EXPECT_EQ(out.storesPer100, want.storesPer100) << name;
-            EXPECT_EQ(countSinglePasses(src.log, chunks), sle ? 2 : 1)
-                << name << " sle=" << sle;
+            EXPECT_EQ(countSinglePasses(src.log, chunks), 1)
+                << name << " " << locks;
         }
     }
 }
@@ -630,10 +632,11 @@ TEST(ReadAheadSource, RunsBitIdenticalAndReadsEachChunkOnce)
             RunOutput got = Runner::run(spec, ahead);
             EXPECT_EQ(got.sim, want.sim) << cfg.name << " sle=" << sle;
             EXPECT_EQ(got.storesPer100, want.storesPer100) << cfg.name;
-            // SLE adds exactly one pass, the lock analysis.
+            // The lock analysis reads the engine's chunks: no pass
+            // of its own.
             ahead.knownSize();
             uint64_t chunks = (trace.size() + kChunk - 1) / kChunk;
-            EXPECT_EQ(countSinglePasses(log.log, chunks), sle ? 2 : 1)
+            EXPECT_EQ(countSinglePasses(log.log, chunks), 1)
                 << cfg.name << " sle=" << sle;
         }
     }
@@ -981,18 +984,6 @@ shippedConfigs()
     return out;
 }
 
-void
-expectSameRun(const RunOutput &got, const RunOutput &want,
-              const std::string &what)
-{
-    EXPECT_EQ(got.sim, want.sim) << what;
-    EXPECT_EQ(got.storesPer100, want.storesPer100) << what;
-    EXPECT_EQ(got.storeMissPer100, want.storeMissPer100) << what;
-    EXPECT_EQ(got.loadMissPer100, want.loadMissPer100) << what;
-    EXPECT_EQ(got.l2Accesses, want.l2Accesses) << what;
-    EXPECT_EQ(got.tlbMissPer100, want.tlbMissPer100) << what;
-}
-
 TEST_F(OpenRunSource, FileRunsBitIdenticalToBareFile)
 {
     constexpr uint64_t kChunk = 4096;
@@ -1035,7 +1026,7 @@ TEST_F(OpenRunSource, FileRunsBitIdenticalToBareFile)
                 std::unique_ptr<TraceSource> piped = openRunSource(s);
                 ASSERT_NE(dynamic_cast<ReadAheadSource *>(piped.get()),
                           nullptr) << what;
-                expectSameRun(Runner::run(spec, *piped), want, what);
+                test::expectSameRun(Runner::run(spec, *piped), want, what);
             }
         }
     }
@@ -1108,10 +1099,11 @@ class LeadLogSource : public FetchLogSource
     AheadProbe &_probe;
 };
 
-TEST_F(OpenRunSource, SleFileRunIsAnalysisThenOnePass)
+TEST_F(OpenRunSource, SleFileRunIsOnePass)
 {
-    // With SLE on, the lock analysis reads the file once; the engine
-    // then refetches chunk 0 once and reads the file again, in order.
+    // With SLE on, the lock analysis is built from the chunks the
+    // engine reads: the file is read once, in order, and the helper
+    // stays at most one chunk ahead.
     constexpr uint64_t kChunk = 4096;
     RunSpec spec;
     spec.profile = WorkloadProfile::specjbb();
@@ -1135,14 +1127,14 @@ TEST_F(OpenRunSource, SleFileRunIsAnalysisThenOnePass)
     LeadLogSource &log = *log_src;
     ReadAheadSource ahead(std::move(log_src));
     AskSource consumer(ahead, probe);
-    expectSameRun(Runner::run(spec, consumer), want, "sle v4");
+    test::expectSameRun(Runner::run(spec, consumer), want, "sle v4");
     ahead.knownSize(); // collects the fetch in flight
 
-    EXPECT_EQ(countSinglePasses(log.log, chunks), 2);
+    EXPECT_EQ(countSinglePasses(log.log, chunks), 1);
     int backward = 0;
     for (size_t i = 1; i < log.log.size(); ++i)
         backward += log.log[i].idx < log.log[i - 1].idx;
-    EXPECT_EQ(backward, 1);
+    EXPECT_EQ(backward, 0);
     ASSERT_EQ(probe.leads.size(), log.log.size());
     for (size_t i = 0; i < probe.leads.size(); ++i)
         EXPECT_LE(probe.leads[i], 1) << "inner fetch " << i;

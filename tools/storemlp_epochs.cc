@@ -18,7 +18,6 @@
 #include "core/mlp_sim.hh"
 #include "core/runner.hh"
 #include "stats/stats_json.hh"
-#include "trace/lock_detector.hh"
 
 using namespace storemlp;
 using namespace storemlp::tools;
@@ -51,10 +50,11 @@ toolMain(int argc, char **argv)
     spec.seed = cli.num("seed", 42);
     spec.count = warmup + 400 * 1000;
     std::unique_ptr<TraceSource> src = openRunSource(spec);
-    LockAnalysis locks = LockDetector().analyze(*src);
 
+    // Neither SLE nor TM is on, so the simulator reads no lock
+    // analysis.
     ChipNode chip(HierarchyConfig{}, 0);
-    MlpSimulator sim(cfg, chip, &locks);
+    MlpSimulator sim(cfg, chip, nullptr);
 
     OutFormat fmt = outFormat(cli);
     OutputSink sink(cli);
