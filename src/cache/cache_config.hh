@@ -33,6 +33,8 @@ struct CacheConfig
     /** Paper defaults (Section 4.3). */
     static CacheConfig l1Default() { return {32 * 1024, 4, 64}; }
     static CacheConfig l2Default() { return {2 * 1024 * 1024, 4, 64}; }
+
+    bool operator==(const CacheConfig &) const = default;
 };
 
 /**

@@ -34,6 +34,8 @@ struct HierarchyConfig
     CacheConfig l1i = CacheConfig::l1Default();
     CacheConfig l1d = CacheConfig::l1Default();
     CacheConfig l2 = CacheConfig::l2Default();
+
+    bool operator==(const HierarchyConfig &) const = default;
 };
 
 /**

@@ -42,6 +42,8 @@ struct SmacConfig
     {
         return uint64_t(entries) * superBlockBytes();
     }
+
+    bool operator==(const SmacConfig &) const = default;
 };
 
 /**

@@ -35,6 +35,8 @@ struct TmConfig
     double abortPenaltyCycles = 50.0;
     /** Determinism seed for abort decisions. */
     uint64_t seed = 0x5eedULL;
+
+    bool operator==(const TmConfig &) const = default;
 };
 
 /**

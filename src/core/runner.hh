@@ -87,6 +87,13 @@ struct RunSpec
      * spec its own stream.
      */
     std::ostream *epochLog = nullptr;
+
+    /**
+     * Every member compared, so a field added later is compared too.
+     * The sweep engine lets runs whose specs are equal apart from
+     * display names share one simulation (core/sweep.hh).
+     */
+    bool operator==(const RunSpec &) const = default;
 };
 
 /** Results of one experiment. */

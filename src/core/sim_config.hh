@@ -127,6 +127,9 @@ struct SimConfig
     SimConfig withPrefetch(StorePrefetch sp) const;
     /** Returns a copy with a different scout mode. */
     SimConfig withScout(ScoutMode sm) const;
+
+    /** Every field, `name` and the model's display name included. */
+    bool operator==(const SimConfig &) const = default;
 };
 
 /** Printable names for enums. */

@@ -222,6 +222,41 @@ currentError()
     }
 }
 
+/**
+ * For each run, the first run that simulates the same machine: specs
+ * equal apart from display names (the config's name, and the memory
+ * model's, whose rules still compare). A run that is its own primary
+ * simulates; the others take its outcome. Equal specs read one
+ * stream, so a run is compared with the primaries of its stream
+ * alone. Under a runOverride hook every run is its own primary, so
+ * the hook sees each one.
+ */
+std::vector<size_t>
+primaryRuns(const std::vector<PlannedRun> &runs, bool share)
+{
+    std::vector<size_t> primary(runs.size());
+    std::unordered_map<std::string, std::vector<std::pair<RunSpec, size_t>>>
+        firsts; // stream key -> (machine, run) per primary
+    for (size_t i = 0; i < runs.size(); ++i) {
+        primary[i] = i;
+        if (!share)
+            continue;
+        RunSpec machine = runs[i].spec;
+        machine.config.name.clear();
+        machine.config.memoryModel.name.clear();
+        auto &same_stream = firsts[streamKey(SourceSpec::forRun(machine))];
+        auto it = std::find_if(same_stream.begin(), same_stream.end(),
+                               [&](const auto &f) {
+                                   return f.first == machine;
+                               });
+        if (it != same_stream.end())
+            primary[i] = it->second;
+        else
+            same_stream.emplace_back(std::move(machine), i);
+    }
+    return primary;
+}
+
 /** Runs that read one stream, executed together on one worker. */
 struct TraceGroup
 {
@@ -239,18 +274,22 @@ struct MemberRun
 };
 
 /**
- * Group the batch by stream, then split groups while there are fewer
- * of them than workers: each step gives one more part to the group
- * whose parts are largest. Largest groups come first; a group costs
- * its producer plus one simulation per member.
+ * Group the batch's primary runs by stream, then split groups while
+ * there are fewer of them than workers: each step gives one more part
+ * to the group whose parts are largest. Largest groups come first; a
+ * group costs its producer plus one simulation per member (each
+ * member a distinct simulation).
  */
 std::vector<TraceGroup>
-planGroups(const std::vector<PlannedRun> &runs, uint64_t chunk_insts,
+planGroups(const std::vector<PlannedRun> &runs,
+           const std::vector<size_t> &primary, uint64_t chunk_insts,
            unsigned workers)
 {
     std::vector<TraceGroup> groups;
     std::unordered_map<std::string, size_t> by_key;
     for (size_t i = 0; i < runs.size(); ++i) {
+        if (primary[i] != i)
+            continue;
         SourceSpec src = SourceSpec::forRun(runs[i].spec, chunk_insts);
         auto [it, fresh] = by_key.emplace(streamKey(src), groups.size());
         if (fresh)
@@ -631,56 +670,73 @@ SweepEngine::executeWith(const SweepOptions &opts,
         return results;
 
     unsigned workers = _opts.jobs ? _opts.jobs : defaultJobs();
+    std::vector<size_t> primary = primaryRuns(runs, !opts.runOverride);
+    std::vector<std::vector<size_t>> sharers(runs.size());
+    size_t simulations = 0;
+    for (size_t i = 0; i < runs.size(); ++i) {
+        sharers[primary[i]].push_back(i); // the primary first
+        simulations += primary[i] == i;
+    }
+    _simulations.fetch_add(simulations);
     std::vector<TraceGroup> groups =
-        planGroups(runs, opts.chunkInsts, workers);
+        planGroups(runs, primary, opts.chunkInsts, workers);
     unsigned jobs = static_cast<unsigned>(
         std::min<size_t>(workers, groups.size()));
     unsigned max_attempts = std::max(1u, opts.maxAttempts);
     std::atomic<size_t> next{0};
     std::atomic<size_t> done{0};
+    std::atomic<size_t> sims_done{0};
     std::atomic<size_t> groups_done{0};
     std::atomic<uint64_t> failed{0};
     std::mutex sink_mu; // serializes observer calls + progress line
     Clock::time_point t0 = Clock::now();
 
-    // Settle run i: retry a failed first attempt alone, then record
-    // the outcome and report it.
+    // Settle simulation i: retry a failed first attempt alone, then
+    // record the final outcome for every run sharing it, in index
+    // order, each under its own identity, and report each.
     auto settle = [&](size_t i, MemberRun &m) {
-        const PlannedRun &run = runs[i];
-        RunOutcome &res = results[i];
-        res.name = run.name;
-        res.workload = run.workload;
-        res.configName = run.configName;
-        res.model = run.model;
-        res.attempts = 1;
-        for (unsigned attempt = 2; !m.ok && attempt <= max_attempts;
-             ++attempt) {
-            res.attempts = attempt;
+        unsigned attempts = 1;
+        while (!m.ok && attempts < max_attempts) {
+            ++attempts;
             _runRetries.fetch_add(1);
             Clock::time_point rt0 = Clock::now();
             try {
-                m.output = runOnce(run.spec, opts);
+                m.output = runOnce(runs[i].spec, opts);
                 m.ok = true;
             } catch (...) {
                 m.error = currentError();
             }
             m.ms += msSince(rt0);
         }
-        res.ok = m.ok;
-        res.wallMs = m.ms;
-        if (res.ok) {
-            res.output = std::move(m.output);
-            res.errorMessage.clear();
-            _runsOk.fetch_add(1);
-        } else {
-            res.output = RunOutput{};
-            res.errorMessage =
-                RunError(i, run.spec.config.name, m.error).what();
-            _runsFailed.fetch_add(1);
-            failed.fetch_add(1);
-        }
-        size_t d = done.fetch_add(1) + 1;
-        if (observer || opts.progress) {
+        sims_done.fetch_add(1);
+        const std::vector<size_t> &same = sharers[i];
+        for (size_t k = 0; k < same.size(); ++k) {
+            size_t j = same[k];
+            const PlannedRun &run = runs[j];
+            RunOutcome &res = results[j];
+            res.name = run.name;
+            res.workload = run.workload;
+            res.configName = run.configName;
+            res.model = run.model;
+            res.attempts = attempts;
+            res.ok = m.ok;
+            // The simulation's time is billed to its primary alone.
+            res.wallMs = j == i ? m.ms : 0.0;
+            if (res.ok) {
+                res.output = k + 1 == same.size() ? std::move(m.output)
+                                                  : m.output;
+                res.errorMessage.clear();
+                _runsOk.fetch_add(1);
+            } else {
+                res.output = RunOutput{};
+                res.errorMessage =
+                    RunError(j, run.spec.config.name, m.error).what();
+                _runsFailed.fetch_add(1);
+                failed.fetch_add(1);
+            }
+            size_t d = done.fetch_add(1) + 1;
+            if (!observer && !opts.progress)
+                continue;
             std::lock_guard<std::mutex> lk(sink_mu);
             // The observer must never fault the run it reports:
             // a throwing result sink (e.g. a dead network
@@ -695,9 +751,10 @@ SweepEngine::executeWith(const SweepOptions &opts,
             if (opts.progress) {
                 std::fprintf(
                     stderr,
-                    "\r[sweep] %zu/%zu runs, %zu/%zu trace groups, "
-                    "%llu failed, %.1fs elapsed ",
-                    d, runs.size(), groups_done.load(), groups.size(),
+                    "\r[sweep] %zu/%zu runs, %zu/%zu simulations, "
+                    "%zu/%zu trace groups, %llu failed, %.1fs elapsed ",
+                    d, runs.size(), sims_done.load(), simulations,
+                    groups_done.load(), groups.size(),
                     static_cast<unsigned long long>(failed.load()),
                     msSince(t0) / 1000.0);
                 std::fflush(stderr);
@@ -776,9 +833,9 @@ SweepEngine::executeWith(const SweepOptions &opts,
     if (opts.progress) {
         std::fprintf(stderr,
                      "\r[sweep] %zu runs done in %.1fs (%u jobs, %zu "
-                     "trace groups, %llu failed)        \n",
+                     "simulations, %zu trace groups, %llu failed)   \n",
                      runs.size(), msSince(t0) / 1000.0, jobs,
-                     groups.size(),
+                     simulations, groups.size(),
                      static_cast<unsigned long long>(failed.load()));
         std::fflush(stderr);
     }
@@ -809,6 +866,7 @@ SweepEngine::execute(const SweepRequest &request,
 void
 SweepEngine::exportStats(StatsRegistry &reg) const
 {
+    reg.counter("sweep.simulations", _simulations.load());
     reg.counter("sweep.traceGroups", _traceGroups.load());
     reg.counter("sweep.traceChunksProduced", _traceChunks.load());
     reg.counter("sweep.jobs", _opts.jobs ? _opts.jobs : defaultJobs());

@@ -4,9 +4,18 @@
  * independent `RunSpec`s — the epoch model shares no mutable state
  * between runs, so the batch is embarrassingly parallel. Like the
  * paper's MLPsim, which runs every configuration over the same
- * traces, the engine runs trace-major:
+ * traces, the engine runs trace-major, and simulates each distinct
+ * machine once:
  *
- *  - Runs that read one stream (same profile, seed, length and PC->WC
+ *  - Runs whose specs are equal apart from display names (the
+ *    config's name and the memory model's; `RunSpec::operator==`
+ *    compares the rest) share one simulation. `--models` makes such
+ *    runs out of shipped configs that differ only in their model
+ *    (pc1/wc1/rmo1/wmm1, pc2/wc2, pc3/wc3). The first of them, the
+ *    primary, simulates; the others take its final outcome (after
+ *    retries) under their own identity. A run with its own epoch-log
+ *    stream differs by that pointer and never shares.
+ *  - Primary runs that read one stream (same profile, seed, length and PC->WC
  *    rewrite: `SourceSpec::forRun`) form a trace group.
  *  - A group runs on one worker with one `openRunSource` producer.
  *    Each member has its own cursor, simulator and machine
@@ -24,9 +33,9 @@
  *    read the group's lock analysis stay with its owner.
  *
  * Resident trace memory is a few chunks per group in flight, not the
- * batch's streams (`sweep.traceGroups`, `sweep.traceChunksProduced`).
- * Results go into submission-order slots, so tables are deterministic
- * regardless of scheduling.
+ * batch's streams (`sweep.simulations`, `sweep.traceGroups`,
+ * `sweep.traceChunksProduced`). Results go into submission-order
+ * slots, so tables are deterministic regardless of scheduling.
  *
  * Results are bit-identical across `jobs` values and chunk sizes, and
  * to `Runner::run` of each spec alone: each run owns its machine state
@@ -37,7 +46,9 @@
  * Faults are contained per run: an exception thrown by trace
  * construction or by a member's session marks that run's `RunOutcome`
  * as failed (`ok == false`, diagnostic in `errorMessage`) while its
- * group-mates go on; a retry runs it alone from a fresh source. One
+ * group-mates go on; a retry runs it alone from a fresh source. A
+ * failed shared simulation fails each run sharing it, each with a
+ * RunError naming its own index and config. One
  * corrupt configuration or transient failure never discards the other
  * N-1 results or terminates the process.
  */
@@ -83,8 +94,9 @@ struct SweepOptions
     bool progress = progressFromEnv();
     /**
      * Test/fault-injection hook: when set, executes each run alone
-     * instead of its trace group's sessions. Lets tests throw from the
-     * Nth run (or return synthetic outputs) without touching the
+     * instead of its trace group's sessions, and no runs share a
+     * simulation, so the hook sees every run. Lets tests throw from
+     * the Nth run (or return synthetic outputs) without touching the
      * production path; null for normal operation.
      */
     std::function<RunOutput(const RunSpec &)> runOverride;
@@ -117,12 +129,16 @@ struct RunOutcome
      * Wall-clock time of this run's own simulation slices: building
      * its machine, its advance() steps and its finish, plus any retry
      * run alone. The group's shared trace production and lock
-     * analysis are billed to no run.
+     * analysis are billed to no run; a run that shares another's
+     * simulation reports 0.
      */
     double wallMs = 0.0;
     /** Run completed; when false `output` is default-initialized. */
     bool ok = true;
-    /** Attempts consumed (1 unless maxAttempts retried the run). */
+    /**
+     * Attempts consumed (1 unless maxAttempts retried the run); a run
+     * sharing another's simulation reports that simulation's attempts.
+     */
     unsigned attempts = 1;
     /** Diagnostic from the last failed attempt when !ok. */
     std::string errorMessage;
@@ -192,8 +208,14 @@ class SweepEngine
     /** Runs that completed / failed across this engine's lifetime. */
     uint64_t runsSucceeded() const { return _runsOk.load(); }
     uint64_t runsFailed() const { return _runsFailed.load(); }
-    /** Retry attempts beyond the first, across all runs. */
+    /** Retry attempts beyond the first, once per simulation. */
     uint64_t runRetries() const { return _runRetries.load(); }
+    /**
+     * Distinct simulations planned across this engine's lifetime:
+     * runs that do not share another run's simulation. Does not
+     * depend on timing or `jobs`.
+     */
+    uint64_t simulations() const { return _simulations.load(); }
     /**
      * Producers run: trace groups, with split subgroups and members
      * taken over by an idle worker counting singly. Above one worker
@@ -207,10 +229,11 @@ class SweepEngine
     uint64_t traceChunksProduced() const { return _traceChunks.load(); }
 
     /**
-     * Register engine-side observability (`sweep.traceGroups`,
-     * `sweep.traceChunksProduced`, `sweep.runs.*`) into `reg`: the
-     * trace sharing that makes batch artifacts cheap, and the fault
-     * ledger, are themselves part of the run artifact.
+     * Register engine-side observability (`sweep.simulations`,
+     * `sweep.traceGroups`, `sweep.traceChunksProduced`,
+     * `sweep.runs.*`) into `reg`: the simulation and trace sharing
+     * that make batch artifacts cheap, and the fault ledger, are
+     * themselves part of the run artifact.
      */
     void exportStats(StatsRegistry &reg) const;
 
@@ -230,6 +253,7 @@ class SweepEngine
     std::atomic<uint64_t> _runsOk{0};
     std::atomic<uint64_t> _runsFailed{0};
     std::atomic<uint64_t> _runRetries{0};
+    std::atomic<uint64_t> _simulations{0};
     std::atomic<uint64_t> _traceGroups{0};
     std::atomic<uint64_t> _traceChunks{0};
     /** Effective maxAttempts of the most recent request execute(). */

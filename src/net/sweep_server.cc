@@ -37,6 +37,7 @@ summaryJson(size_t runs, size_t ok, size_t failed,
     w.key("runs").value(static_cast<uint64_t>(runs));
     w.key("ok").value(static_cast<uint64_t>(ok));
     w.key("failed").value(static_cast<uint64_t>(failed));
+    w.key("simulations").value(engine.simulations());
     w.key("traceGroups").value(engine.traceGroups());
     w.key("traceChunksProduced").value(engine.traceChunksProduced());
     w.endObject();

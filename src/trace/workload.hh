@@ -168,6 +168,8 @@ struct WorkloadProfile
     static std::vector<WorkloadProfile> allCommercial();
     /** A tiny fast profile for unit tests. */
     static WorkloadProfile testTiny();
+
+    bool operator==(const WorkloadProfile &) const = default;
 };
 
 using ProfileMember =

@@ -165,16 +165,7 @@ TEST(ConfigIo, SimConfigRoundTrip)
 
     std::stringstream ss;
     saveSimConfig(ss, c);
-    SimConfig r = loadSimConfig(ss);
-
-    EXPECT_EQ(r.name, c.name);
-    EXPECT_EQ(r.storePrefetch, c.storePrefetch);
-    EXPECT_EQ(r.storeQueueSize, c.storeQueueSize);
-    EXPECT_EQ(r.memoryModel, c.memoryModel);
-    EXPECT_EQ(r.sle, c.sle);
-    EXPECT_EQ(r.prefetchPastSerializing, c.prefetchPastSerializing);
-    EXPECT_EQ(r.scout, c.scout);
-    EXPECT_EQ(r.missLatency, c.missLatency);
+    EXPECT_TRUE(loadSimConfig(ss) == c); // every field, bit for bit
 }
 
 TEST(ConfigIo, ParsesMinimalConfig)

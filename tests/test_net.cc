@@ -668,6 +668,70 @@ expectRemoteMatchesLocal(unsigned drop_after, bool bad_request_first = false)
     }
 }
 
+/** A run's stats as canonical JSON, the form the wire carries. */
+std::string
+statsText(const RunOutput &out)
+{
+    StatsRegistry reg;
+    out.exportStats(reg);
+    return statsToJson(reg, StatsMeta{}, false);
+}
+
+/**
+ * Under `--models`, shipped configs that differ only in their memory
+ * model collapse (pc1/wc1/rmo1/wmm1, pc2/wc2, pc3/wc3): the nine
+ * configs x pc;wc batch is 18 runs and 8 simulations. Every run,
+ * shared or not, must equal its spec run alone, at jobs 1 and 4 and
+ * through a loopback daemon.
+ */
+TEST(SweepLoopback, SharedSimulationsMatchEachRunAlone)
+{
+    SweepRequest req = tinyRequest(0, {"pc", "wc"});
+    std::vector<PlannedRun> runs = expandSweepRuns(req);
+    ASSERT_EQ(runs.size(), 18u);
+    std::vector<std::string> alone;
+    for (const PlannedRun &run : runs) {
+        std::unique_ptr<TraceSource> src =
+            openRunSource(SourceSpec::forRun(run.spec));
+        alone.push_back(statsText(Runner::run(run.spec, *src)));
+    }
+
+    for (unsigned jobs : {1u, 4u}) {
+        SweepOptions opts;
+        opts.jobs = jobs;
+        opts.progress = false;
+        SweepEngine engine(opts);
+        std::vector<RunOutcome> got = engine.execute(req);
+        EXPECT_EQ(engine.simulations(), 8u);
+        ASSERT_EQ(got.size(), runs.size());
+        for (size_t i = 0; i < runs.size(); ++i) {
+            ASSERT_TRUE(got[i].ok) << got[i].errorMessage;
+            EXPECT_EQ(got[i].name, runs[i].name);
+            EXPECT_EQ(statsText(got[i].output), alone[i])
+                << "jobs " << jobs << " " << runs[i].name;
+        }
+    }
+
+    SweepServer server;
+    server.start();
+    SweepClientOptions copts;
+    copts.port = server.port();
+    RemoteSweepReport report = runSweepRemote(req, copts);
+    server.stop();
+    ASSERT_EQ(report.results.size(), runs.size());
+    for (size_t i = 0; i < runs.size(); ++i) {
+        const RemoteRunResult &got = report.results[i];
+        ASSERT_TRUE(got.ok) << got.name << ": " << got.errorMessage;
+        EXPECT_EQ(got.name, runs[i].name);
+        EXPECT_EQ(statsToJson(statsFromJson(got.json), StatsMeta{}, false),
+                  alone[i])
+            << got.name;
+    }
+    EXPECT_NE(report.summaryJson.find("\"simulations\":8"),
+              std::string::npos)
+        << report.summaryJson;
+}
+
 TEST(SweepLoopback, AllConfigsAllModelsBitIdenticalToLocal)
 {
     expectRemoteMatchesLocal(/*drop_after=*/0);

@@ -4,8 +4,8 @@
  * bit-identical results across worker counts and chunk sizes (against
  * the materialized whole-trace run and against each run alone), one
  * production per distinct (profile, seed, length, rewrite) stream,
- * per-member fault containment, group splitting, and submission-order
- * result collection. Run lengths honour STOREMLP_WARMUP /
+ * per-member fault containment, group splitting, submission-order
+ * result collection, and runs of one machine sharing one simulation. Run lengths honour STOREMLP_WARMUP /
  * STOREMLP_MEASURE so CI can scale further down (small defaults keep
  * the suite fast without them).
  */
@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <cstdlib>
 #include <memory>
 #include <set>
@@ -20,6 +21,7 @@
 #include <stdexcept>
 #include <streambuf>
 
+#include "core/config_io.hh"
 #include "core/sweep.hh"
 #include "trace/lock_detector.hh"
 #include "util/parallel.hh"
@@ -505,6 +507,212 @@ TEST(SweepEngine, RetryRunsAFailedMemberAlone)
     EXPECT_EQ(engine.runRetries(), 1u);
     EXPECT_EQ(engine.traceGroups(), clean.traceGroups());
     EXPECT_EQ(engine.traceChunksProduced(), clean.traceChunksProduced());
+}
+
+/**
+ * Another valid value of `v`: a different enum value or flag, twice a
+ * size (powers of two stay powers of two), half a fraction.
+ */
+template <typename T>
+void
+changeValue(T &v)
+{
+    if constexpr (std::is_same_v<T, std::string>) {
+        v += "x";
+    } else if constexpr (std::is_same_v<T, ModelDescriptor>) {
+        v = v.sameRules(ModelDescriptor::pc()) ? ModelDescriptor::wc()
+                                               : ModelDescriptor::pc();
+    } else if constexpr (std::is_same_v<T, bool>) {
+        v = !v;
+    } else if constexpr (std::is_enum_v<T>) {
+        for (const EnumName<T> &n : enumNames(v)) {
+            if (n.value != v) {
+                v = n.value;
+                return;
+            }
+        }
+    } else if constexpr (std::is_integral_v<T>) {
+        v = v ? v * 2 : 1;
+    } else {
+        v = v ? v / 2 : 0.125;
+    }
+}
+
+/** Simulations the engine plans for `a` and `b` as one batch. */
+uint64_t
+simulationsOf(const RunSpec &a, const RunSpec &b)
+{
+    SweepEngine engine = makeEngine(1);
+    std::vector<RunOutcome> got = executeSpecs(engine, {a, b});
+    EXPECT_EQ(got.size(), 2u);
+    return engine.simulations();
+}
+
+TEST(SweepEngine, RunsShareASimulationOnlyWhenTheirSpecsAreEqual)
+{
+    // Every SimConfig and profile key, and every other RunSpec member,
+    // is part of the machine: changing any one of them stops two runs
+    // from sharing a simulation. Display names are not: the config's
+    // name and the memory model's may differ.
+    RunSpec base = lockMixSpecs()[0];
+    base.warmupInsts = 200;
+    base.measureInsts = 300;
+    EXPECT_EQ(simulationsOf(base, base), 1u);
+
+    for (const SimConfigField &f : simConfigFields()) {
+        SCOPED_TRACE(std::string("config key ") + f.key);
+        RunSpec changed = base;
+        std::visit([&](auto m) { changeValue(fieldOf(changed.config, m)); },
+                   f.member);
+        ASSERT_FALSE(changed.config == base.config);
+        bool display_name = std::string(f.key) == "name";
+        EXPECT_EQ(simulationsOf(base, changed), display_name ? 1u : 2u);
+    }
+    for (const ProfileField &f : workloadProfileFields()) {
+        SCOPED_TRACE(std::string("profile key ") + f.key);
+        RunSpec changed = base;
+        std::visit(
+            [&](auto m) { changeValue(fieldOf(changed.profile, m)); },
+            f.member);
+        ASSERT_FALSE(changed.profile == base.profile);
+        EXPECT_EQ(simulationsOf(base, changed), 2u);
+    }
+
+    std::ostringstream log;
+    const std::pair<const char *, std::function<void(RunSpec &)>>
+        members[] = {
+            {"seed", [](RunSpec &s) { ++s.seed; }},
+            {"warmupInsts", [](RunSpec &s) { ++s.warmupInsts; }},
+            {"measureInsts", [](RunSpec &s) { ++s.measureInsts; }},
+            // The same stream, measured from a later record.
+            {"warmupInsts/measureInsts",
+             [](RunSpec &s) {
+                 s.warmupInsts += 100;
+                 s.measureInsts -= 100;
+             }},
+            {"numChips", [](RunSpec &s) { s.numChips = 2; }},
+            {"smac", [](RunSpec &s) { s.smac = SmacConfig{}; }},
+            {"protocol",
+             [](RunSpec &s) { s.protocol = CoherenceProtocol::Moesi; }},
+            {"peerTraffic", [](RunSpec &s) { s.peerTraffic = true; }},
+            {"siblingCore", [](RunSpec &s) { s.siblingCore = true; }},
+            {"prefillL2", [](RunSpec &s) { s.prefillL2 = false; }},
+            {"hierarchy",
+             [](RunSpec &s) { s.hierarchy = HierarchyConfig{}; }},
+            {"hierarchy.l2",
+             [](RunSpec &s) {
+                 s.hierarchy = HierarchyConfig{};
+                 s.hierarchy->l2.sizeBytes *= 2;
+             }},
+            {"epochLog", [&log](RunSpec &s) { s.epochLog = &log; }},
+        };
+    for (const auto &[name, change] : members) {
+        SCOPED_TRACE(std::string("member ") + name);
+        RunSpec changed = base;
+        change(changed);
+        EXPECT_EQ(simulationsOf(base, changed), 2u);
+    }
+
+    RunSpec renamed = base;
+    renamed.config.name = "other";
+    renamed.config.memoryModel.name = "custom";
+    ASSERT_TRUE(renamed.config.memoryModel.sameRules(
+        base.config.memoryModel));
+    EXPECT_EQ(simulationsOf(base, renamed), 1u);
+}
+
+TEST(SweepEngine, SharedSimulationSettlesEveryRunUnderItsOwnIdentity)
+{
+    // Runs 0, 2 and 3 are one machine under three names; run 1 another.
+    // Each run is reported once, with its own name, and its outcome
+    // equals its spec run alone; only run 0 bills simulation time.
+    std::vector<RunSpec> specs = lockMixSpecs();
+    specs = {specs[0], specs[1], specs[0], specs[0]};
+    specs[2].config.name = "renamed";
+    specs[3].config.memoryModel.name = "custom";
+    for (unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        std::vector<PlannedRun> planned(specs.size());
+        for (size_t i = 0; i < specs.size(); ++i) {
+            planned[i].name = "run" + std::to_string(i);
+            planned[i].configName = "cfg" + std::to_string(i);
+            planned[i].spec = specs[i];
+        }
+        std::vector<std::string> reported;
+        SweepEngine engine = makeEngine(jobs);
+        std::vector<RunOutcome> got = engine.execute(
+            planned, [&](const RunOutcome &o, size_t, size_t) {
+                reported.push_back(o.name);
+            });
+        EXPECT_EQ(engine.simulations(), 2u);
+        std::vector<std::string> same; // the shared machine's runs, in order
+        for (const std::string &n : reported) {
+            if (n != "run1")
+                same.push_back(n);
+        }
+        EXPECT_EQ(same, (std::vector<std::string>{"run0", "run2", "run3"}));
+        ASSERT_EQ(reported.size(), specs.size());
+        for (size_t i = 0; i < specs.size(); ++i) {
+            SCOPED_TRACE("run " + std::to_string(i));
+            ASSERT_TRUE(got[i].ok) << got[i].errorMessage;
+            EXPECT_EQ(got[i].name, planned[i].name);
+            EXPECT_EQ(got[i].configName, planned[i].configName);
+            EXPECT_EQ(got[i].attempts, 1u);
+            expectIdentical(runAlone(specs[i]), got[i].output);
+            if (i >= 2) {
+                EXPECT_EQ(got[i].wallMs, 0.0);
+            } else {
+                EXPECT_GT(got[i].wallMs, 0.0);
+            }
+        }
+        StatsRegistry reg;
+        engine.exportStats(reg);
+        EXPECT_EQ(reg.getCounter("sweep.simulations"), 2u);
+        EXPECT_EQ(reg.getCounter("sweep.runs.ok"), 4u);
+    }
+}
+
+TEST(SweepEngine, FailedSharedSimulationFailsEachRunAndRetriesOnce)
+{
+    // Three runs of a machine that cannot be built (a 3-way L2) under
+    // three config names, and one good run. With two attempts the
+    // shared simulation is retried once, not once per run, and each of
+    // its runs fails with a RunError naming its own index and config.
+    RunSpec good = lockMixSpecs()[0];
+    RunSpec bad = good;
+    HierarchyConfig hier;
+    hier.l2.assoc = 3;
+    bad.hierarchy = hier;
+    std::vector<RunSpec> specs = {bad, good, bad, bad};
+    for (size_t i = 0; i < specs.size(); ++i)
+        specs[i].config.name = "cfg" + std::to_string(i);
+    for (unsigned jobs : {1u, 2u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        SweepOptions opts;
+        opts.jobs = jobs;
+        opts.progress = false;
+        opts.maxAttempts = 2;
+        SweepEngine engine(opts);
+        std::vector<RunOutcome> got = executeSpecs(engine, specs);
+        ASSERT_EQ(got.size(), specs.size());
+        ASSERT_TRUE(got[1].ok) << got[1].errorMessage;
+        EXPECT_EQ(got[1].attempts, 1u);
+        expectIdentical(runAlone(good), got[1].output);
+        for (size_t i : {0u, 2u, 3u}) {
+            SCOPED_TRACE("run " + std::to_string(i));
+            EXPECT_FALSE(got[i].ok);
+            EXPECT_EQ(got[i].attempts, 2u);
+            const std::string &msg = got[i].errorMessage;
+            std::string own = "run " + std::to_string(i) + " (cfg" +
+                std::to_string(i) + "): ";
+            EXPECT_EQ(msg.rfind(own, 0), 0u) << msg;
+            EXPECT_NE(msg.find("do not divide"), std::string::npos) << msg;
+        }
+        EXPECT_EQ(engine.simulations(), 2u);
+        EXPECT_EQ(engine.runRetries(), 1u);
+        EXPECT_EQ(engine.runsFailed(), 3u);
+        EXPECT_EQ(engine.runsSucceeded(), 1u);
+    }
 }
 
 TEST(RunnerSession, AnySplitIntoAdvanceStepsMatchesRun)

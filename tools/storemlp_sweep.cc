@@ -430,7 +430,8 @@ toolMain(int argc, char **argv)
         table.print(os);
     }
 
-    os << "trace groups: " << engine.traceGroups() << ", "
+    os << "simulations: " << engine.simulations() << ", trace groups: "
+       << engine.traceGroups() << ", "
        << engine.traceChunksProduced() << " chunks produced\n";
     if (failed) {
         os << failed << " of " << results.size() << " runs failed:\n";

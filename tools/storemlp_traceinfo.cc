@@ -88,9 +88,18 @@ toolMain(int argc, char **argv)
         }
     }
     if (full) {
-        forEachRecord(*src, 0, info.records,
-                      [&](const TraceRecord &r) { mix.add(&r, 1); });
-        locks = LockDetector().analyze(*src);
+        // One walk over the chunks feeds both the mix and the lock
+        // analysis.
+        LockAnalysisBuilder builder(kLockWindow, info.records);
+        for (uint64_t k = 0;; ++k) {
+            std::shared_ptr<const TraceChunk> c = src->fetch(k);
+            if (!c)
+                break;
+            mix.add(c->data, c->count);
+            builder.push(*c);
+        }
+        builder.finish();
+        locks = builder.take();
         for (const auto &p : locks.pairs)
             total_len += p.releaseIdx - p.acquireIdx;
     }
