@@ -66,17 +66,6 @@ MultiRunOutput::exportStats(StatsRegistry &reg) const
     reg.mergeFrom(machine);
 }
 
-namespace
-{
-
-// Runner::run's L2 prefill layout: clean placeholder lines from a
-// reserved per-chip region, so real traffic immediately contends for
-// capacity.
-constexpr uint64_t kPrefillBase = 0xF00000000000ULL;
-constexpr uint64_t kPrefillStride = 0x001000000000ULL;
-
-} // namespace
-
 MultiRunOutput
 MultiCoreRunner::run(const MultiRunSpec &spec)
 {
@@ -94,6 +83,12 @@ MultiCoreRunner::run(const MultiRunSpec &spec)
 
     uint32_t n = spec.cores;
     uint32_t m = spec.chips;
+
+    // ---- the machine: M chips, bus-connected when M > 1 ----
+    // Built first, so a bad geometry throws before any stream opens.
+    SnoopBus bus;
+    std::vector<std::unique_ptr<ChipNode>> chips = buildChips(
+        m, spec.hierarchy, spec.smac, spec.protocol, spec.prefillL2, bus);
 
     // Contention knobs override the profile the generators see; the
     // knobs shape the traces, never the machine.
@@ -132,29 +127,6 @@ MultiCoreRunner::run(const MultiRunSpec &spec)
         for (uint32_t c = 0; c < n; ++c) {
             feeds[c] = std::make_unique<LockFeedSource>(
                 *sources[c], MlpSimulator::lockReadLead(cfg));
-        }
-    }
-
-    // ---- the machine: M chips, bus-connected when M > 1 ----
-    HierarchyConfig hier_cfg = spec.hierarchy.value_or(HierarchyConfig{});
-    SnoopBus bus;
-    std::vector<std::unique_ptr<ChipNode>> chips;
-    chips.reserve(m);
-    for (uint32_t c = 0; c < m; ++c) {
-        chips.push_back(std::make_unique<ChipNode>(
-            hier_cfg, c, spec.smac, spec.protocol));
-        if (m > 1)
-            chips.back()->connect(&bus);
-    }
-
-    if (spec.prefillL2) {
-        for (uint32_t c = 0; c < m; ++c) {
-            SetAssocCache &l2 = chips[c]->hierarchy().l2();
-            uint64_t lines =
-                l2.config().sizeBytes / l2.config().lineBytes;
-            uint64_t base = kPrefillBase + c * kPrefillStride;
-            for (uint64_t i = 0; i < lines; ++i)
-                l2.access(base + i * l2.config().lineBytes, false);
         }
     }
 

@@ -132,7 +132,8 @@ class MultiCoreRunner
 {
   public:
     /** Throws ConfigError on a degenerate topology (0 cores, 0 chips,
-     *  or more chips than cores) or a quantum of 0. */
+     *  or more chips than cores), a quantum of 0, or a cache or SMAC
+     *  geometry the chips cannot index (buildChips, core/runner.hh). */
     static MultiRunOutput run(const MultiRunSpec &spec);
 };
 

@@ -182,6 +182,46 @@ openRunSource(const SourceSpec &spec)
     return std::make_unique<ReadAheadSource>(std::move(src));
 }
 
+std::vector<std::unique_ptr<ChipNode>>
+buildChips(uint32_t count, const std::optional<HierarchyConfig> &hierarchy,
+           const std::optional<SmacConfig> &smac,
+           CoherenceProtocol protocol, bool prefill_l2, SnoopBus &bus)
+{
+    // A geometry the caches cannot index is the run's ConfigError, not
+    // a constructor assert.
+    HierarchyConfig hier_cfg = hierarchy.value_or(HierarchyConfig{});
+    checkGeometry(hier_cfg.l1i);
+    checkGeometry(hier_cfg.l1d);
+    checkGeometry(hier_cfg.l2);
+    if (smac)
+        checkGeometry(*smac);
+
+    std::vector<std::unique_ptr<ChipNode>> chips;
+    chips.reserve(count);
+    for (uint32_t c = 0; c < count; ++c) {
+        chips.push_back(
+            std::make_unique<ChipNode>(hier_cfg, c, smac, protocol));
+        if (count > 1)
+            chips.back()->connect(&bus);
+    }
+    if (prefill_l2) {
+        // Fill each L2 with clean placeholder lines from a reserved
+        // per-chip region so real traffic immediately contends for
+        // capacity.
+        constexpr uint64_t kPrefillBase = 0xF00000000000ULL;
+        constexpr uint64_t kPrefillStride = 0x001000000000ULL;
+        for (uint32_t c = 0; c < count; ++c) {
+            SetAssocCache &l2 = chips[c]->hierarchy().l2();
+            uint64_t lines =
+                l2.config().sizeBytes / l2.config().lineBytes;
+            uint64_t base = kPrefillBase + c * kPrefillStride;
+            for (uint64_t i = 0; i < lines; ++i)
+                l2.access(base + i * l2.config().lineBytes, false);
+        }
+    }
+    return chips;
+}
+
 /**
  * One run's machine and read position: everything Runner::run builds
  * before the first record and reads after the last.
@@ -213,47 +253,8 @@ struct Runner::Session::Machine
     bool advanceTo(uint64_t end);
 
   private:
-    /** The chips, wired to the bus; built before the simulator. */
-    static std::vector<std::unique_ptr<ChipNode>>
-    buildChips(const RunSpec &spec, SnoopBus &bus);
     static SimConfig simConfig(const RunSpec &spec);
 };
-
-std::vector<std::unique_ptr<ChipNode>>
-Runner::Session::Machine::buildChips(const RunSpec &spec, SnoopBus &bus)
-{
-    // A geometry the caches cannot index is the run's ConfigError, not
-    // a constructor assert.
-    HierarchyConfig hier_cfg = spec.hierarchy.value_or(HierarchyConfig{});
-    checkGeometry(hier_cfg.l1i);
-    checkGeometry(hier_cfg.l1d);
-    checkGeometry(hier_cfg.l2);
-    if (spec.smac)
-        checkGeometry(*spec.smac);
-
-    std::vector<std::unique_ptr<ChipNode>> chips;
-    for (uint32_t c = 0; c < spec.numChips; ++c) {
-        chips.push_back(std::make_unique<ChipNode>(
-            hier_cfg, c, spec.smac, spec.protocol));
-        if (spec.numChips > 1)
-            chips.back()->connect(&bus);
-    }
-    if (spec.prefillL2) {
-        // Fill each L2 with clean placeholder lines from a reserved
-        // region so real traffic immediately contends for capacity.
-        constexpr uint64_t kPrefillBase = 0xF00000000000ULL;
-        constexpr uint64_t kPrefillStride = 0x001000000000ULL;
-        for (uint32_t c = 0; c < spec.numChips; ++c) {
-            SetAssocCache &l2 = chips[c]->hierarchy().l2();
-            uint64_t lines =
-                l2.config().sizeBytes / l2.config().lineBytes;
-            uint64_t base = kPrefillBase + c * kPrefillStride;
-            for (uint64_t i = 0; i < lines; ++i)
-                l2.access(base + i * l2.config().lineBytes, false);
-        }
-    }
-    return chips;
-}
 
 SimConfig
 Runner::Session::Machine::simConfig(const RunSpec &spec)
@@ -266,7 +267,9 @@ Runner::Session::Machine::simConfig(const RunSpec &spec)
 Runner::Session::Machine::Machine(const RunSpec &run_spec,
                                   TraceSource &source,
                                   const LockAnalysis *locks)
-    : spec(run_spec), chips(buildChips(spec, bus)),
+    : spec(run_spec),
+      chips(buildChips(spec.numChips, spec.hierarchy, spec.smac,
+                       spec.protocol, spec.prefillL2, bus)),
       feed(!locks && needsLockAnalysis(spec.config)
                ? std::make_unique<LockFeedSource>(
                      source, MlpSimulator::lockReadLead(simConfig(spec)))

@@ -20,8 +20,8 @@
 #include <iosfwd>
 #include <memory>
 #include <optional>
-
 #include <string>
+#include <vector>
 
 #include "cache/hierarchy.hh"
 #include "coherence/mesi.hh"
@@ -36,6 +36,8 @@
 namespace storemlp
 {
 
+class ChipNode;
+class SnoopBus;
 struct LockAnalysis;
 
 /** Everything needed to reproduce one experimental data point. */
@@ -172,6 +174,19 @@ struct SourceSpec
  * fill the CPUs.
  */
 std::unique_ptr<TraceSource> openRunSource(const SourceSpec &spec);
+
+/**
+ * A machine's `count` chips, each with `hierarchy` (the paper's
+ * default when unset), `smac` and `protocol`, on `bus` when there is
+ * more than one. With `prefill_l2`, every L2 starts full of clean
+ * placeholder lines (RunSpec::prefillL2). A geometry the caches or
+ * the SMAC cannot index throws ConfigError before any chip is built.
+ * Runner::Session and MultiCoreRunner build their machines here.
+ */
+std::vector<std::unique_ptr<ChipNode>>
+buildChips(uint32_t count, const std::optional<HierarchyConfig> &hierarchy,
+           const std::optional<SmacConfig> &smac,
+           CoherenceProtocol protocol, bool prefill_l2, SnoopBus &bus);
 
 /** Orchestrates experiments. */
 class Runner

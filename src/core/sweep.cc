@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
@@ -62,16 +61,9 @@ msSince(Clock::time_point t0)
 class ChunkFanout
 {
   public:
-    /**
-     * `next[k]` is the first chunk member k has not fetched: 0 for a
-     * fresh group, later for members handed over mid-stream. The
-     * producer's first fetch skips to the lowest of them.
-     */
-    ChunkFanout(std::unique_ptr<TraceSource> producer,
-                std::vector<uint64_t> next, LockAnalysisBuilder *locks)
-        : _producer(std::move(producer)), _locks(locks),
-          _base(*std::min_element(next.begin(), next.end())),
-          _next(std::move(next))
+    ChunkFanout(std::unique_ptr<TraceSource> producer, size_t members,
+                LockAnalysisBuilder *locks)
+        : _producer(std::move(producer)), _locks(locks), _next(members, 0)
     {
     }
 
@@ -104,10 +96,8 @@ class ChunkFanout
         dropFetched();
     }
 
-    /** First chunk `member` has not fetched. */
-    uint64_t next(size_t member) const { return _next[member]; }
     const TraceSource &producer() const { return *_producer; }
-    /** Chunks made so far (skipped ones included). */
+    /** Chunks made so far. */
     uint64_t produced() const { return _base + _buf.size(); }
     /** Wall time spent making them. */
     double produceMs() const { return _produceMs; }
@@ -154,7 +144,7 @@ class ChunkFanout
 
     std::unique_ptr<TraceSource> _producer;
     LockAnalysisBuilder *_locks;
-    uint64_t _base;
+    uint64_t _base = 0;
     std::vector<uint64_t> _next; ///< per member: first unfetched chunk
     std::deque<std::shared_ptr<const TraceChunk>> _buf; ///< from _base
     bool _ended = false;
@@ -162,42 +152,32 @@ class ChunkFanout
     double _produceMs = 0.0;
 };
 
-/**
- * One member's view of a ChunkFanout. A member handed to another
- * worker moves to that worker's fanout.
- */
+/** One member's view of a ChunkFanout. */
 class FanoutMember : public TraceSource
 {
   public:
     FanoutMember(ChunkFanout &fan, size_t member)
-        : TraceSource(fan.producer().chunkInsts()), _fan(&fan),
+        : TraceSource(fan.producer().chunkInsts()), _fan(fan),
           _member(member)
     {
-    }
-
-    void
-    moveTo(ChunkFanout &fan, size_t member)
-    {
-        _fan = &fan;
-        _member = member;
     }
 
     std::shared_ptr<const TraceChunk>
     fetch(uint64_t chunk_idx) override
     {
-        return _fan->fetch(_member, chunk_idx);
+        return _fan.fetch(_member, chunk_idx);
     }
     std::optional<uint64_t> knownSize() const override
     {
-        return _fan->producer().knownSize();
+        return _fan.producer().knownSize();
     }
     std::string fingerprint() const override
     {
-        return _fan->producer().fingerprint();
+        return _fan.producer().fingerprint();
     }
 
   private:
-    ChunkFanout *_fan;
+    ChunkFanout &_fan;
     size_t _member;
 };
 
@@ -335,293 +315,85 @@ planGroups(const std::vector<PlannedRun> &runs,
     return tasks;
 }
 
-struct Door;
-
 /**
- * The sessions of a trace group, or of members handed over from one,
- * and the fanout they read: the first attempt of every member,
- * trace-major. The members advance round-robin, one chunk per round.
+ * A trace group's first attempts, trace-major: one producer, one
+ * session per member, and the members advancing round-robin, one
+ * chunk per round, so every member reaches a chunk boundary before any
+ * goes past it. SLE/TM members share one lock analysis, built from the
+ * chunks as they are made. `produced` gets the chunks the producer
+ * made.
  */
-class GroupRun
+std::vector<MemberRun>
+runGroup(const TraceGroup &group, const std::vector<PlannedRun> &batch,
+         uint64_t &produced)
 {
-  public:
-    /** A planned group: open its producer, build every machine. */
-    GroupRun(const TraceGroup &group, const std::vector<PlannedRun> &batch)
-        : runs(group.members), members(runs.size()), _source(group.source),
-          _sources(runs.size()), _sessions(runs.size()),
-          _handed(runs.size(), false)
-    {
-        for (size_t i : runs) {
-            _readsLocks.push_back(
-                Runner::needsLockAnalysis(batch[i].spec.config));
-        }
-        // SLE/TM members share one lock analysis, built from the
-        // chunks as they are made.
-        if (std::find(_readsLocks.begin(), _readsLocks.end(), true) !=
-            _readsLocks.end())
-            _locks.emplace();
-        if (!open(std::vector<uint64_t>(runs.size(), 0)))
-            return;
-        for (size_t k = 0; k < runs.size(); ++k) {
-            slice(k, [&] {
-                _sources[k] = std::make_unique<FanoutMember>(*_fan, k);
-                _sessions[k] = std::make_unique<Runner::Session>(
-                    batch[runs[k]].spec, *_sources[k],
-                    _readsLocks[k] ? &_locks->analysis() : nullptr);
-            });
-        }
+    size_t n = group.members.size();
+    std::vector<MemberRun> members(n);
+    std::vector<bool> reads_locks;
+    for (size_t i : group.members) {
+        reads_locks.push_back(
+            Runner::needsLockAnalysis(batch[i].spec.config));
     }
-
-    /**
-     * Advance every member to the end of the stream (or its failure),
-     * answering `door` at each round boundary.
-     */
-    void drive(Door &door);
-
-    /** Chunks this run's producer made. */
-    uint64_t produced() const { return _fan ? _fan->produced() : 0; }
-    /** Whether member k was handed to another worker. */
-    bool handed(size_t k) const { return _handed[k]; }
-
-    std::vector<size_t> runs;       ///< batch index per member
-    std::vector<MemberRun> members; ///< first attempt per member
-
-  private:
-    GroupRun() = default;
-
-    /**
-     * Open the producer with member k at chunk next[k]. If that
-     * throws, every member fails with the error.
-     */
-    bool
-    open(std::vector<uint64_t> next)
-    {
-        try {
-            _fan = std::make_unique<ChunkFanout>(
-                openRunSource(_source), std::move(next),
-                _locks ? &*_locks : nullptr);
-            _chunk = _fan->producer().chunkInsts();
-            return true;
-        } catch (...) {
-            std::string err = currentError();
-            for (size_t k = 0; k < runs.size(); ++k) {
-                members[k].error = err;
-                _sessions[k].reset();
-            }
-            return false;
-        }
+    std::optional<LockAnalysisBuilder> locks;
+    if (std::find(reads_locks.begin(), reads_locks.end(), true) !=
+        reads_locks.end())
+        locks.emplace();
+    // A producer that cannot open fails every member with its error.
+    std::unique_ptr<ChunkFanout> fan;
+    try {
+        fan = std::make_unique<ChunkFanout>(openRunSource(group.source), n,
+                                            locks ? &*locks : nullptr);
+    } catch (...) {
+        std::string err = currentError();
+        for (MemberRun &m : members)
+            m.error = err;
+        return members;
     }
-
-    /**
-     * One member's slice: its own work, less any chunk it made for
-     * the group. A throwing member fails alone and stops holding
-     * chunks.
-     */
-    template <typename Work>
-    void
-    slice(size_t k, Work &&work)
-    {
+    std::vector<std::unique_ptr<FanoutMember>> sources(n);
+    std::vector<std::unique_ptr<Runner::Session>> sessions(n);
+    // One member's slice: its own work, less any chunk it made for the
+    // group. A throwing member fails alone and stops holding chunks.
+    auto slice = [&](size_t k, auto &&work) {
         Clock::time_point t0 = Clock::now();
-        double made0 = _fan->produceMs();
+        double made0 = fan->produceMs();
         try {
             work();
         } catch (...) {
             members[k].error = currentError();
-            _sessions[k].reset();
-            _fan->release(k);
+            sessions[k].reset();
+            fan->release(k);
         }
-        members[k].ms += msSince(t0) - (_fan->produceMs() - made0);
+        members[k].ms += msSince(t0) - (fan->produceMs() - made0);
+    };
+    for (size_t k = 0; k < n; ++k) {
+        slice(k, [&] {
+            sources[k] = std::make_unique<FanoutMember>(*fan, k);
+            sessions[k] = std::make_unique<Runner::Session>(
+                batch[group.members[k]].spec, *sources[k],
+                reads_locks[k] ? &locks->analysis() : nullptr);
+        });
     }
-
-    /** Members that can change workers: active, reading no locks. */
-    size_t
-    movable() const
-    {
-        size_t n = 0;
-        for (size_t k = 0; k < runs.size(); ++k)
-            n += _sessions[k] && !_readsLocks[k];
-        return n;
-    }
-
-    /**
-     * Hand `count` movable members over, at this round boundary, to a
-     * run of their own; it opens a producer when first driven.
-     */
-    std::unique_ptr<GroupRun> split(size_t count);
-    void answer(Door &door);
-
-    SourceSpec _source;
-    std::optional<LockAnalysisBuilder> _locks;
-    std::unique_ptr<ChunkFanout> _fan;
-    uint64_t _chunk = 0;
-    uint64_t _end = 0; ///< round boundary every member has reached
-    std::vector<std::unique_ptr<FanoutMember>> _sources;
-    std::vector<std::unique_ptr<Runner::Session>> _sessions;
-    std::vector<bool> _readsLocks;
-    std::vector<bool> _handed;
-    std::vector<uint64_t> _next; ///< handed-over run: start chunks
-};
-
-/**
- * Where an idle worker asks a running group for members. At each
- * round boundary the owner publishes how many members it could hand
- * over; if a worker is waiting, it hands over half of them. Members
- * that read the group's lock analysis stay with the owner, whose
- * producer builds it.
- */
-struct Door
-{
-    std::mutex mu;
-    std::condition_variable cv;
-    size_t offer = 0;      ///< movable members; 0 if a handover would not pay
-    bool answered = false; ///< `offer` was published at least once
-    bool asked = false;    ///< a worker waits for a handoff
-    bool closed = false;   ///< the owner's rounds are over
-    std::unique_ptr<GroupRun> handed;
-};
-
-std::unique_ptr<GroupRun>
-GroupRun::split(size_t count)
-{
-    std::unique_ptr<GroupRun> part(new GroupRun);
-    part->_source = _source;
-    part->_end = _end;
-    for (size_t k = runs.size(); k-- > 0 && count;) {
-        if (!_sessions[k] || _readsLocks[k])
-            continue;
-        part->runs.push_back(runs[k]);
-        part->members.push_back(std::move(members[k]));
-        part->_sources.push_back(std::move(_sources[k]));
-        part->_sessions.push_back(std::move(_sessions[k]));
-        part->_readsLocks.push_back(false);
-        part->_handed.push_back(false);
-        part->_next.push_back(_fan->next(k));
-        _handed[k] = true;
-        _fan->release(k);
-        --count;
-    }
-    return part;
-}
-
-void
-GroupRun::answer(Door &door)
-{
-    // The taker's producer makes the `done` chunks again before it
-    // reaches the members, at about one member's cost per chunk. Half
-    // of `can` members leave; the other half stay for `left` chunks.
-    // Offer only while that detour is shorter than the work that stays.
-    size_t can = movable();
-    uint64_t done = _end / _chunk;
-    uint64_t total = (_source.count + _chunk - 1) / _chunk;
-    uint64_t left = total > done ? total - done : 0;
-    bool pays = can >= 2 && done < (can - can / 2) * left;
-    std::lock_guard<std::mutex> lk(door.mu);
-    door.offer = pays ? can : 0;
-    door.answered = true;
-    if (door.asked && !door.handed) {
-        if (door.offer)
-            door.handed = split(can / 2);
-        door.cv.notify_all(); // a refusal (offer 0) wakes the asker too
-    }
-}
-
-void
-GroupRun::drive(Door &door)
-{
-    // Handed over: a producer of its own, skipping to the members'.
-    if (!_fan && !_next.empty() && open(_next)) {
-        for (size_t k = 0; k < runs.size(); ++k)
-            _sources[k]->moveTo(*_fan, k);
-    }
-    // Round-robin, one chunk at a time: every member reaches a chunk
-    // boundary before any goes past it.
-    for (bool active = _fan != nullptr; active;) {
-        answer(door);
-        active = false;
-        _end += _chunk;
-        for (size_t k = 0; k < runs.size(); ++k) {
-            if (!_sessions[k])
+    uint64_t chunk = fan->producer().chunkInsts();
+    for (uint64_t end = chunk;
+         std::any_of(sessions.begin(), sessions.end(),
+                     [](const auto &s) { return s != nullptr; });
+         end += chunk) {
+        for (size_t k = 0; k < n; ++k) {
+            if (!sessions[k])
                 continue;
-            active = true;
             slice(k, [&] {
-                if (_sessions[k]->advance(_end))
+                if (sessions[k]->advance(end))
                     return;
-                members[k].output = _sessions[k]->finish();
+                members[k].output = sessions[k]->finish();
                 members[k].ok = true;
-                _sessions[k].reset();
-                _fan->release(k);
+                sessions[k].reset();
+                fan->release(k);
             });
         }
     }
-    std::lock_guard<std::mutex> lk(door.mu);
-    door.closed = true;
-    door.offer = 0;
-    door.cv.notify_all();
+    produced = fan->produced();
+    return members;
 }
-
-/** The doors of the groups running on a pool's workers. */
-class DoorRegistry
-{
-  public:
-    std::shared_ptr<Door>
-    enter()
-    {
-        auto door = std::make_shared<Door>();
-        std::lock_guard<std::mutex> lk(_mu);
-        _doors.push_back(door);
-        return door;
-    }
-
-    void
-    leave(const std::shared_ptr<Door> &door)
-    {
-        std::lock_guard<std::mutex> lk(_mu);
-        _doors.erase(std::find(_doors.begin(), _doors.end(), door));
-    }
-
-    /**
-     * Members handed over by the running group with the most to
-     * offer, or by one still building its machines; null once no
-     * group offers any. Waits at most for one round of that group.
-     */
-    std::unique_ptr<GroupRun>
-    take()
-    {
-        for (;;) {
-            std::shared_ptr<Door> best;
-            {
-                std::lock_guard<std::mutex> lk(_mu);
-                size_t most = 0;
-                for (const std::shared_ptr<Door> &d : _doors) {
-                    std::lock_guard<std::mutex> dl(d->mu);
-                    size_t offer = d->answered ? d->offer : 1;
-                    if (!d->asked && !d->closed && offer > most) {
-                        best = d;
-                        most = offer;
-                    }
-                }
-            }
-            if (!best)
-                return nullptr;
-            std::unique_lock<std::mutex> lk(best->mu);
-            if (best->asked || best->closed ||
-                (best->answered && !best->offer))
-                continue;
-            best->asked = true;
-            best->cv.wait(lk, [&] {
-                return best->handed || best->closed ||
-                    (best->answered && !best->offer);
-            });
-            best->asked = false;
-            if (best->handed)
-                return std::move(best->handed);
-        }
-    }
-
-  private:
-    std::mutex _mu;
-    std::vector<std::shared_ptr<Door>> _doors;
-};
 
 } // namespace
 
@@ -683,7 +455,6 @@ SweepEngine::executeWith(const SweepOptions &opts,
     unsigned jobs = static_cast<unsigned>(
         std::min<size_t>(workers, groups.size()));
     unsigned max_attempts = std::max(1u, opts.maxAttempts);
-    std::atomic<size_t> next{0};
     std::atomic<size_t> done{0};
     std::atomic<size_t> sims_done{0};
     std::atomic<size_t> groups_done{0};
@@ -762,72 +533,43 @@ SweepEngine::executeWith(const SweepOptions &opts,
         }
     };
 
-    // Run a group (or members handed over from one) with a door that
-    // idle workers may knock at, then settle the members it kept.
-    DoorRegistry doors;
-    auto drive = [&](GroupRun &run, const std::shared_ptr<Door> &door) {
-        run.drive(*door);
-        doors.leave(door);
-        _traceGroups.fetch_add(1);
-        _traceChunks.fetch_add(run.produced());
-    };
-    auto settle_kept = [&](GroupRun &run) {
-        for (size_t k = 0; k < run.runs.size(); ++k) {
-            if (!run.handed(k))
-                settle(run.runs[k], run.members[k]);
-        }
-    };
-
-    auto worker = [&]() {
-        size_t g;
-        while ((g = next.fetch_add(1)) < groups.size()) {
-            const TraceGroup &group = groups[g];
-            if (opts.runOverride) {
-                for (size_t i : group.members) {
-                    MemberRun m;
-                    Clock::time_point rt0 = Clock::now();
-                    try {
-                        m.output = runOnce(runs[i].spec, opts);
-                        m.ok = true;
-                    } catch (...) {
-                        m.error = currentError();
-                    }
-                    m.ms = msSince(rt0);
-                    settle(i, m);
+    // One task per group (or planned subgroup), run from start to end
+    // by the worker that takes it.
+    auto run_group = [&](const TraceGroup &group) {
+        if (opts.runOverride) {
+            for (size_t i : group.members) {
+                MemberRun m;
+                Clock::time_point rt0 = Clock::now();
+                try {
+                    m.output = runOnce(runs[i].spec, opts);
+                    m.ok = true;
+                } catch (...) {
+                    m.error = currentError();
                 }
-                _traceGroups.fetch_add(1);
-                groups_done.fetch_add(1);
-                continue;
+                m.ms = msSince(rt0);
+                settle(i, m);
             }
-            // The door opens before the machines are built, so a worker
-            // that runs out of groups meanwhile waits for its offer.
-            std::shared_ptr<Door> door = doors.enter();
-            GroupRun run(group, runs);
-            drive(run, door);
+            _traceGroups.fetch_add(1);
             groups_done.fetch_add(1);
-            settle_kept(run);
+            return;
         }
-        // No group left to start: take members over from a running
-        // one, so no worker idles while another has a group to finish.
-        while (std::unique_ptr<GroupRun> part = doors.take()) {
-            drive(*part, doors.enter());
-            settle_kept(*part);
-        }
+        uint64_t produced = 0;
+        std::vector<MemberRun> members = runGroup(group, runs, produced);
+        _traceGroups.fetch_add(1);
+        _traceChunks.fetch_add(produced);
+        groups_done.fetch_add(1);
+        for (size_t k = 0; k < members.size(); ++k)
+            settle(group.members[k], members[k]);
     };
-
-    if (jobs == 1) {
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(jobs);
-        for (unsigned t = 0; t < jobs; ++t) {
-            pool.emplace_back([&worker] {
-                ParallelWorkerScope scope;
-                worker();
-            });
-        }
-        for (auto &t : pool)
-            t.join();
+    std::vector<std::function<void()>> tasks;
+    tasks.reserve(groups.size());
+    for (const TraceGroup &group : groups)
+        tasks.push_back([&run_group, &group] { run_group(group); });
+    for (const TaskStatus &status : parallelForEach(tasks, jobs)) {
+        // A task contains its runs' faults; one that escapes would
+        // leave result slots unfilled.
+        if (!status.ok)
+            throw std::logic_error("sweep: " + status.errorMessage);
     }
 
     if (opts.progress) {

@@ -23,14 +23,10 @@
  *    at a time, so each chunk is made once and dropped once the last
  *    member has fetched it. SLE/TM members share one lock analysis,
  *    built from the same chunks as they are made.
- *  - Groups go to a fixed pool of workers, largest first. Only when
- *    there are fewer groups than workers is a group split into
- *    per-worker subgroups, each with its own producer.
- *  - A worker that finds no group left to start takes members of a
- *    running group over at a chunk boundary, and runs them on a
- *    producer of its own (which makes the skipped chunks again), so
- *    the batch does not wait on one worker's last group. Members that
- *    read the group's lock analysis stay with its owner.
+ *  - Groups go to a fixed pool of workers (parallelForEach), largest
+ *    first, and each runs from start to end on the worker that took
+ *    it. Only when there are fewer groups than workers is a group
+ *    split into per-worker subgroups, each with its own producer.
  *
  * Resident trace memory is a few chunks per group in flight, not the
  * batch's streams (`sweep.simulations`, `sweep.traceGroups`,
@@ -217,14 +213,13 @@ class SweepEngine
      */
     uint64_t simulations() const { return _simulations.load(); }
     /**
-     * Producers run: trace groups, with split subgroups and members
-     * taken over by an idle worker counting singly. Above one worker
-     * this depends on timing.
+     * Producers run: trace groups, with split subgroups counting
+     * singly. Depends only on the batch and `jobs`, not on timing.
      */
     uint64_t traceGroups() const { return _traceGroups.load(); }
     /**
-     * Chunks made by those producers, skipped ones included; retries
-     * run alone and are not counted.
+     * Chunks made by those producers; retries run alone and are not
+     * counted. Like traceGroups(), fixed by the batch and `jobs`.
      */
     uint64_t traceChunksProduced() const { return _traceChunks.load(); }
 

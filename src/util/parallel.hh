@@ -2,10 +2,11 @@
  * @file
  * Marks the threads of a parallel worker pool, so code deep inside a
  * run can see that sibling workers already compete for the CPUs. The
- * pools (parallelForEach and SweepEngine, src/core/sweep.cc) open a
- * ParallelWorkerScope on each of their threads when they run more than
- * one worker; openRunSource() (core/runner.hh) reads it to decide
- * whether a run's stream gets a read-ahead helper thread.
+ * one pool, parallelForEach (src/core/sweep.cc; SweepEngine runs its
+ * trace groups on it), opens a ParallelWorkerScope on each of its
+ * threads when it runs more than one worker; openRunSource()
+ * (core/runner.hh) reads it to decide whether a run's stream gets a
+ * read-ahead helper thread.
  */
 
 #ifndef STOREMLP_UTIL_PARALLEL_HH

@@ -51,6 +51,22 @@ TEST(MultiCore, RejectsDegenerateTopology)
     EXPECT_THROW(MultiCoreRunner::run(spec), ConfigError);
 }
 
+TEST(MultiCore, RejectsGeometryTheChipsCannotIndex)
+{
+    // The same checks as a single-core run (buildChips): a ConfigError
+    // instead of a cache or SMAC constructor assert.
+    MultiRunSpec spec = tinySpec(4, 2);
+    HierarchyConfig hier;
+    hier.l2.assoc = 3;
+    spec.hierarchy = hier;
+    EXPECT_THROW(MultiCoreRunner::run(spec), ConfigError);
+    spec = tinySpec(4, 2);
+    SmacConfig smac;
+    smac.entries = 3;
+    spec.smac = smac;
+    EXPECT_THROW(MultiCoreRunner::run(spec), ConfigError);
+}
+
 TEST(MultiCore, EveryCoreMeasures)
 {
     MultiRunOutput out = MultiCoreRunner::run(tinySpec(4, 2));

@@ -332,9 +332,8 @@ TEST(SweepEngine, ProducesEachDistinctStreamOnce)
     }
     ASSERT_EQ(streams.size(), 4u);
 
-    // At jobs 1 that is exact. With more workers, one that runs out of
-    // groups may take members over from a running group, whose stream
-    // its own producer then makes again: at least that many.
+    // Four groups keep up to four workers busy unsplit, so at any of
+    // these job counts each stream is made exactly once.
     for (unsigned jobs : {1u, 2u, 4u}) {
         SweepEngine engine = makeEngine(jobs, kChunk);
         std::vector<RunOutcome> got = executeSpecs(engine, specs);
@@ -345,13 +344,8 @@ TEST(SweepEngine, ProducesEachDistinctStreamOnce)
         EXPECT_EQ(reg.getCounter("sweep.traceGroups"), engine.traceGroups());
         EXPECT_EQ(reg.getCounter("sweep.traceChunksProduced"),
                   engine.traceChunksProduced());
-        if (jobs == 1) {
-            EXPECT_EQ(engine.traceGroups(), 4u);
-            EXPECT_EQ(engine.traceChunksProduced(), chunks);
-        } else {
-            EXPECT_GE(engine.traceGroups(), 4u) << "jobs " << jobs;
-            EXPECT_GE(engine.traceChunksProduced(), chunks) << "jobs " << jobs;
-        }
+        EXPECT_EQ(engine.traceGroups(), 4u) << "jobs " << jobs;
+        EXPECT_EQ(engine.traceChunksProduced(), chunks) << "jobs " << jobs;
     }
 }
 
@@ -380,9 +374,8 @@ TEST(SweepEngine, OneGroupBatchIsSplitAcrossWorkers)
         ASSERT_TRUE(got[i].ok) << got[i].errorMessage;
         expectIdentical(runAlone(one_stream[i]), got[i].output);
     }
-    // Members taken over later add producers of their own.
-    EXPECT_GE(engine.traceGroups(), 4u);
-    EXPECT_GE(engine.traceChunksProduced(), 4 * chunks);
+    EXPECT_EQ(engine.traceGroups(), 4u);
+    EXPECT_EQ(engine.traceChunksProduced(), 4 * chunks);
 
     // At jobs 1 the same batch is one group and one production.
     SweepEngine serial = makeEngine(1, kChunk);
@@ -391,11 +384,11 @@ TEST(SweepEngine, OneGroupBatchIsSplitAcrossWorkers)
     EXPECT_EQ(serial.traceChunksProduced(), chunks);
 }
 
-TEST(SweepEngine, IdleWorkerTakesMembersOverAndStaysExact)
+TEST(SweepEngine, UnevenGroupsStayExact)
 {
-    // One long group of eight and one run of its own at jobs 2: the
-    // worker done with the short run takes members of the long group
-    // over, with a producer of its own. Outcomes stay exact.
+    // One long group of eight and one short run of its own at jobs 2:
+    // each group runs from start to end on the worker that took it,
+    // so there are exactly two producers, each making its stream once.
     std::vector<RunSpec> specs;
     for (const RunSpec &spec : mixedSpecs()) {
         if (!spec.config.memoryModel.wcTraceRewrite() &&
@@ -413,14 +406,18 @@ TEST(SweepEngine, IdleWorkerTakesMembersOverAndStaysExact)
     short_run.measureInsts = 1000;
     specs.push_back(short_run);
 
-    SweepEngine engine = makeEngine(2, 4096);
+    constexpr uint64_t kChunk = 4096;
+    SweepEngine engine = makeEngine(2, kChunk);
     std::vector<RunOutcome> got = executeSpecs(engine, specs);
     for (size_t i = 0; i < specs.size(); ++i) {
         SCOPED_TRACE("spec " + std::to_string(i));
         ASSERT_TRUE(got[i].ok) << got[i].errorMessage;
         expectIdentical(runAlone(specs[i]), got[i].output);
     }
-    EXPECT_GT(engine.traceGroups(), 2u);
+    EXPECT_EQ(engine.traceGroups(), 2u);
+    EXPECT_EQ(engine.traceChunksProduced(),
+              (streamLength(specs[0]) + kChunk - 1) / kChunk +
+                  (streamLength(short_run) + kChunk - 1) / kChunk);
 }
 
 TEST(SweepEngine, FailingMemberFailsAloneAndGroupMatesStayExact)
