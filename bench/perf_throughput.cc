@@ -3,13 +3,12 @@
  * Simulator performance harness (google-benchmark): trace generation
  * throughput, cache-only replay throughput, full epoch-engine
  * throughput on each commercial workload, lock analysis throughput,
- * and on-disk trace decode throughput for each container (raw v1 vs
- * chunked v4).
+ * and on-disk v4 trace decode throughput.
  *
- * The decode benchmarks default to a generated database-profile trace
- * written to a temp file in every container; pass `--trace PATH` to
- * measure decode of an existing trace file instead (the flag is
- * consumed here, before google-benchmark parses the rest).
+ * The decode benchmark defaults to a generated database-profile trace
+ * written to a temp v4 file; pass `--trace PATH` to measure decode of
+ * an existing trace file instead (the flag is consumed here, before
+ * google-benchmark parses the rest).
  */
 
 #include <benchmark/benchmark.h>
@@ -218,21 +217,13 @@ main(int argc, char **argv)
     }
     int bench_argc = static_cast<int>(args.size());
 
-    std::vector<std::string> temp_files;
+    std::string temp_file;
     if (trace_path.empty()) {
-        // Same records in both containers, so the decode rates are
-        // directly comparable.
         SyntheticTraceGenerator gen(WorkloadProfile::database(), 1);
         Trace trace = gen.generate(200000);
-        std::string base = "/tmp/storemlp_perf_decode_";
-        std::string v1 = base + "v1.trc";
-        std::string v4 = base + "v4.trc";
-        writeTraceFile(v1, trace);
+        std::string v4 = "/tmp/storemlp_perf_decode_v4.trc";
         writeTraceFileV4(v4, trace, "bench");
-        temp_files = {v1, v4};
-        benchmark::RegisterBenchmark(
-            "BM_TraceDecode_V1Raw",
-            [v1](benchmark::State &s) { traceDecodeBench(s, v1); });
+        temp_file = v4;
         benchmark::RegisterBenchmark(
             "BM_TraceDecode_V4Chunked",
             [v4](benchmark::State &s) { traceDecodeBench(s, v4); });
@@ -249,7 +240,7 @@ main(int argc, char **argv)
         return 1;
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
-    for (const std::string &f : temp_files)
-        std::remove(f.c_str());
+    if (!temp_file.empty())
+        std::remove(temp_file.c_str());
     return 0;
 }

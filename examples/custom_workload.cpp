@@ -40,7 +40,7 @@ main()
     SyntheticTraceGenerator gen(profile, 7);
     Trace trace = gen.generate(400000);
     std::string path = "/tmp/storemlp_custom_trace.bin";
-    writeTraceFile(path, trace);
+    writeTraceFileV4(path, trace, profile.cacheKey());
     StreamingFileSource loaded(path);
     std::cout << "trace round trip: " << *loaded.knownSize()
               << " records\n";

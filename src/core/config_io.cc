@@ -36,12 +36,12 @@ constexpr SimConfigField kSimConfigFields[] = {
     {"model", &SimConfig::memoryModel, B::None, "memoryModel"},
     {"sle", &SimConfig::sle},
     {"tmEnabled", &TmConfig::enabled},
-    {"tmAbortProb", &TmConfig::abortProb},
+    {"tmAbortProb", &TmConfig::abortProb, B::Fraction},
     {"tmAbortPenaltyCycles", &TmConfig::abortPenaltyCycles},
     {"prefetchPastSerializing", &SimConfig::prefetchPastSerializing},
     {"scout", &SimConfig::scout},
-    {"missLatency", &SimConfig::missLatency},
-    {"cpiOnChip", &SimConfig::cpiOnChip},
+    {"missLatency", &SimConfig::missLatency, B::AtLeastOne},
+    {"cpiOnChip", &SimConfig::cpiOnChip, B::Positive},
     {"mispredictPenalty", &SimConfig::mispredictPenalty},
 };
 

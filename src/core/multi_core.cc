@@ -14,6 +14,7 @@
 #include "core/runner.hh"
 #include "trace/lock_detector.hh"
 #include "util/error.hh"
+#include "util/field_table.hh"
 
 namespace storemlp
 {
@@ -91,12 +92,18 @@ MultiCoreRunner::run(const MultiRunSpec &spec)
         m, spec.hierarchy, spec.smac, spec.protocol, spec.prefillL2, bus);
 
     // Contention knobs override the profile the generators see; the
-    // knobs shape the traces, never the machine.
+    // knobs shape the traces, never the machine. They are fractions,
+    // checked as the profile keys they replace are.
     WorkloadProfile prof = spec.profile;
-    if (spec.sharedStoreFrac)
-        prof.sharedStoreFrac = *spec.sharedStoreFrac;
-    if (spec.lockProb)
-        prof.lockProb = *spec.lockProb;
+    auto knob = [](const std::optional<double> &v, const char *key,
+                   double &out) {
+        if (!v)
+            return;
+        checkBound(FieldBound::Fraction, *v, key, encodeField(*v));
+        out = *v;
+    };
+    knob(spec.sharedStoreFrac, "sharedStoreFrac", prof.sharedStoreFrac);
+    knob(spec.lockProb, "lockProb", prof.lockProb);
 
     // ---- per-core streams ----
     // Generator ids 0, 101, 102, ... place each core's private regions

@@ -33,17 +33,17 @@ using namespace trace_format;
 
 /**
  * Throw a TraceFormatError that says to regenerate the file if the
- * trace_format::kMagicBytes bytes at `magic` name a retired v2/v3
+ * trace_format::kMagicBytes bytes at `magic` name a retired v1/v2/v3
  * container; return otherwise.
  */
 void
 rejectRetiredContainer(const uint8_t *magic)
 {
-    for (const char *retired : {kMagicV2, kMagicV3}) {
+    for (const char *retired : {kMagicV1, kMagicV2, kMagicV3}) {
         if (std::memcmp(magic, retired, kMagicBytes) == 0) {
             throw TraceFormatError(
                 "retired container " + std::string(retired, kMagicBytes) +
-                ": v2/v3 trace containers are no longer read; "
+                ": v1/v2/v3 trace containers are no longer read; "
                 "regenerate with storemlp_tracegen (writes v4)");
         }
     }
@@ -125,79 +125,64 @@ StreamingFileSource::parseHeader()
     if (file_bytes < kMagicBytes)
         throw TraceFormatError("bad trace magic");
     rejectRetiredContainer(_data);
-    if (std::memcmp(_data, kMagicV1, kMagicBytes) == 0) {
-        _info.version = 1;
-        _info.bodyFormat = kBodyFixed;
-    } else if (std::memcmp(_data, kMagicV4, kMagicBytes) == 0) {
-        _info.version = 4;
-        if (off + 1 > file_bytes)
-            throw TraceFormatError("truncated trace header");
-        uint8_t fmt = _data[off++];
-        if (fmt != kBodyChunked) {
-            throw TraceFormatError("unknown v4 body format " +
-                                   std::to_string(fmt));
-        }
-        _info.bodyFormat = fmt;
-        if (off + 4 > file_bytes)
-            throw TraceFormatError("truncated trace header");
-        uint32_t len = getU32(_data + off);
-        off += 4;
-        if (len > kMaxMetaBytes) {
-            throw TraceFormatError(
-                "trace metadata length " + std::to_string(len) +
-                " exceeds limit " + std::to_string(kMaxMetaBytes));
-        }
-        if (off + len > file_bytes)
-            throw TraceFormatError("truncated trace header");
-        _info.fingerprint.assign(
-            reinterpret_cast<const char *>(_data + off), len);
-        off += len;
-    } else {
+    if (std::memcmp(_data, kMagicV4, kMagicBytes) != 0)
         throw TraceFormatError("bad trace magic");
+    _info.version = 4;
+    if (off + 1 > file_bytes)
+        throw TraceFormatError("truncated trace header");
+    uint8_t fmt = _data[off++];
+    if (fmt != kBodyChunked) {
+        throw TraceFormatError("unknown v4 body format " +
+                               std::to_string(fmt));
     }
+    _info.bodyFormat = fmt;
+    if (off + 4 > file_bytes)
+        throw TraceFormatError("truncated trace header");
+    uint32_t len = getU32(_data + off);
+    off += 4;
+    if (len > kMaxMetaBytes) {
+        throw TraceFormatError(
+            "trace metadata length " + std::to_string(len) +
+            " exceeds limit " + std::to_string(kMaxMetaBytes));
+    }
+    if (off + len > file_bytes)
+        throw TraceFormatError("truncated trace header");
+    _info.fingerprint.assign(reinterpret_cast<const char *>(_data + off),
+                             len);
+    off += len;
 
-    if (off + 8 > file_bytes)
+    // Count and chunk geometry, then the whole index validated in
+    // place — O(index) work, no heap: entries are re-read from the
+    // mapping at fetch time.
+    if (off + 24 > file_bytes)
         throw TraceFormatError("truncated trace header");
     _info.records = getU64(_data + off);
-    _bodyOff = off + 8;
-
-    if (_info.bodyFormat == kBodyChunked) {
-        // Chunk geometry, then the whole index validated in place —
-        // O(index) work, no heap: entries are re-read from the
-        // mapping at fetch time.
-        if (_bodyOff + 16 > file_bytes)
-            throw TraceFormatError("truncated trace header");
-        _info.chunkInsts = getU64(_data + _bodyOff);
-        _info.chunks = getU64(_data + _bodyOff + 8);
-        _indexOff = _bodyOff + 16;
-        trace_codec::V4IndexValidator val(_info.records, _info.chunkInsts,
-                                          _info.chunks);
-        if (_info.chunks > (file_bytes - _indexOff) / kIndexEntryBytesV4) {
-            throw TraceFormatError(
-                "v4 chunk count " + std::to_string(_info.chunks) +
-                " exceeds stream capacity (" +
-                std::to_string(file_bytes - _indexOff) +
-                " bytes remain)");
-        }
-        for (uint64_t i = 0; i < _info.chunks; ++i)
-            val.feed(v4Entry(_data, _indexOff, i), i);
-        _bodyOff = _indexOff + _info.chunks * kIndexEntryBytesV4;
-        val.finish(file_bytes - _bodyOff);
-        // Chunking is non-semantic; serve the file's own geometry so
-        // every fetch is one index lookup plus one chunk decode.
-        if (_info.chunks > 0)
-            _chunkInsts = _info.chunkInsts;
+    _info.chunkInsts = getU64(_data + off + 8);
+    _info.chunks = getU64(_data + off + 16);
+    _indexOff = off + 24;
+    trace_codec::V4IndexValidator val(_info.records, _info.chunkInsts,
+                                      _info.chunks);
+    if (_info.chunks > (file_bytes - _indexOff) / kIndexEntryBytesV4) {
+        throw TraceFormatError(
+            "v4 chunk count " + std::to_string(_info.chunks) +
+            " exceeds stream capacity (" +
+            std::to_string(file_bytes - _indexOff) + " bytes remain)");
     }
+    for (uint64_t i = 0; i < _info.chunks; ++i)
+        val.feed(v4Entry(_data, _indexOff, i), i);
+    _bodyOff = _indexOff + _info.chunks * kIndexEntryBytesV4;
+    val.finish(file_bytes - _bodyOff);
+    // Chunking is non-semantic; serve the file's own geometry so
+    // every fetch is one index lookup plus one chunk decode.
+    if (_info.chunks > 0)
+        _chunkInsts = _info.chunkInsts;
 
     uint64_t remaining = file_bytes - _bodyOff;
-    uint64_t min_bytes =
-        _info.bodyFormat == kBodyFixed ? kRecordBytesV1 : 1;
-    if (_info.records > remaining / min_bytes) {
+    if (_info.records > remaining) {
         throw TraceFormatError(
             "trace header count " + std::to_string(_info.records) +
             " exceeds stream capacity (" + std::to_string(remaining) +
-            " bytes remain, >= " + std::to_string(min_bytes) +
-            " bytes per record)");
+            " bytes remain, >= 1 bytes per record)");
     }
 
     _fingerprint = _info.fingerprint.empty()
@@ -226,8 +211,6 @@ StreamingFileSource::release()
 std::optional<uint64_t>
 StreamingFileSource::chunkByteBegin(uint64_t chunk_idx) const
 {
-    if (_info.bodyFormat == kBodyFixed)
-        return _bodyOff + chunk_idx * _chunkInsts * kRecordBytesV1;
     if (chunk_idx >= _info.chunks)
         return std::nullopt;
     return _bodyOff + v4Entry(_data, _indexOff, chunk_idx).byteOff;
@@ -263,29 +246,6 @@ StreamingFileSource::releaseBehind(uint64_t chunk_idx) const
 }
 
 std::vector<TraceRecord>
-StreamingFileSource::decodeV1(uint64_t first, uint64_t n) const
-{
-    std::vector<TraceRecord> records;
-    records.reserve(n);
-    const uint8_t *p = _data + _bodyOff + first * kRecordBytesV1;
-    for (uint64_t i = 0; i < n; ++i, p += kRecordBytesV1) {
-        TraceRecord r;
-        r.pc = getU64(p);
-        r.addr = getU64(p + 8);
-        if (p[16] >= static_cast<uint8_t>(InstClass::NumClasses))
-            throw TraceFormatError("invalid instruction class");
-        r.cls = static_cast<InstClass>(p[16]);
-        r.size = p[17];
-        r.dst = p[18];
-        r.src1 = p[19];
-        r.src2 = p[20];
-        r.flags = p[21];
-        records.push_back(r);
-    }
-    return records;
-}
-
-std::vector<TraceRecord>
 StreamingFileSource::decodeV4ChunkAt(uint64_t chunk_idx) const
 {
     trace_codec::V4IndexEntry e = v4Entry(_data, _indexOff, chunk_idx);
@@ -310,9 +270,7 @@ StreamingFileSource::fetch(uint64_t chunk_idx)
 
     std::vector<TraceRecord> records;
     try {
-        records = _info.bodyFormat == kBodyFixed
-            ? decodeV1(first, n)
-            : decodeV4ChunkAt(chunk_idx);
+        records = decodeV4ChunkAt(chunk_idx);
     } catch (const TraceFormatError &e) {
         // Same type, so the tools still exit 1, but naming the file
         // and where in it the body went bad.

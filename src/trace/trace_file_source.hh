@@ -2,16 +2,16 @@
  * @file
  * The one reader of on-disk traces: an mmap-backed TraceSource that
  * decodes fixed-size chunks on demand, so a multi-gigabyte trace runs
- * with O(chunk) resident decoded records. Reads both containers (v1
- * fixed, v4 chunk-indexed compressed; see docs/TRACE_FORMAT.md) and
- * rejects the retired v2/v3 ones by name. probeTraceFile and
- * readTraceFile are thin fronts over it.
+ * with O(chunk) resident decoded records. Reads the one container, v4
+ * (chunk-indexed compressed; see docs/TRACE_FORMAT.md), and rejects
+ * the retired v1/v2/v3 ones by name. probeTraceFile and readTraceFile
+ * are thin fronts over it.
  *
- * v1 bodies are random access (fixed record width). v4 bodies carry
- * their own chunk index (byte extents plus decode seeds, validated in
- * full before the first fetch), so every chunk is random access from
- * the start and decodes through the wide path in trace_codec.cc; the
- * source adopts the file's chunk geometry. Each fetch also advises
+ * A v4 body carries its own chunk index (byte extents plus decode
+ * seeds, validated in full before the first fetch), so every chunk is
+ * random access from the start and decodes through the wide path in
+ * trace_codec.cc; the source adopts the file's chunk geometry. Each
+ * fetch also advises
  * the kernel to drop the pages behind the current chunk from this
  * process (they remain in the page cache, so a backward fetch only
  * minor-faults them back), so resident memory is O(chunk) even when
@@ -37,13 +37,13 @@ namespace storemlp
 /** Header-level description of an on-disk trace (no record decode). */
 struct TraceFileInfo
 {
-    uint32_t version = 0;    ///< container: 1 or 4
-    uint32_t bodyFormat = 0; ///< 1 fixed, 3 chunked
+    uint32_t version = 0;    ///< container: 4
+    uint32_t bodyFormat = 0; ///< 3, chunked
     uint64_t records = 0;
     uint64_t fileBytes = 0;
-    uint64_t chunks = 0;     ///< v4 only: chunk count from the index
-    uint64_t chunkInsts = 0; ///< v4 only: records per chunk
-    std::string fingerprint; ///< provenance (v4 only; else empty)
+    uint64_t chunks = 0;     ///< chunk count from the index
+    uint64_t chunkInsts = 0; ///< records per chunk
+    std::string fingerprint; ///< provenance; may be empty
 };
 
 class StreamingFileSource : public TraceSource
@@ -53,9 +53,9 @@ class StreamingFileSource : public TraceSource
      * Map `path` and parse its header (O(header + index) work).
      * Throws TraceFormatError on a path that is not a regular file (a
      * pipe, a device), a bad or retired magic, an impossible record
-     * count, or a corrupt v4 chunk index. For v4 files `chunk_insts`
-     * is ignored: chunking is non-semantic, so the source serves the
-     * file's own chunk geometry (see chunkInsts()).
+     * count, or a corrupt chunk index. `chunk_insts` only sizes the
+     * chunks of an empty file: chunking is non-semantic, so the
+     * source serves the file's own chunk geometry (see chunkInsts()).
      */
     explicit StreamingFileSource(const std::string &path,
                                  uint64_t chunk_insts = kDefaultChunkInsts);
@@ -73,11 +73,10 @@ class StreamingFileSource : public TraceSource
     const TraceFileInfo &info() const { return _info; }
 
   private:
-    /** Parse and validate the mapped header (and v4 index). */
+    /** Parse and validate the mapped header and chunk index. */
     void parseHeader();
     /** Unmap and close the file. */
     void release();
-    std::vector<TraceRecord> decodeV1(uint64_t first, uint64_t n) const;
     /** Decode v4 chunk `chunk_idx` via its (validated) index entry. */
     std::vector<TraceRecord> decodeV4ChunkAt(uint64_t chunk_idx) const;
     /** First mapped byte of `chunk_idx`, if it exists. */
@@ -92,12 +91,12 @@ class StreamingFileSource : public TraceSource
     int _fd = -1;
 
     TraceFileInfo _info;
-    uint64_t _bodyOff = 0; ///< offset of the first record byte
+    uint64_t _bodyOff = 0; ///< offset of the first chunk byte
     std::string _fingerprint; ///< the header's, or one naming the file
 
-    // v4 only: the chunk index lives in the mapping at _indexOff and
-    // is fully validated by the constructor; entries are re-read from
-    // the mapped bytes on demand, so the index costs no heap at all.
+    // The chunk index lives in the mapping at _indexOff and is fully
+    // validated by the constructor; entries are re-read from the
+    // mapped bytes on demand, so the index costs no heap at all.
     uint64_t _indexOff = 0;
     mutable uint64_t _dropUpTo = 0; ///< bytes already MADV_DONTNEEDed
 };
@@ -109,7 +108,7 @@ class StreamingFileSource : public TraceSource
  */
 TraceFileInfo probeTraceFile(const std::string &path);
 
-/** Decode a whole trace file (either container) into memory. */
+/** Decode a whole trace file into memory. */
 Trace readTraceFile(const std::string &path);
 
 } // namespace storemlp

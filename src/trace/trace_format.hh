@@ -6,22 +6,18 @@
  *
  * The normative wire-format specification — byte layouts, encodings,
  * and corruption-rejection rules — lives in docs/TRACE_FORMAT.md.
- * Two containers are read and written:
+ * One container is read and written, v4 ("SMLPTRC4"): a metadata
+ * envelope — body-format byte 3, u32 fingerprint length + fingerprint
+ * string (the provenance of the trace bytes: profile/seed/length/
+ * rewrite), u64 count — then chunk geometry (u64 chunk size, u64
+ * chunk count), a chunk index table (per-chunk record count, byte
+ * offset/length, pc/address seeds), and independently decodable
+ * compressed chunks: zigzag-varint pc deltas, XOR-varint addresses,
+ * packed 3-byte register blocks. The index gives random access and
+ * parallel decode.
  *
- *  v1 ("SMLPTRC1"): u64 count, then fixed 22-byte LE records. The
- *      bare debug format and the decode baseline.
- *  v4 ("SMLPTRC4"): a metadata envelope — body-format byte 3, u32
- *      fingerprint length + fingerprint string (the provenance of the
- *      trace bytes: profile/seed/length/rewrite), u64 count — then
- *      chunk geometry (u64 chunk size, u64 chunk count), a chunk index
- *      table (per-chunk record count, byte offset/length, pc/address
- *      seeds), and independently decodable compressed chunks:
- *      zigzag-varint pc deltas, XOR-varint addresses, packed 3-byte
- *      register blocks. The index gives random access and parallel
- *      decode.
- *
- * The retired v2 ("SMLPTRC2") and v3 ("SMLPTRC3") magics are kept
- * only so such files are rejected by name.
+ * The retired v1 ("SMLPTRC1"), v2 ("SMLPTRC2") and v3 ("SMLPTRC3")
+ * magics are kept only so such files are rejected by name.
  */
 
 #ifndef STOREMLP_TRACE_TRACE_FORMAT_HH
@@ -33,24 +29,21 @@
 namespace storemlp::trace_format
 {
 
-inline constexpr char kMagicV1[8] = {'S', 'M', 'L', 'P', 'T', 'R', 'C',
-                                     '1'};
 inline constexpr char kMagicV4[8] = {'S', 'M', 'L', 'P', 'T', 'R', 'C',
                                      '4'};
 /** Retired containers, recognized only to reject them by name. */
+inline constexpr char kMagicV1[8] = {'S', 'M', 'L', 'P', 'T', 'R', 'C',
+                                     '1'};
 inline constexpr char kMagicV2[8] = {'S', 'M', 'L', 'P', 'T', 'R', 'C',
                                      '2'};
 inline constexpr char kMagicV3[8] = {'S', 'M', 'L', 'P', 'T', 'R', 'C',
                                      '3'};
 inline constexpr uint64_t kMagicBytes = 8;
-inline constexpr uint64_t kRecordBytesV1 = 22;
 /** Fingerprint strings longer than this are rejected as corrupt. */
 inline constexpr uint64_t kMaxMetaBytes = 4096;
 
-// Record body formats: v1's fixed-width records, and the only
-// body-format byte a v4 envelope may carry.
-inline constexpr uint8_t kBodyFixed = 1;   ///< v1 fixed-width records
-inline constexpr uint8_t kBodyChunked = 3; ///< v4 chunk-indexed
+/** The only body-format byte a v4 envelope may carry. */
+inline constexpr uint8_t kBodyChunked = 3; ///< chunk-indexed
 
 // v4 control byte layout: bits 0-3 class, bit 4 pc==prev+4, bit 5
 // register/size block present, bit 6 flags byte present, bit 7

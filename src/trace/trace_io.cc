@@ -1,13 +1,12 @@
 /**
  * @file
- * Binary trace writing. Two on-disk containers (normative spec
- * in docs/TRACE_FORMAT.md, constants in trace_format.hh):
- *  v1 ("SMLPTRC1"): fixed 22-byte little-endian records.
- *  v4 ("SMLPTRC4"): a metadata envelope (body format + provenance
- *      fingerprint + count) plus chunk geometry, a chunk index, and
- *      independently decodable compressed chunks (trace_codec.cc).
- * TraceFileWriter is the one encoder; StreamingFileSource reads both
- * containers back.
+ * Binary trace writing in the one on-disk container (normative spec
+ * in docs/TRACE_FORMAT.md, constants in trace_format.hh): v4
+ * ("SMLPTRC4"), a metadata envelope (body format + provenance
+ * fingerprint + count) plus chunk geometry, a chunk index, and
+ * independently decodable compressed chunks (trace_codec.cc).
+ * TraceFileWriter is the one encoder; StreamingFileSource reads it
+ * back.
  */
 
 #include "trace/trace_io.hh"
@@ -21,7 +20,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <optional>
 #include <ostream>
 
 #include "trace/trace_codec.hh"
@@ -43,61 +41,6 @@ writeBytes(std::ostream &os, const std::vector<uint8_t> &bytes)
 }
 
 void
-writeCountHeader(std::ostream &os, uint64_t count)
-{
-    uint8_t hdr[8];
-    putU64(hdr, count);
-    os.write(reinterpret_cast<const char *>(hdr), sizeof(hdr));
-}
-
-/** Append the fixed-width v1 encoding of records[0..n) to `out`. */
-void
-encodeV1Records(std::vector<uint8_t> &out, const TraceRecord *records,
-                uint64_t n)
-{
-    size_t at = out.size();
-    out.resize(at + n * kRecordBytesV1);
-    uint8_t *p = out.data() + at;
-    for (const TraceRecord *r = records; r != records + n;
-         ++r, p += kRecordBytesV1) {
-        putU64(p, r->pc);
-        putU64(p + 8, r->addr);
-        p[16] = static_cast<uint8_t>(r->cls);
-        p[17] = r->size;
-        p[18] = r->dst;
-        p[19] = r->src1;
-        p[20] = r->src2;
-        p[21] = r->flags;
-    }
-}
-
-/** Records per block the v1 body writer encodes before writing. */
-constexpr uint64_t kBodyBlockRecords = uint64_t{1} << 14;
-
-/**
- * TraceFileWriter's v1 record body encoder: encodes appended records
- * block by block into one reused buffer.
- */
-class RecordBodyWriter
-{
-  public:
-    void
-    append(std::ostream &os, const TraceRecord *records, uint64_t n)
-    {
-        for (uint64_t done = 0; done < n;) {
-            uint64_t k = std::min(n - done, kBodyBlockRecords);
-            _buf.clear();
-            encodeV1Records(_buf, records + done, k);
-            writeBytes(os, _buf);
-            done += k;
-        }
-    }
-
-  private:
-    std::vector<uint8_t> _buf;
-};
-
-void
 checkFingerprint(const std::string &fingerprint)
 {
     if (fingerprint.size() > kMaxMetaBytes) {
@@ -112,7 +55,6 @@ checkFingerprint(const std::string &fingerprint)
 void
 writeEnvelopePrefix(std::ostream &os, const std::string &fingerprint)
 {
-    checkFingerprint(fingerprint);
     os.write(kMagicV4, kMagicBytes);
     os.put(static_cast<char>(kBodyChunked));
     uint8_t len[4];
@@ -122,16 +64,8 @@ writeEnvelopePrefix(std::ostream &os, const std::string &fingerprint)
              static_cast<std::streamsize>(fingerprint.size()));
 }
 
-/** v1 header: magic, then the record count. */
-void
-writeV1Header(std::ostream &os, uint64_t count)
-{
-    os.write(kMagicV1, kMagicBytes);
-    writeCountHeader(os, count);
-}
-
 /**
- * TraceFileWriter's v4 body encoder: cuts appended records
+ * TraceFileWriter's body encoder: cuts appended records
  * into exact `chunk_insts`-record chunks, carrying a short remainder
  * and the codec seeds across appends, and encodes each chunk into one
  * reused buffer before writing it to the body stream. Only the
@@ -183,10 +117,10 @@ class V4BodyWriter
     writeHeader(std::ostream &os, const std::string &fingerprint) const
     {
         writeEnvelopePrefix(os, fingerprint);
-        writeCountHeader(os, _records);
-        uint8_t geom[16];
-        putU64(geom, _chunkInsts);
-        putU64(geom + 8, _index.size() / kIndexEntryBytesV4);
+        uint8_t geom[24];
+        putU64(geom, _records);
+        putU64(geom + 8, _chunkInsts);
+        putU64(geom + 16, _index.size() / kIndexEntryBytesV4);
         os.write(reinterpret_cast<const char *>(geom), sizeof(geom));
         writeBytes(os, _index);
     }
@@ -236,16 +170,15 @@ copyStream(std::istream &in, std::ostream &out)
 
 struct TraceFileWriter::Impl
 {
+    explicit Impl(uint64_t chunk_insts) : v4(chunk_insts) {}
+
     std::string path;
     std::string tmp;     ///< file under construction (path if in place)
-    std::string bodyTmp; ///< v4 chunk spill; empty for v1
+    std::string bodyTmp; ///< encoded-chunk spill
     std::string fingerprint;
     std::ofstream out;
-    std::fstream body; ///< v4: written, then read back at commit
-    std::optional<RecordBodyWriter> records; ///< v1
-    std::optional<V4BodyWriter> v4;
-    std::streamoff countPos = 0; ///< v1 count header to patch
-    uint64_t count = 0;
+    std::fstream body; ///< written, then read back at commit
+    V4BodyWriter v4;
     bool committed = false;
 
     /** Runs when a constructor throws, too: no temp outlives us. */
@@ -267,20 +200,14 @@ struct TraceFileWriter::Impl
 };
 
 TraceFileWriter::TraceFileWriter(const std::string &path,
-                                 TraceContainer container,
                                  const std::string &fingerprint,
                                  uint64_t chunk_insts)
-    : _impl(std::make_unique<Impl>())
+    : _impl(std::make_unique<Impl>(chunk_insts))
 {
     Impl &w = *_impl;
     w.path = path;
     w.fingerprint = fingerprint;
-    if (container == TraceContainer::V4) {
-        checkFingerprint(fingerprint);
-        w.v4.emplace(chunk_insts);
-    } else {
-        w.records.emplace();
-    }
+    checkFingerprint(fingerprint);
 
     // Build beside the target and rename over it at commit; a device
     // such as /dev/null cannot be replaced, so it is written in place.
@@ -290,32 +217,21 @@ TraceFileWriter::TraceFileWriter(const std::string &path,
     bool in_place = std::filesystem::exists(st) &&
         !std::filesystem::is_regular_file(st);
     w.tmp = in_place ? path : stem;
-    if (w.v4) {
-        static std::atomic<uint64_t> serial{0};
-        w.bodyTmp = in_place
-            ? (std::filesystem::temp_directory_path(ec) /
-               ("storemlp_trace." + std::to_string(::getpid()) + "." +
-                std::to_string(serial++) + ".body"))
-                  .string()
-            : stem + ".body";
-    }
+    static std::atomic<uint64_t> serial{0};
+    w.bodyTmp = in_place
+        ? (std::filesystem::temp_directory_path(ec) /
+           ("storemlp_trace." + std::to_string(::getpid()) + "." +
+            std::to_string(serial++) + ".body"))
+              .string()
+        : stem + ".body";
 
     w.out.open(w.tmp, std::ios::binary | std::ios::trunc);
     if (!w.out)
         throw TraceFormatError("cannot open for write: " + path);
-    if (w.v4) {
-        w.body.open(w.bodyTmp, std::ios::binary | std::ios::in |
-                                   std::ios::out | std::ios::trunc);
-        if (!w.body)
-            throw TraceFormatError("cannot open for write: " + w.bodyTmp);
-        return;
-    }
-
-    // v1: header with a placeholder count, patched at commit.
-    writeV1Header(w.out, 0);
-    w.countPos = w.out.tellp() - std::streamoff{8};
-    if (!w.out)
-        w.writeFailed();
+    w.body.open(w.bodyTmp, std::ios::binary | std::ios::in |
+                               std::ios::out | std::ios::trunc);
+    if (!w.body)
+        throw TraceFormatError("cannot open for write: " + w.bodyTmp);
 }
 
 TraceFileWriter::~TraceFileWriter() = default;
@@ -324,35 +240,23 @@ void
 TraceFileWriter::append(const TraceRecord *records, uint64_t n)
 {
     Impl &w = *_impl;
-    if (w.v4) {
-        w.v4->append(w.body, records, n);
-        if (!w.body)
-            w.writeFailed();
-    } else {
-        w.records->append(w.out, records, n);
-        if (!w.out)
-            w.writeFailed();
-    }
-    w.count += n;
+    w.v4.append(w.body, records, n);
+    if (!w.body)
+        w.writeFailed();
 }
 
 void
 TraceFileWriter::commit()
 {
     Impl &w = *_impl;
-    if (w.v4) {
-        w.v4->finish(w.body);
-        w.body.seekg(0);
-        if (!w.body)
-            w.writeFailed();
-        w.v4->writeHeader(w.out, w.fingerprint);
-        copyStream(w.body, w.out);
-        if (!w.body.eof())
-            w.writeFailed();
-    } else {
-        w.out.seekp(w.countPos);
-        writeCountHeader(w.out, w.count);
-    }
+    w.v4.finish(w.body);
+    w.body.seekg(0);
+    if (!w.body)
+        w.writeFailed();
+    w.v4.writeHeader(w.out, w.fingerprint);
+    copyStream(w.body, w.out);
+    if (!w.body.eof())
+        w.writeFailed();
     w.out.close();
     if (!w.out)
         w.writeFailed();
@@ -364,36 +268,13 @@ TraceFileWriter::commit()
     w.committed = true;
 }
 
-// ---- whole-trace writers ----------------------------------------------
-
-namespace
-{
-
-void
-writeWholeTrace(const std::string &path, const Trace &trace,
-                TraceContainer container,
-                const std::string &fingerprint = {},
-                uint64_t chunk_insts = uint64_t{1} << 16)
-{
-    TraceFileWriter w(path, container, fingerprint, chunk_insts);
-    w.append(trace.records().data(), trace.size());
-    w.commit();
-}
-
-} // namespace
-
-void
-writeTraceFile(const std::string &path, const Trace &trace)
-{
-    writeWholeTrace(path, trace, TraceContainer::V1);
-}
-
 void
 writeTraceFileV4(const std::string &path, const Trace &trace,
                  const std::string &fingerprint, uint64_t chunk_insts)
 {
-    writeWholeTrace(path, trace, TraceContainer::V4, fingerprint,
-                    chunk_insts);
+    TraceFileWriter w(path, fingerprint, chunk_insts);
+    w.append(trace.records().data(), trace.size());
+    w.commit();
 }
 
 } // namespace storemlp

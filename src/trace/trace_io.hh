@@ -1,11 +1,11 @@
 /**
  * @file
- * Binary trace writing. Two on-disk containers (bare fixed-width v1
- * and the enveloped, chunk-indexed compressed v4; specified in
- * docs/TRACE_FORMAT.md) with magic/version headers so generated traces
- * can be cached between runs and shared across tools. TraceFileWriter
- * is the one encoder; StreamingFileSource (trace_file_source.hh) is
- * the one reader.
+ * Binary trace writing. One on-disk container, the enveloped,
+ * chunk-indexed compressed v4 (specified in docs/TRACE_FORMAT.md), so
+ * generated traces can be cached between runs and shared across
+ * tools. TraceFileWriter is the one encoder; StreamingFileSource
+ * (trace_file_source.hh) is the one reader. The retired v1-v3
+ * containers are no longer written or read.
  */
 
 #ifndef STOREMLP_TRACE_TRACE_IO_HH
@@ -29,32 +29,24 @@ class TraceFormatError : public SimError
     }
 };
 
-/** On-disk container (and record body) a TraceFileWriter emits. */
-enum class TraceContainer
-{
-    V1, ///< bare fixed-width records
-    V4, ///< enveloped, chunk-indexed compressed body
-};
-
 /**
- * Streaming writer for both containers: records arrive in appends of
- * any size and the file appears atomically. The output goes to
+ * Streaming v4 writer: records arrive in appends of any size and the
+ * file appears atomically. The output goes to
  * `<path>.tmp.<pid>` and is renamed over `path` by commit(); a writer
  * destroyed before commit() removes its temporaries and leaves `path`
  * as it was. An existing non-regular `path` (/dev/null, a device) is
- * written in place instead. Resident memory is O(chunk): v1 patches
- * the 8-byte record count in place at commit; v4 keeps only the
- * 40-byte index entries, spills encoded chunks to a sibling body
- * temp, and assembles header + index + body at commit. Throws
+ * written in place instead. Resident memory is O(chunk): the writer
+ * keeps only the 40-byte index entries, spills encoded chunks to a
+ * sibling body temp, and assembles header + index + body at commit.
+ * Throws
  * TraceFormatError on an unwritable path, a fingerprint over
- * trace_format::kMaxMetaBytes, a v4 chunk size outside
+ * trace_format::kMaxMetaBytes, a chunk size outside
  * [1, trace_format::kMaxChunkInstsV4], or a failed write.
  */
 class TraceFileWriter
 {
   public:
-    /** `fingerprint` and `chunk_insts` are ignored by bare v1. */
-    TraceFileWriter(const std::string &path, TraceContainer container,
+    TraceFileWriter(const std::string &path,
                     const std::string &fingerprint = {},
                     uint64_t chunk_insts = uint64_t{1} << 16);
     ~TraceFileWriter();
@@ -74,21 +66,15 @@ class TraceFileWriter
 };
 
 /**
- * Write a whole trace to a file in bare v1. Throws on I/O failure.
- * Both whole-trace `write*File` functions are a TraceFileWriter over
- * the trace, so the file appears atomically.
- */
-void writeTraceFile(const std::string &path, const Trace &trace);
-
-/**
  * Write a whole trace in the chunk-indexed compressed v4 container: a
  * metadata envelope (body format + provenance fingerprint + count)
  * plus chunk geometry, a per-chunk index (record count, byte extent,
  * pc/address seeds) and independently decodable compressed chunks of
  * `chunk_insts` records each. Tools read the count and fingerprint
  * from the header without decoding a record; see
- * docs/TRACE_FORMAT.md. Throws TraceFormatError if `chunk_insts` is 0
- * or exceeds trace_format::kMaxChunkInstsV4.
+ * docs/TRACE_FORMAT.md. A TraceFileWriter over the trace, so the file
+ * appears atomically. Throws TraceFormatError if `chunk_insts` is 0 or
+ * exceeds trace_format::kMaxChunkInstsV4, or on I/O failure.
  */
 void writeTraceFileV4(const std::string &path, const Trace &trace,
                       const std::string &fingerprint,

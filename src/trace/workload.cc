@@ -21,52 +21,56 @@ namespace
 {
 
 using P = WorkloadProfile;
+using B = FieldBound;
 
 constexpr ProfileField kProfileFields[] = {
     {"name", &P::name},
-    {"loadFrac", &P::loadFrac},
-    {"storeFrac", &P::storeFrac},
-    {"branchFrac", &P::branchFrac},
-    {"loadColdProb", &P::loadColdProb},
-    {"loadBurstCont", &P::loadBurstCont},
-    {"storeColdProb", &P::storeColdProb},
-    {"storeBurstCont", &P::storeBurstCont},
+    {"loadFrac", &P::loadFrac, B::Fraction},
+    {"storeFrac", &P::storeFrac, B::Fraction},
+    {"branchFrac", &P::branchFrac, B::Fraction},
+    {"loadColdProb", &P::loadColdProb, B::Fraction},
+    {"loadBurstCont", &P::loadBurstCont, B::Fraction},
+    {"storeColdProb", &P::storeColdProb, B::Fraction},
+    {"storeBurstCont", &P::storeBurstCont, B::Fraction},
     {"coldStoresPerLine", &P::coldStoresPerLine},
     {"storeSpatialRun", &P::storeSpatialRun},
-    {"storeRevisitFrac", &P::storeRevisitFrac},
-    {"flushPhaseProb", &P::flushPhaseProb},
+    {"storeRevisitFrac", &P::storeRevisitFrac, B::Fraction},
+    {"flushPhaseProb", &P::flushPhaseProb, B::Fraction},
     {"flushLenMean", &P::flushLenMean},
-    {"flushStoreFrac", &P::flushStoreFrac},
-    {"flushColdProb", &P::flushColdProb},
-    {"burstPhaseProb", &P::burstPhaseProb},
+    {"flushStoreFrac", &P::flushStoreFrac, B::Fraction},
+    {"flushColdProb", &P::flushColdProb, B::Fraction},
+    {"burstPhaseProb", &P::burstPhaseProb, B::Fraction},
     {"burstLenMean", &P::burstLenMean},
-    {"burstStoreFrac", &P::burstStoreFrac},
-    {"burstColdProb", &P::burstColdProb},
-    {"instColdProb", &P::instColdProb},
-    {"instBurstCont", &P::instBurstCont},
+    {"burstStoreFrac", &P::burstStoreFrac, B::Fraction},
+    {"burstColdProb", &P::burstColdProb, B::Fraction},
+    {"instColdProb", &P::instColdProb, B::Fraction},
+    {"instBurstCont", &P::instBurstCont, B::Fraction},
     {"hotDataBytes", &P::hotDataBytes},
-    {"hotL1Frac", &P::hotL1Frac},
+    {"hotL1Frac", &P::hotL1Frac, B::Fraction},
     {"hotL1Bytes", &P::hotL1Bytes},
     {"hotCodeBytes", &P::hotCodeBytes},
     {"hotCodeWindowBytes", &P::hotCodeWindowBytes},
-    {"hotCodeJumpProb", &P::hotCodeJumpProb},
+    {"hotCodeJumpProb", &P::hotCodeJumpProb, B::Fraction},
     {"storeMissRegionBytes", &P::storeMissRegionBytes},
-    {"sharedStoreFrac", &P::sharedStoreFrac},
+    {"sharedStoreFrac", &P::sharedStoreFrac, B::Fraction},
     {"sharedStoreRegionBytes", &P::sharedStoreRegionBytes},
-    {"sharedHotFrac", &P::sharedHotFrac},
+    {"sharedHotFrac", &P::sharedHotFrac, B::Fraction},
     {"sharedHotBytes", &P::sharedHotBytes},
-    {"sharedLoadFrac", &P::sharedLoadFrac},
-    {"lockProb", &P::lockProb},
-    {"lockCount", &P::lockCount, FieldBound::AtLeastOne},
+    {"sharedLoadFrac", &P::sharedLoadFrac, B::Fraction},
+    {"lockProb", &P::lockProb, B::Fraction},
+    {"lockCount", &P::lockCount, B::AtLeastOne},
     {"csBodyLen", &P::csBodyLen},
-    {"membarProb", &P::membarProb},
-    {"easyBranchFrac", &P::easyBranchFrac},
+    {"membarProb", &P::membarProb, B::Fraction},
+    {"easyBranchFrac", &P::easyBranchFrac, B::Fraction},
     {"branchBias", &P::branchBias},
     {"staticBranches", &P::staticBranches},
-    {"branchDependsOnLoadProb", &P::branchDependsOnLoadProb},
-    {"depNearProb", &P::depNearProb},
+    {"branchDependsOnLoadProb", &P::branchDependsOnLoadProb, B::Fraction},
+    {"depNearProb", &P::depNearProb, B::Fraction},
     // A timing input of the epoch engine: no trace byte depends on it.
-    {.key = "cpiOnChip", .member = &P::cpiOnChip, .fingerprint = false},
+    {.key = "cpiOnChip",
+     .member = &P::cpiOnChip,
+     .bound = B::Positive,
+     .fingerprint = false},
 };
 
 } // namespace

@@ -141,13 +141,40 @@ encodeField(const T &v)
     }
 }
 
-/** Lower bounds a Field may declare; load and set check them. */
+/** Bounds a Field may declare; load and set check them. */
 enum class FieldBound : uint8_t
 {
     None,
     AtLeastOne, ///< a size or count
     ZeroOrPow2, ///< a granularity; 0 disables it
+    Fraction,   ///< a probability or share: finite, in [0, 1]
+    Positive,   ///< a rate or scale: finite, above 0
 };
+
+/** ConfigError naming `key` = `text` unless `v` meets `bound`; a
+ *  bound that does not apply to `v`'s type passes. */
+template <typename T>
+void
+checkBound(FieldBound bound, const T &v, const std::string &key,
+           const std::string &text)
+{
+    const char *why = nullptr;
+    if constexpr (std::is_same_v<T, uint32_t>) {
+        if (bound == FieldBound::AtLeastOne && v == 0)
+            why = " is below the minimum 1";
+        else if (bound == FieldBound::ZeroOrPow2 && (v & (v - 1)))
+            why = " is not 0 or a power of two";
+    } else if constexpr (std::is_same_v<T, double>) {
+        // Written so that NaN fails both.
+        if (bound == FieldBound::Fraction && !(v >= 0.0 && v <= 1.0))
+            why = " is not a fraction in [0, 1]";
+        else if (bound == FieldBound::Positive &&
+                 !(v > 0.0 && v <= std::numeric_limits<double>::max()))
+            why = " is not a finite value above 0";
+    }
+    if (why)
+        throw ConfigError("'" + key + "' = " + text + why);
+}
 
 /** One struct member. `Member` is a std::variant of member pointers. */
 template <typename Member>
@@ -189,15 +216,7 @@ setField(S &s, std::span<const Field<Member>> fields, const char *what,
         [&](auto m) {
             auto v = fieldOf(s, m);
             decodeField(v, f->key, text);
-            if constexpr (std::is_same_v<decltype(v), uint32_t>) {
-                if ((f->bound == FieldBound::AtLeastOne && v == 0) ||
-                    (f->bound == FieldBound::ZeroOrPow2 && (v & (v - 1)))) {
-                    throw ConfigError(
-                        "'" + key + "' = " + text +
-                        (v ? " is not 0 or a power of two"
-                           : " is below the minimum 1"));
-                }
-            }
+            checkBound(f->bound, v, key, text);
             fieldOf(s, m) = std::move(v);
         },
         f->member);

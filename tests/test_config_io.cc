@@ -9,6 +9,8 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/config_io.hh"
 #include "core/sweep_request.hh"
@@ -73,8 +75,14 @@ loadProfileText(const std::string &text)
 // ---- a different in-range value of each field type ----
 void nudge(std::string &v, FieldBound) { v += "-x"; }
 void nudge(bool &v, FieldBound) { v = !v; }
-// Needs more than 6 significant digits to read back exactly.
-void nudge(double &v, FieldBound) { v += 0.1234567891; }
+// Needs more than 6 significant digits to read back exactly; a
+// fraction stays in [0, 1].
+void
+nudge(double &v, FieldBound bound)
+{
+    v += bound == FieldBound::Fraction && v > 0.5 ? -0.1234567891
+                                                  : 0.1234567891;
+}
 
 template <typename U>
     requires std::same_as<U, uint32_t> || std::same_as<U, uint64_t>
@@ -231,7 +239,7 @@ TEST(ConfigIo, RejectsBadValues)
     for (const char *bad :
          {"storeQueueSize = 4294967328\n", "robSize = -1\n",
           "storeQueueSize = 0\n", "storeBufferSize = 0\n",
-          "robSize = 0\n", "issueWindowSize = 0\n",
+          "robSize = 0\n", "issueWindowSize = 0\n", "missLatency = 0\n",
           "loadBufferSize = 0\n", "coalesceBytes = 3\n",
           "coalesceBytes = 12\n", "scout = hws9\n"}) {
         EXPECT_THROW(loadConfigText(bad), ConfigError) << bad;
@@ -495,6 +503,72 @@ TEST(ConfigIo, EveryTableFieldRoundTrips)
         std::stringstream ss;
         saveWorkloadProfile(ss, base);
         EXPECT_EQ(loadWorkloadProfile(ss).cacheKey(), base.cacheKey());
+    }
+}
+
+/** Values outside and at the edges of each double bound. */
+struct BoundCase
+{
+    FieldBound bound;
+    std::vector<const char *> bad;
+    std::vector<const char *> good;
+};
+const BoundCase kBoundCases[] = {
+    {FieldBound::Fraction,
+     {"-0.01", "1.5", "5", "nan", "inf", "-inf", "1e18"},
+     {"0", "1", "0.25"}},
+    {FieldBound::Positive, {"0", "-1", "nan", "inf"}, {"1e-9", "2.5"}},
+};
+
+/** Every double field of `fields` with a bound rejects the values
+ *  outside it, naming the key and value, and accepts its edges.
+ *  Returns how many fields were checked. */
+template <typename S, typename Member>
+int
+expectBoundsEnforced(S s, std::span<const Field<Member>> fields)
+{
+    int checked = 0;
+    for (const Field<Member> &f : fields) {
+        for (const BoundCase &c : kBoundCases) {
+            if (f.bound != c.bound)
+                continue;
+            ++checked;
+            for (const char *text : c.bad) {
+                try {
+                    setField(s, fields, "test", f.key, text);
+                    ADD_FAILURE() << f.key << " = " << text << " accepted";
+                } catch (const ConfigError &e) {
+                    EXPECT_NE(std::string(e.what()).find(
+                                  "'" + std::string(f.key) + "' = " + text),
+                              std::string::npos)
+                        << e.what();
+                }
+            }
+            for (const char *text : c.good) {
+                EXPECT_NO_THROW(setField(s, fields, "test", f.key, text))
+                    << f.key << " = " << text;
+            }
+        }
+    }
+    return checked;
+}
+
+// Shares and probabilities are finite and in [0, 1]; cpiOnChip is
+// finite and positive. Every profile key named as a share or a
+// probability carries the bound.
+TEST(ConfigIo, BoundedDoublesRejectOutOfRange)
+{
+    // tmAbortProb and cpiOnChip.
+    EXPECT_EQ(expectBoundsEnforced(SimConfig{}, simConfigFields()), 2);
+    // 26 shares and probabilities, and cpiOnChip.
+    EXPECT_EQ(expectBoundsEnforced(WorkloadProfile::database(),
+                                   workloadProfileFields()),
+              27);
+    for (const ProfileField &f : workloadProfileFields()) {
+        std::string key = f.key;
+        bool share = key.ends_with("Frac") || key.ends_with("Prob") ||
+            key.ends_with("BurstCont");
+        EXPECT_EQ(f.bound == FieldBound::Fraction, share) << key;
     }
 }
 

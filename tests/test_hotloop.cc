@@ -16,7 +16,7 @@
  * ONLY when a semantic change is intended and reviewed. The matrix
  * covers all shipped configs (PC1-PC3, WC1-WC3, scout, TM, SMAC,
  * multi-chip peer traffic, sibling core), materialized vs generator vs
- * on-disk v1/v4 sources, chunk sizes 1 / non-divisor / default,
+ * on-disk v4 sources, chunk sizes 1 / non-divisor / default,
  * jobs=1 vs jobs=4 sweeps, and the N-core runner (`multi/`, the
  * paper's two-core chip among it). The
  * `gen/` entries hash the raw record streams of every profile at the
@@ -286,7 +286,7 @@ buildCases()
         }
     }
 
-    // ---- on-disk containers v1 / v4, direct simulator runs ----
+    // ---- on-disk v4 files at three chunkings, direct simulator runs ----
     {
         SyntheticTraceGenerator gen(WorkloadProfile::database(), 7);
         Trace trace = gen.generate(kWarmup + kMeasure);
@@ -294,12 +294,12 @@ buildCases()
         std::string base =
             ::testing::TempDir() + "hotloop_equiv_" +
             std::to_string(static_cast<unsigned>(::getpid()));
-        std::string v1 = base + "_v1.trc";
         std::string v4 = base + "_v4.trc";
         std::string v4c = base + "_v4c.trc";
-        writeTraceFile(v1, trace);
+        std::string v4one = base + "_v4one.trc";
         writeTraceFileV4(v4, trace, "hotloop");
         writeTraceFileV4(v4c, trace, "hotloop", 7777);
+        writeTraceFileV4(v4one, trace, "hotloop", 1);
 
         const SimConfig cfgs[] = {SimConfig::defaults(), SimConfig::pc3()};
         for (const SimConfig &cfg : cfgs) {
@@ -315,25 +315,25 @@ buildCases()
             {
                 const char *tag;
                 const std::string *path;
-                uint64_t chunk;
             };
+            // The v1_* keys keep their recorded names; they now read
+            // v4 files at the chunkings the v1 cases read.
             const FileCase fcs[] = {
-                {"v1_default", &v1, 0},  {"v1_chunk7777", &v1, 7777},
-                {"v1_chunk1", &v1, 1},   {"v4_file", &v4, 0},
-                {"v4_chunk7777", &v4c, 0},
+                {"v1_default", &v4},   {"v1_chunk7777", &v4c},
+                {"v1_chunk1", &v4one}, {"v4_file", &v4},
+                {"v4_chunk7777", &v4c},
             };
             for (const FileCase &fc : fcs) {
-                StreamingFileSource src(
-                    *fc.path, fc.chunk ? fc.chunk : kDefaultChunkInsts);
+                StreamingFileSource src(*fc.path);
                 ChipNode chip(HierarchyConfig{}, 0);
                 MlpSimulator sim(cfg, chip, &locks);
                 out[std::string("file/") + cfg.name + "_" + fc.tag] =
                     hashSimResult(sim.run(src, kWarmup));
             }
         }
-        std::remove(v1.c_str());
         std::remove(v4.c_str());
         std::remove(v4c.c_str());
+        std::remove(v4one.c_str());
     }
 
     return out;

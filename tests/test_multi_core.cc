@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <vector>
 
@@ -65,6 +66,20 @@ TEST(MultiCore, RejectsGeometryTheChipsCannotIndex)
     smac.entries = 3;
     spec.smac = smac;
     EXPECT_THROW(MultiCoreRunner::run(spec), ConfigError);
+}
+
+TEST(MultiCore, ContentionKnobsAreFractions)
+{
+    // --shared-frac and --lock-prob replace profile keys, so they get
+    // the profile's check: finite, in [0, 1].
+    for (double bad : {-0.1, 1.5, std::nan("")}) {
+        MultiRunSpec spec = tinySpec(2, 1);
+        spec.sharedStoreFrac = bad;
+        EXPECT_THROW(MultiCoreRunner::run(spec), ConfigError) << bad;
+        spec = tinySpec(2, 1);
+        spec.lockProb = bad;
+        EXPECT_THROW(MultiCoreRunner::run(spec), ConfigError) << bad;
+    }
 }
 
 TEST(MultiCore, EveryCoreMeasures)

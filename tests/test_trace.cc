@@ -133,27 +133,31 @@ TEST(TraceIo, RoundTrip)
         .branch(true, 9)
         .build();
 
-    test::TempTraceFile f;
-    writeTraceFile(f.path, t);
-    Trace u = readTraceFile(f.path);
+    // One record per chunk, a chunk size that does not divide the
+    // trace, and one chunk.
+    for (uint64_t chunk : {uint64_t{1}, uint64_t{3}, uint64_t{1} << 16}) {
+        test::TempTraceFile f;
+        writeTraceFileV4(f.path, t, "", chunk);
+        Trace u = readTraceFile(f.path);
 
-    ASSERT_EQ(u.size(), t.size());
-    for (size_t i = 0; i < t.size(); ++i) {
-        EXPECT_EQ(u[i].pc, t[i].pc);
-        EXPECT_EQ(u[i].addr, t[i].addr);
-        EXPECT_EQ(u[i].cls, t[i].cls);
-        EXPECT_EQ(u[i].size, t[i].size);
-        EXPECT_EQ(u[i].dst, t[i].dst);
-        EXPECT_EQ(u[i].src1, t[i].src1);
-        EXPECT_EQ(u[i].src2, t[i].src2);
-        EXPECT_EQ(u[i].flags, t[i].flags);
+        ASSERT_EQ(u.size(), t.size()) << "chunk " << chunk;
+        for (size_t i = 0; i < t.size(); ++i) {
+            EXPECT_EQ(u[i].pc, t[i].pc);
+            EXPECT_EQ(u[i].addr, t[i].addr);
+            EXPECT_EQ(u[i].cls, t[i].cls);
+            EXPECT_EQ(u[i].size, t[i].size);
+            EXPECT_EQ(u[i].dst, t[i].dst);
+            EXPECT_EQ(u[i].src1, t[i].src1);
+            EXPECT_EQ(u[i].src2, t[i].src2);
+            EXPECT_EQ(u[i].flags, t[i].flags);
+        }
     }
 }
 
 TEST(TraceIo, EmptyTraceRoundTrip)
 {
     test::TempTraceFile f;
-    writeTraceFile(f.path, Trace());
+    writeTraceFileV4(f.path, Trace(), "");
     Trace u = readTraceFile(f.path);
     EXPECT_TRUE(u.empty());
 }
@@ -168,7 +172,7 @@ TEST(TraceIo, RejectsTruncatedBody)
 {
     Trace t = TraceBuilder().alu().alu().build();
     test::TempTraceFile f;
-    writeTraceFile(f.path, t);
+    writeTraceFileV4(f.path, t, "");
     std::string full = test::fileBytes(f.path);
     EXPECT_THROW(test::readTraceBytes(full.substr(0, full.size() - 5)),
                  TraceFormatError);
@@ -178,9 +182,11 @@ TEST(TraceIo, RejectsInvalidClass)
 {
     Trace t = TraceBuilder().alu().build();
     test::TempTraceFile f;
-    writeTraceFile(f.path, t);
+    writeTraceFileV4(f.path, t, "");
     std::string s = test::fileBytes(f.path);
-    s[16 + 16] = 0x7f; // class byte of record 0 (after 16-byte header)
+    // Record 0's control byte follows the 77-byte header + index and
+    // the 20-byte chunk section header; its low nibble is the class.
+    s[77 + 20] = static_cast<char>(s[77 + 20] | 0x0f);
     EXPECT_THROW(test::readTraceBytes(s), TraceFormatError);
 }
 
@@ -188,7 +194,7 @@ TEST(TraceIo, FileRoundTrip)
 {
     Trace t = TraceBuilder().load(0x10, 1).store(0x20, 2).build();
     std::string path = testing::TempDir() + "/storemlp_trace_test.bin";
-    writeTraceFile(path, t);
+    writeTraceFileV4(path, t, "");
     Trace u = readTraceFile(path);
     ASSERT_EQ(u.size(), 2u);
     EXPECT_EQ(u[1].addr, 0x20u);

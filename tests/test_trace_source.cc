@@ -200,14 +200,16 @@ class FileSourceTest : public ::testing::Test
 
 TEST_F(FileSourceTest, StreamsV1V4Identically)
 {
+    // Files written one record per chunk, at non-divisors of the
+    // length and in one chunk all stream the same records, whatever
+    // chunk size the reader asks for.
     Trace ref = makeTrace(6000, 17);
-    std::string v1 = writeTemp(
-        "v1", [&](auto &p) { writeTraceFile(p, ref); });
-    std::string v4 = writeTemp("v4", [&](auto &p) {
-        writeTraceFileV4(p, ref, "fp-test", 509);
-    });
-
-    for (const std::string &path : {v1, v4}) {
+    for (uint64_t file_chunk : {uint64_t{1}, uint64_t{251}, uint64_t{509},
+                                uint64_t{1} << 16}) {
+        std::string path =
+            writeTemp("c" + std::to_string(file_chunk), [&](auto &p) {
+                writeTraceFileV4(p, ref, "fp-test", file_chunk);
+            });
         for (uint64_t chunk : {uint64_t{1}, uint64_t{251},
                                uint64_t{1} << 16}) {
             StreamingFileSource src(path, chunk);
@@ -915,8 +917,6 @@ TEST_F(OpenRunSource, StagesPerInput)
     wc.config = SimConfig::wc2();
 
     Trace trace = test::wholeTrace(pc);
-    std::string v1 = writeTemp(
-        "stages_v1", [&](auto &p) { writeTraceFile(p, trace); });
     std::string v4 = writeTemp("stages_v4", [&](auto &p) {
         writeTraceFileV4(p, trace, "stages", kChunk);
     });
@@ -939,7 +939,6 @@ TEST_F(OpenRunSource, StagesPerInput)
         {"generated pc", generated(pc), false, {"readahead", "generator"}},
         {"generated wc", generated(wc), false,
          {"readahead", "wc", "generator"}},
-        {"v1 file", file(pc, v1), false, {"readahead", "file"}},
         {"v4 file", file(pc, v4), false, {"readahead", "file"}},
         // Files replay as written: a WC model adds no rewrite.
         {"v4 file, wc model", file(wc, v4), false, {"readahead", "file"}},
@@ -1011,13 +1010,15 @@ TEST_F(OpenRunSource, FileRunsBitIdenticalToBareFile)
                 full.records().begin(),
                 full.records().begin() + static_cast<ptrdiff_t>(n)));
             std::string tag = name + "_" + std::to_string(n);
-            std::string v1 = writeTemp("bare_v1_" + tag, [&](auto &p) {
-                writeTraceFile(p, trace);
-            });
+            // The run's chunk size, and a file chunking that does not
+            // divide it.
             std::string v4 = writeTemp("bare_v4_" + tag, [&](auto &p) {
                 writeTraceFileV4(p, trace, "bare-" + tag, kChunk);
             });
-            for (const std::string &path : {v1, v4}) {
+            std::string odd = writeTemp("bare_odd_" + tag, [&](auto &p) {
+                writeTraceFileV4(p, trace, "bare-" + tag, 1009);
+            });
+            for (const std::string &path : {v4, odd}) {
                 std::string what = path + " " + name;
                 StreamingFileSource bare(path, kChunk);
                 RunOutput want = Runner::run(spec, bare);

@@ -3,10 +3,10 @@
  * Tests for the chunk-indexed compressed v4 trace container: round
  * trips across chunk geometries, corruption rejection for every new
  * TraceFormatError branch (index and chunk level), a whole-file
- * byte-flip fuzz pass, rejection of the retired v2/v3 containers by
+ * byte-flip fuzz pass, rejection of the retired v1/v2/v3 containers by
  * every reader, streaming/random access through StreamingFileSource,
- * chunk caching, and bit-identical SimResults against raw v1 traces on
- * every shipped config.
+ * and bit-identical SimResults against the in-memory trace on every
+ * shipped config.
  */
 
 #include <sys/stat.h>
@@ -138,11 +138,11 @@ TEST(TraceV4, SingleRecordTraceSingleRecordChunks)
 
 TEST(TraceV4, AtMostQuarterOfV1)
 {
+    // The retired v1 container: a 16-byte header, then 22 bytes per
+    // record.
     Trace t = makeTrace(50000);
-    test::TempTraceFile v1;
-    writeTraceFile(v1.path, t);
     std::string v4 = encodeV4(t, 1 << 16);
-    EXPECT_LE(v4.size() * 4, test::fileBytes(v1.path).size())
+    EXPECT_LE(v4.size() * 4, t.size() * 22 + 16)
         << "v4 must be <= 0.25x of v1 on the database profile";
 }
 
@@ -257,9 +257,9 @@ TEST(TraceV4Corrupt, UnknownBodyFormat)
 
 TEST(TraceV4Corrupt, RetiredContainerRejectedByName)
 {
-    // A v2/v3 file fails in every reader with a message that says to
-    // regenerate it, whatever follows the magic.
-    const std::string needle = "v2/v3 trace containers are no longer "
+    // A v1/v2/v3 file fails in every reader with a message that says
+    // to regenerate it, whatever follows the magic.
+    const std::string needle = "v1/v2/v3 trace containers are no longer "
                                "read; regenerate with storemlp_tracegen";
     auto expectRetired = [&](const std::function<void()> &read) {
         try {
@@ -272,7 +272,7 @@ TEST(TraceV4Corrupt, RetiredContainerRejectedByName)
         }
     };
     std::string path = ::testing::TempDir() + "v4_retired.trc";
-    for (const char *magic : {"SMLPTRC2", "SMLPTRC3"}) {
+    for (const char *magic : {"SMLPTRC1", "SMLPTRC2", "SMLPTRC3"}) {
         SCOPED_TRACE(magic);
         // The v4 envelope after the old magic: a retired file is never
         // misparsed as a current one.
@@ -565,8 +565,8 @@ TEST(TraceV4Streaming, RandomAccessWithoutSequentialWalk)
 TEST(TraceV4Runner, BitIdenticalToRawOnShippedConfigs)
 {
     // The acceptance bar: for every shipped config, SimResult must be
-    // bit-identical between the in-memory trace, a raw v1 file and a
-    // v4 compressed file — both streamed through
+    // bit-identical between the in-memory trace and v4 files at one
+    // record per chunk and at 4096 — both streamed through
     // StreamingFileSource and fully materialized via readTraceFile.
     const char *files[] = {"pc1.cfg", "pc2.cfg", "pc3.cfg",
                            "wc1.cfg", "wc2.cfg", "wc3.cfg",
@@ -596,12 +596,12 @@ TEST(TraceV4Runner, BitIdenticalToRawOnShippedConfigs)
         RunOutput mat = test::runMaterialized(spec, trace);
 
         std::string base = ::testing::TempDir() + "v4_equiv_";
-        std::string v1_path = base + "v1.trc";
+        std::string c1_path = base + "c1.trc";
         std::string v4_path = base + "v4.trc";
-        writeTraceFile(v1_path, trace);
+        writeTraceFileV4(c1_path, trace, "equiv", 1);
         writeTraceFileV4(v4_path, trace, "equiv", 4096);
 
-        for (const std::string &p : {v1_path, v4_path}) {
+        for (const std::string &p : {c1_path, v4_path}) {
             StreamingFileSource src(p);
             RunOutput streamed = Runner::run(spec, src);
             EXPECT_EQ(streamed.sim, mat.sim) << f << " " << p;
@@ -612,7 +612,7 @@ TEST(TraceV4Runner, BitIdenticalToRawOnShippedConfigs)
             RunOutput materialized = test::runMaterialized(spec, loaded);
             EXPECT_EQ(materialized.sim, mat.sim) << f << " " << p;
         }
-        std::remove(v1_path.c_str());
+        std::remove(c1_path.c_str());
         std::remove(v4_path.c_str());
         ++compared;
     }

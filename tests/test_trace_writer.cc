@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for TraceFileWriter: both containers round-trip records
- * appended in sizes that do not line up with the chunk size, the file
- * matches the whole-trace writer's byte for byte, and a writer
- * abandoned before commit() leaves the target as it was.
+ * Tests for TraceFileWriter: records appended in sizes that do not
+ * line up with the chunk size round-trip, the file matches the
+ * whole-trace writer's byte for byte, and a writer abandoned before
+ * commit() leaves the target as it was.
  */
 
 #include <cstdio>
@@ -28,15 +28,12 @@ constexpr uint64_t kChunk = 4096;
 
 using test::fileBytes;
 
-/** The file the whole-trace writer of `c` writes for `t`. */
+/** The file the whole-trace writer writes for `t`. */
 std::string
-wholeTraceBytes(const Trace &t, TraceContainer c, const std::string &fp)
+wholeTraceBytes(const Trace &t, const std::string &fp)
 {
     test::TempTraceFile f("whole");
-    switch (c) {
-      case TraceContainer::V1: writeTraceFile(f.path, t); break;
-      case TraceContainer::V4: writeTraceFileV4(f.path, t, fp, kChunk); break;
-    }
+    writeTraceFileV4(f.path, t, fp, kChunk);
     return fileBytes(f.path);
 }
 
@@ -90,27 +87,23 @@ TEST(TraceFileWriter, RoundTripsUnalignedAppendsInEveryContainer)
     for (uint64_t n : {3 * kChunk, 3 * kChunk + 1000, uint64_t{0}}) {
         Trace t = makeTrace(WorkloadProfile::tpcw(), n);
         const TraceRecord *data = t.records().data();
-        for (TraceContainer c : {TraceContainer::V1, TraceContainer::V4}) {
-            SCOPED_TRACE("records " + std::to_string(n) +
-                         ", container " +
-                         std::to_string(static_cast<int>(c)));
-            {
-                TraceFileWriter w(path, c, fp, kChunk);
-                uint64_t done = 0;
-                for (uint64_t step : {uint64_t{1}, kChunk - 1, kChunk + 1,
-                                      ~uint64_t{0}}) {
-                    uint64_t k = std::min(step, t.size() - done);
-                    w.append(data + done, k);
-                    done += k;
-                }
-                w.commit();
+        SCOPED_TRACE("records " + std::to_string(n));
+        {
+            TraceFileWriter w(path, fp, kChunk);
+            uint64_t done = 0;
+            for (uint64_t step : {uint64_t{1}, kChunk - 1, kChunk + 1,
+                                  ~uint64_t{0}}) {
+                uint64_t k = std::min(step, t.size() - done);
+                w.append(data + done, k);
+                done += k;
             }
-            EXPECT_EQ(fileBytes(path), wholeTraceBytes(t, c, fp));
-            expectSameRecords(t, readTraceFile(path));
-            StreamingFileSource src(path, kChunk);
-            expectSameRecords(t, materializeSource(src));
-            EXPECT_TRUE(tempsBeside(path).empty());
+            w.commit();
         }
+        EXPECT_EQ(fileBytes(path), wholeTraceBytes(t, fp));
+        expectSameRecords(t, readTraceFile(path));
+        StreamingFileSource src(path, kChunk);
+        expectSameRecords(t, materializeSource(src));
+        EXPECT_TRUE(tempsBeside(path).empty());
     }
     std::remove(path.c_str());
 }
@@ -122,8 +115,8 @@ TEST(TraceFileWriter, AbandonedWriterLeavesTargetUntouched)
     writeTraceFileV4(path, t, "original");
     const std::string before = fileBytes(path);
 
-    for (TraceContainer c : {TraceContainer::V1, TraceContainer::V4}) {
-        TraceFileWriter w(path, c, "replacement", kChunk);
+    {
+        TraceFileWriter w(path, "replacement", kChunk);
         w.append(t.records().data(), t.size());
         // destroyed without commit()
     }
@@ -135,7 +128,7 @@ TEST(TraceFileWriter, AbandonedWriterLeavesTargetUntouched)
 TEST(TraceFileWriter, RejectsBadV4ChunkSizeBeforeCreatingFiles)
 {
     const std::string path = ::testing::TempDir() + "writer_bad.trc";
-    EXPECT_THROW(TraceFileWriter(path, TraceContainer::V4, "", 0),
+    EXPECT_THROW(TraceFileWriter(path, "", 0),
                  TraceFormatError);
     EXPECT_FALSE(std::filesystem::exists(path));
     EXPECT_TRUE(tempsBeside(path).empty());

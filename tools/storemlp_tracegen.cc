@@ -1,8 +1,8 @@
 /**
  * @file
  * storemlp_tracegen: generate a synthetic workload trace and write it
- * in the storemlp binary trace format: the chunk-indexed compressed v4
- * container, or bare v1 with --legacy. The trace streams chunk by
+ * in the storemlp binary trace format, the chunk-indexed compressed v4
+ * container. The trace streams chunk by
  * chunk from the generator (and WC rewrite) into the file, so memory
  * stays O(chunk) at any --count. The generation report goes to
  * stdout (text, JSON document, or CSV).
@@ -41,27 +41,17 @@ toolMain(int argc, char **argv)
         {"chunk-insts", "N",
          "v4 records per chunk, 1.." +
              std::to_string(trace_format::kMaxChunkInstsV4) +
-             "\n(default 65536; not with --legacy)"},
-        {"legacy", "",
-         "bare fixed-width v1 container (no fingerprint\n"
-         "header, 22 bytes per record)"},
+             "\n(default 65536)"},
         {"out", "PATH", "output trace file (required)"},
         kFormatFlag,
     });
     if (!cli.has("out"))
         cli.fail("--out is required");
-    bool legacy = cli.flag("legacy");
     if (cli.has("compress")) {
         std::string v = cli.str("compress", "");
         if (!v.empty() && v != "v4")
             cli.fail("bad --compress value '" + v + "' (only v4)");
-        if (legacy)
-            cli.fail("--compress requires the self-describing "
-                     "container (drop --legacy)");
     }
-    if (legacy && cli.has("chunk-insts"))
-        cli.fail("--chunk-insts sets the v4 chunk size (not with "
-                 "--legacy)");
     uint64_t chunk_insts = chunkInstsArg(cli, 65536);
 
     SourceSpec spec;
@@ -72,8 +62,6 @@ toolMain(int argc, char **argv)
     spec.wcRewrite = cli.flag("wc");
     std::string out = cli.str("out", "");
 
-    TraceContainer container =
-        legacy ? TraceContainer::V1 : TraceContainer::V4;
     Trace::Mix mix;
     try {
         // Generator -> WC rewrite -> read-ahead, as storemlp_sim
@@ -81,8 +69,7 @@ toolMain(int argc, char **argv)
         // a file round-trip is cache-compatible with the synthesized
         // stream.
         std::unique_ptr<TraceSource> src = openRunSource(spec);
-        TraceFileWriter writer(out, container, src->fingerprint(),
-                               chunk_insts);
+        TraceFileWriter writer(out, src->fingerprint(), chunk_insts);
         // Each chunk is dropped before the next fetch: holding two
         // would stall the read-ahead helper.
         for (uint64_t k = 0;; ++k) {

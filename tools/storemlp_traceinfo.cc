@@ -25,22 +25,8 @@ using namespace storemlp::tools;
 namespace
 {
 
-const char *
-bodyFormatName(uint32_t fmt)
-{
-    switch (fmt) {
-      case 1:
-        return "fixed";
-      case 2:
-        return "delta";
-      case 3:
-        return "chunked";
-      default:
-        return "unknown";
-    }
-}
-
-/** Bytes the same records would occupy in the fixed-width v1 container. */
+/** Bytes the same records would occupy in the retired fixed-width v1
+ *  container: the size reference of the compression ratio. */
 uint64_t
 v1EquivalentBytes(uint64_t records)
 {
@@ -119,10 +105,8 @@ toolMain(int argc, char **argv)
         reg.counter("trace.fileBytes", info.fileBytes);
         reg.counter("trace.version", info.version);
         reg.counter("trace.bodyFormat", info.bodyFormat);
-        if (info.version == 4) {
-            reg.counter("trace.chunks", info.chunks);
-            reg.counter("trace.chunkInsts", info.chunkInsts);
-        }
+        reg.counter("trace.chunks", info.chunks);
+        reg.counter("trace.chunkInsts", info.chunkInsts);
         if (info.records) {
             reg.scalar("trace.compressionRatio",
                        static_cast<double>(info.fileBytes) /
@@ -152,12 +136,9 @@ toolMain(int argc, char **argv)
 
     os << "records:  " << info.records << "\n"
        << "bytes:    " << info.fileBytes << "\n"
-       << "format:   v" << info.version << " ("
-       << bodyFormatName(info.bodyFormat) << " body)\n";
-    if (info.version == 4) {
-        os << "chunks:   " << info.chunks << " x " << info.chunkInsts
-           << " records\n";
-    }
+       << "format:   v" << info.version << " (chunked body)\n"
+       << "chunks:   " << info.chunks << " x " << info.chunkInsts
+       << " records\n";
     if (info.records) {
         // From the header alone: how this container compares to the
         // same records in fixed-width v1.
